@@ -47,12 +47,25 @@ class FlowField:
 
     @classmethod
     def from_raster(cls, raster: np.ndarray) -> "FlowField":
-        """Interpret a raw (H, W, 2) raster, treating huge components as invalid."""
-        vec = np.asarray(raster, dtype=np.float64)
-        with np.errstate(invalid="ignore"):
-            valid = np.all(np.abs(vec) <= INVALID_FLOW_THRESHOLD, axis=2)
-        valid &= np.all(np.isfinite(vec), axis=2)
-        return cls(np.where(valid[..., None], vec, 0.0), valid)
+        """Interpret a raw (H, W, 2) raster, treating huge components as invalid.
+
+        A pixel is valid when both components are at most INVALID_FLOW_THRESHOLD
+        in magnitude; the comparison is false for NaN and infinities, so one
+        pass finds every invalid pixel. Valid vectors are finite by that rule
+        and invalid ones are zeroed, so the result skips the constructor's
+        re-validation.
+        """
+        raw = np.asarray(raster)
+        if raw.ndim != 3 or raw.shape[2] != 2:
+            raise InputError(f"flow vectors must have shape (H, W, 2), got {raw.shape}")
+        within = np.abs(raw) <= INVALID_FLOW_THRESHOLD
+        valid = within[..., 0] & within[..., 1]
+        vectors = raw.astype(np.float64)
+        vectors[~valid] = 0.0
+        field = object.__new__(cls)
+        object.__setattr__(field, "vectors", vectors)
+        object.__setattr__(field, "valid", valid)
+        return field
 
     def to_raster(self) -> np.ndarray:
         """Raw float32 raster with the invalid-pixel sentinel filled in."""

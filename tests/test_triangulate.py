@@ -20,7 +20,7 @@ from triad import (
 from triad.geometry import normalized_grid
 from triad.synth import constant_velocity_trajectory
 
-from helpers import exact_flow_case, golden_section_argmin, random_rotation
+from helpers import exact_flow_case, golden_section_argmin, random_rotation, suite_case
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -226,6 +226,39 @@ class TestTriangulateMap:
         assert np.array_equal(one.conf_h, many.conf_h, equal_nan=True)
         assert np.array_equal(one.conf_r, many.conf_r, equal_nan=True)
         assert np.array_equal(one.valid, many.valid)
+
+
+class TestDotProductBound:
+    def test_map_matches_cross_product_oracle_on_noisy_suite(self):
+        """triangulate_map's dot-product form stays within the module's stated bound."""
+        rng = np.random.default_rng(0)
+        map_valid, pixel_valid, got, want = [], [], [], []
+        for seed in range(3):
+            case = suite_case(seed)
+            k, init = case["intrinsics"], case["init"]
+            m_grid = normalized_grid(k)
+            for index in rng.choice(k.height * k.width, 400, replace=False):
+                y, x = divmod(int(index), k.width)
+                observations = []
+                for field, pose in case["observations"]:
+                    if field.valid[y, x]:
+                        u, v = np.array([x, y]) + field.vectors[y, x]
+                        observations.append(([(u - k.cx) / k.fx, (v - k.cy) / k.fy, 1.0], pose))
+                result = triangulate_pixel(m_grid[y, x], observations) if observations else None
+                map_valid.append(bool(init.valid[y, x]))
+                pixel_valid.append(result is not None)
+                if init.valid[y, x] and result is not None:
+                    depth, hessian, residual = result
+                    got.append((init.depth[y, x], init.conf_h[y, x], init.conf_r[y, x]))
+                    want.append((depth, np.sqrt(hessian), residual))
+        assert len(map_valid) >= 1000
+        assert map_valid == pixel_valid
+        got, want = np.array(got), np.array(want)
+        assert len(got) >= 0.8 * len(map_valid)
+        err = np.abs(got - want)
+        assert np.max(err[:, 0] / want[:, 0]) <= 1e-9
+        assert np.max(err[:, 1] / want[:, 1]) <= 1e-9
+        assert np.max(err[:, 2]) <= 1e-9
 
 
 class TestEpipolarLoss:
