@@ -1,8 +1,10 @@
+import platform
+
 import numpy as np
 import pytest
 
 from triad import ConfigError, evaluate
-from triad.cli import main
+from triad.cli import MMAP_THRESHOLD, fix_heap_thresholds, main
 from triad.fileio import read_flow, read_image, read_pfm, write_flow, write_image, write_pfm
 from triad.pipeline import (
     RunConfig,
@@ -365,3 +367,24 @@ class TestLibraryEstimate:
         assert float(kv["initial.rmse"]) == pytest.approx(summary["initial_report"].rmse, rel=1e-10)
         assert float(kv["refined.rmse"]) == pytest.approx(summary["refined_report"].rmse, rel=1e-10)
         assert kv["run.selected"] == "0 1 3 4"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+class TestHeapThresholds:
+    def test_thresholds_accepted(self):
+        assert fix_heap_thresholds()
+
+    def test_freed_block_is_reused_without_page_faults(self):
+        import resource
+
+        # With glibc's default thresholds a block this size is mapped on its
+        # own and unmapped when freed, so filling it again faults every page.
+        fix_heap_thresholds()
+        n = (MMAP_THRESHOLD - (1 << 20)) // 8
+        faults = []
+        for _ in range(2):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            block = np.full(n, 1.0)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            del block
+        assert faults[1] < 100, faults
