@@ -37,7 +37,7 @@ _M_MMAP_THRESHOLD = -3
 # largest arrays a command allocates, VGA (H, W, 3) float64 grids, take 7.4 MB.
 MMAP_THRESHOLD = 32 << 20
 # Free memory at the top of the heap is kept up to this size. It exceeds what
-# one command frees (a VGA refine with 40 iterations keeps 41 iterates, 100 MB).
+# one command frees (a VGA ablate up to 40 iterations keeps 41 iterates, 100 MB).
 TRIM_THRESHOLD = 256 << 20
 
 

@@ -120,8 +120,13 @@ def uncertainty_sweep(
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties sharing their average rank."""
-    order = np.argsort(x, kind="stable")
+    """Ranks 1..n with ties sharing their average rank.
+
+    Every member of a tie group gets the same average, so the order inside a
+    group does not matter and the unstable default sort gives the same ranks
+    as a stable one, bit for bit.
+    """
+    order = np.argsort(x)
     sorted_x = x[order]
     change = np.nonzero(sorted_x[1:] != sorted_x[:-1])[0] + 1
     boundaries = np.concatenate(([0], change, [len(x)]))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, InputError, NumericalError
 from .flow import FlowField
 from .geometry import Intrinsics, Trajectory
 from .metrics import (
@@ -176,8 +176,8 @@ class RunConfig:
             values = [float(t) for t in self.sweep_thresholds.split()]
         except ValueError as e:
             raise ConfigError(f"bad sweep_thresholds: {e}") from e
-        if not values:
-            raise ConfigError("sweep_thresholds must not be empty")
+        if not values or any(t <= 0 for t in values):
+            raise ConfigError("sweep_thresholds must be positive numbers")
         return values
 
     def ablate_iteration_list(self) -> list[int]:
@@ -241,7 +241,17 @@ def load_run_config(config_path=None, overrides=(), env=None) -> RunConfig:
         key, _, value = item.partition("=")
         mapping[key.strip()] = value.strip()
     values = {key: _coerce(key, raw) for key, raw in mapping.items()}
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    # build every derived setting now, so a bad value fails as a config error
+    # before any command writes output
+    try:
+        cfg.refine_config()
+        cfg.selection_policy()
+    except InputError as e:
+        raise ConfigError(str(e)) from e
+    cfg.sweep_threshold_list()
+    cfg.ablate_iteration_list()
+    return cfg
 
 
 def resolve_keyframe(cfg: RunConfig, n_frames: int) -> int:
@@ -514,7 +524,7 @@ def cmd_ablate(cfg: RunConfig, root) -> dict:
     for mode in WEIGHT_MODES:
         rc = cfg.refine_config(weight_mode=mode, iterations=max_iterations)
         weights = build_weights(init, intensity, rc)
-        result = refine(init, weights, rc)
+        result = refine(init, weights, rc, keep_iterates=True)
         for iterations in iteration_grid:
             report = evaluate(result.iterates[iterations], gt, mask)
             reports[(mode, iterations)] = report

@@ -97,7 +97,11 @@ class WeightMaps:
 
 @dataclass(frozen=True)
 class RefineResult:
-    """Per-iteration depth maps d(0)..d(K), the uncertainty map, and objective values."""
+    """Depth iterates, the uncertainty map, and objective values C(d(0))..C(d(K)).
+
+    iterates holds every map d(0)..d(K) when refine was asked to keep them,
+    and only the final d(K) otherwise.
+    """
 
     iterates: tuple[np.ndarray, ...]
     uncertainty: np.ndarray
@@ -138,31 +142,52 @@ def build_weights(init: InitialDepth, intensity: np.ndarray, cfg: RefineConfig) 
     return WeightMaps(w=w, g_h=g_h, g_v=g_v)
 
 
-def _neighbor_sum(d: np.ndarray, weights: WeightMaps) -> np.ndarray:
-    """sum_j g_ij d_j over the 4-neighbor edges of every pixel."""
-    s = np.zeros_like(d)
-    s[:, :-1] += weights.g_h * d[:, 1:]
-    s[:, 1:] += weights.g_h * d[:, :-1]
-    s[:-1, :] += weights.g_v * d[1:, :]
-    s[1:, :] += weights.g_v * d[:-1, :]
-    return s
+def _scratch(shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Work buffers shaped like a pixel map, its horizontal and its vertical edges."""
+    h, w = shape
+    return np.empty((h, w)), np.empty((h, w - 1)), np.empty((h - 1, w))
 
 
-def objective_value(d: np.ndarray, dbar_filled: np.ndarray, weights: WeightMaps, mu: float) -> float:
-    """C(d); dbar_filled must be finite everywhere (its value is ignored where w = 0)."""
-    data = np.sum(weights.w * np.square(d - dbar_filled))
-    smooth_h = np.sum(weights.g_h * np.square(np.diff(d, axis=1)))
-    smooth_v = np.sum(weights.g_v * np.square(np.diff(d, axis=0)))
+def _neighbor_sum(d: np.ndarray, weights: WeightMaps, out: np.ndarray, scratch) -> np.ndarray:
+    """sum_j g_ij d_j over the 4-neighbor edges of every pixel, written into out."""
+    _, horiz, vert = scratch
+    out.fill(0.0)
+    out[:, :-1] += np.multiply(weights.g_h, d[:, 1:], out=horiz)
+    out[:, 1:] += np.multiply(weights.g_h, d[:, :-1], out=horiz)
+    out[:-1, :] += np.multiply(weights.g_v, d[1:, :], out=vert)
+    out[1:, :] += np.multiply(weights.g_v, d[:-1, :], out=vert)
+    return out
+
+
+def objective_value(
+    d: np.ndarray, dbar_filled: np.ndarray, weights: WeightMaps, mu: float, scratch=None
+) -> float:
+    """C(d); dbar_filled must be finite everywhere (its value is ignored where w = 0).
+
+    scratch, from _scratch(d.shape), is overwritten; without it the buffers are
+    allocated per call.
+    """
+    full, horiz, vert = _scratch(d.shape) if scratch is None else scratch
+    np.subtract(d, dbar_filled, out=full)
+    data = np.sum(np.multiply(weights.w, np.square(full, out=full), out=full))
+    np.subtract(d[:, 1:], d[:, :-1], out=horiz)
+    smooth_h = np.sum(np.multiply(weights.g_h, np.square(horiz, out=horiz), out=horiz))
+    np.subtract(d[1:, :], d[:-1, :], out=vert)
+    smooth_v = np.sum(np.multiply(weights.g_v, np.square(vert, out=vert), out=vert))
     return float(data + mu * (smooth_h + smooth_v))
 
 
-def refine(init: InitialDepth, weights: WeightMaps, cfg: RefineConfig) -> RefineResult:
+def refine(
+    init: InitialDepth, weights: WeightMaps, cfg: RefineConfig, keep_iterates: bool = False
+) -> RefineResult:
     """Run K damped-Jacobi iterations and compute the uncertainty map.
 
     d(0) is the triangulated depth with invalid pixels filled by the median of
     the valid ones (1.0 m if nothing is valid). Pixels with zero diagonal
     (possible only when mu = 0 on an invalid pixel) hold their initialization
-    and are assigned sigma_cap.
+    and are assigned sigma_cap. The result keeps every iterate d(0)..d(K) only
+    when keep_iterates is set, and just the final map otherwise; the objective
+    is recorded for every iterate either way.
     """
     if weights.w.shape != init.depth.shape:
         raise InputError("weights were built for a different map size")
@@ -177,17 +202,31 @@ def refine(init: InitialDepth, weights: WeightMaps, cfg: RefineConfig) -> Refine
     constrained = denom > 0.0
     safe_denom = np.where(constrained, denom, 1.0)
 
-    iterates = [d.copy()]
-    objective = [objective_value(d, dbar, weights, mu)]
+    # every step below is the same elementwise operation on the same operands
+    # as the textbook update, evaluated into reused buffers, so the iterates
+    # and the objective do not depend on the buffering
+    w_dbar = weights.w * dbar
+    step = np.empty_like(d)
+    scratch = _scratch(d.shape)
+    iterates = [d] if keep_iterates else []
+    objective = [objective_value(d, dbar, weights, mu, scratch)]
     for _ in range(cfg.iterations):
-        target_delta = (weights.w * dbar + mu * _neighbor_sum(d, weights) - denom * d) / safe_denom
-        d = np.where(constrained, d + cfg.omega * target_delta, d)
-        iterates.append(d.copy())
-        objective.append(objective_value(d, dbar, weights, mu))
+        # step = d + omega * (w dbar + mu sum_j g_ij d_j - denom d) / safe_denom
+        _neighbor_sum(d, weights, step, scratch)
+        np.multiply(step, mu, out=step)
+        np.add(w_dbar, step, out=step)
+        np.subtract(step, np.multiply(denom, d, out=scratch[0]), out=step)
+        np.divide(step, safe_denom, out=step)
+        np.multiply(step, cfg.omega, out=step)
+        np.add(d, step, out=step)
+        d = np.where(constrained, step, d)
+        if keep_iterates:
+            iterates.append(d)
+        objective.append(objective_value(d, dbar, weights, mu, scratch))
 
     sigma = np.maximum(cfg.sigma_min, cfg.beta / np.sqrt(safe_denom))
     sigma = np.where(constrained, sigma, cfg.sigma_cap)
-    return RefineResult(tuple(iterates), sigma, tuple(objective))
+    return RefineResult(tuple(iterates) if keep_iterates else (d,), sigma, tuple(objective))
 
 
 def laplacian_nll(

@@ -93,13 +93,18 @@ class InitialDepth:
             if getattr(self, name).shape != shape:
                 raise InputError(f"{name} shape {getattr(self, name).shape} != depth shape {shape}")
         v = self.valid
+        invalid = ~v
         for name in ("depth", "conf_h", "conf_r"):
             channel = getattr(self, name)
-            if not np.all(np.isfinite(channel[v])):
+            # NaN exactly on the invalid pixels and no infinity anywhere means
+            # finite on valid pixels and NaN on invalid ones
+            if np.array_equal(np.isnan(channel), invalid) and not np.isinf(channel).any():
+                continue
+            if np.any(v & ~np.isfinite(channel)):
                 raise InputError(f"{name} must be finite on valid pixels")
-            if not np.all(np.isnan(channel[~v])):
-                raise InputError(f"{name} must be NaN on invalid pixels")
-        if np.any(self.depth[v] <= 0) or np.any(self.conf_h[v] <= 0) or np.any(self.conf_r[v] < 0):
+            raise InputError(f"{name} must be NaN on invalid pixels")
+        # NaN compares false, so whole-map tests see only the valid pixels
+        if np.any(self.depth <= 0) or np.any(self.conf_h <= 0) or np.any(self.conf_r < 0):
             raise InputError("valid pixels need depth > 0, conf_h > 0, conf_r >= 0")
 
 

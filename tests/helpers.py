@@ -147,10 +147,11 @@ def exact_flow_case(seed: int, width: int = 160, height: int = 120, fx: float = 
 
 def read_keyvalues(path) -> dict[str, str]:
     values = {}
-    for line in open(path, "r", encoding="utf-8"):
-        line = line.strip()
-        if not line or "=" not in line:
-            continue
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+    with open(path, "r", encoding="utf-8") as f:
+        for line in f:
+            line = line.strip()
+            if not line or "=" not in line:
+                continue
+            key, _, value = line.partition("=")
+            values[key.strip()] = value.strip()
     return values

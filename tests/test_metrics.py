@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import spearmanr
+from scipy.stats import rankdata, spearmanr
 
 from triad import (
     EmptyEvaluation,
@@ -13,7 +13,7 @@ from triad import (
     evaluate,
     uncertainty_sweep,
 )
-from triad.metrics import DELTA_THRESHOLDS, SWEEP_THRESHOLDS, sweep_csv_lines
+from triad.metrics import DELTA_THRESHOLDS, SWEEP_THRESHOLDS, _average_ranks, sweep_csv_lines
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -173,6 +173,18 @@ class TestUncertaintySweep:
         assert len(lines) == 3
         header_fields = lines[0].split(",")
         assert all(len(line.split(",")) == len(header_fields) for line in lines[1:])
+
+
+class TestAverageRanks:
+    def test_equals_rankdata_on_heavy_ties(self):
+        rng = np.random.default_rng(9)
+        x = rng.integers(0, 7, 50_000) * 0.25
+        assert np.array_equal(_average_ranks(x), rankdata(x, method="average"))
+
+    def test_equals_rankdata_untied(self):
+        x = np.random.default_rng(10).standard_normal(300_000)
+        assert np.unique(x).size == x.size
+        assert np.array_equal(_average_ranks(x), rankdata(x, method="average"))
 
 
 class TestSpearman:

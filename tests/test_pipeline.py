@@ -306,6 +306,18 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "bad",
+        ["omega=2", "iterations=-1", "selection_mode=bogus", "fixed_step=0", "sweep_thresholds=-1"],
+    )
+    def test_bad_derived_setting_is_one_before_any_output(self, tmp_path, bad):
+        root = tmp_path / "bad"
+        opts = synth_opts()
+        assert run_cli("synth", "--root", str(root), *opts) == 0
+        assert run_cli("estimate", "--root", str(root), *opts, f"--opt={bad}") == 1
+        out = root / "out"
+        assert not out.exists() or not any(out.iterdir())
+
     def test_all_pixels_degenerate_is_three(self, tmp_path):
         root = tmp_path / "deg"
         opts = synth_opts()
@@ -339,6 +351,18 @@ class TestAblate:
             row = summary["reports"][(mode, 0)]
             assert row.rmse == summary["initial_report"].rmse
             assert row.abs_rel == summary["initial_report"].abs_rel
+
+    def test_rows_equal_separate_refine_runs(self, ablation):
+        root, summary = ablation
+        opts = [o.removeprefix("--opt=") for o in synth_opts()]
+        for mode in ("full", "residual_only"):
+            for k in (0, 3, 9):
+                extra = [f"weight_mode={mode}", f"iterations={k}", f"out_dir=single_{mode}_{k}"]
+                cfg = load_run_config(overrides=opts + extra)
+                single = cmd_estimate(cfg, root)
+                gt = read_pfm(root / cfg.gt_depth).astype(np.float64)
+                mask = single["init"].valid & np.isfinite(gt)
+                assert evaluate(single["result"].depth, gt, mask) == summary["reports"][(mode, k)]
 
     def test_full_confidence_beats_constant_in_median(self):
         full, constant = [], []

@@ -214,7 +214,8 @@ class TestRefine:
         init = random_initial(rng, height=9, width=9, valid_fraction=0.7)
         cfg = RefineConfig(mu=2.0, iterations=20)
         weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
-        result = refine(init, weights, cfg)
+        result = refine(init, weights, cfg, keep_iterates=True)
+        assert len(result.iterates) == 21
         lo = init.depth[init.valid].min()
         hi = init.depth[init.valid].max()
         for iterate in result.iterates:
@@ -279,6 +280,95 @@ class TestRefine:
             assert np.median(refined_rmse) < np.median(initial_rmse), (
                 f"no improvement at sigma={sigma_flow}, outliers={outlier_rate}"
             )
+
+
+def reference_jacobi(init, weights, cfg):
+    """The plain damped-Jacobi update with fresh arrays for every term."""
+    valid = init.valid
+    dbar = np.where(valid, init.depth, 0.0)
+    fill = float(np.median(init.depth[valid])) if np.any(valid) else 1.0
+    d = np.where(valid, init.depth, fill)
+    mu = cfg.mu
+    degree = np.zeros_like(d)
+    degree[:, :-1] += weights.g_h
+    degree[:, 1:] += weights.g_h
+    degree[:-1, :] += weights.g_v
+    degree[1:, :] += weights.g_v
+    denom = weights.w + mu * degree
+    constrained = denom > 0.0
+    safe_denom = np.where(constrained, denom, 1.0)
+
+    def objective(d):
+        data = np.sum(weights.w * np.square(d - dbar))
+        smooth_h = np.sum(weights.g_h * np.square(np.diff(d, axis=1)))
+        smooth_v = np.sum(weights.g_v * np.square(np.diff(d, axis=0)))
+        return float(data + mu * (smooth_h + smooth_v))
+
+    iterates, values = [d.copy()], [objective(d)]
+    for _ in range(cfg.iterations):
+        s = np.zeros_like(d)
+        s[:, :-1] += weights.g_h * d[:, 1:]
+        s[:, 1:] += weights.g_h * d[:, :-1]
+        s[:-1, :] += weights.g_v * d[1:, :]
+        s[1:, :] += weights.g_v * d[:-1, :]
+        target_delta = (weights.w * dbar + mu * s - denom * d) / safe_denom
+        d = np.where(constrained, d + cfg.omega * target_delta, d)
+        iterates.append(d.copy())
+        values.append(objective(d))
+    sigma = np.where(constrained, np.maximum(cfg.sigma_min, cfg.beta / np.sqrt(safe_denom)), cfg.sigma_cap)
+    return iterates, values, sigma
+
+
+class TestBufferedJacobi:
+    @pytest.mark.parametrize(
+        "seed, valid_fraction, mu, omega",
+        [(0, 1.0, 1.0, 0.9), (1, 0.6, 2.5, 0.7), (2, 0.3, 0.4, 1.0), (3, 0.5, 0.0, 0.9), (4, 0.0, 1.0, 0.9)],
+    )
+    def test_matches_reference_bit_for_bit(self, seed, valid_fraction, mu, omega):
+        rng = np.random.default_rng(seed)
+        init = random_initial(rng, height=11, width=13, valid_fraction=valid_fraction)
+        cfg = RefineConfig(mu=mu, omega=omega, iterations=9)
+        weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
+        result = refine(init, weights, cfg, keep_iterates=True)
+        iterates, values, sigma = reference_jacobi(init, weights, cfg)
+        assert len(result.iterates) == len(iterates) == 10
+        for got, want in zip(result.iterates, iterates):
+            assert np.array_equal(got, want)
+        assert result.objective == tuple(values)
+        assert np.array_equal(result.uncertainty, sigma)
+        if mu == 0.0:  # invalid pixels have no constraint: held at the fill, sigma_cap
+            assert np.all(result.uncertainty[~init.valid] == cfg.sigma_cap)
+            assert np.all(result.depth[~init.valid] == iterates[0][~init.valid])
+
+    def test_matches_reference_on_suite_map(self):
+        case = suite_case(0, width=160, height=120, fx=200.0)
+        cfg = RefineConfig(iterations=12)
+        result = refine(case["init"], case["weights"], cfg, keep_iterates=True)
+        iterates, values, sigma = reference_jacobi(case["init"], case["weights"], cfg)
+        assert all(np.array_equal(got, want) for got, want in zip(result.iterates, iterates))
+        assert result.objective == tuple(values)
+        assert np.array_equal(result.uncertainty, sigma)
+
+    def test_objective_value_matches_reference(self):
+        rng = np.random.default_rng(5)
+        init = random_initial(rng, height=9, width=10, valid_fraction=0.7)
+        cfg = RefineConfig(mu=1.7, iterations=3)
+        weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
+        iterates, values, _ = reference_jacobi(init, weights, cfg)
+        dbar = np.where(init.valid, init.depth, 0.0)
+        assert [objective_value(d, dbar, weights, cfg.mu) for d in iterates] == values
+
+    def test_final_map_only_by_default(self):
+        rng = np.random.default_rng(6)
+        init = random_initial(rng, valid_fraction=0.8)
+        cfg = RefineConfig(iterations=6)
+        weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
+        kept = refine(init, weights, cfg, keep_iterates=True)
+        final = refine(init, weights, cfg)
+        assert len(final.iterates) == 1
+        assert np.array_equal(final.depth, kept.depth)
+        assert final.objective == kept.objective
+        assert np.array_equal(final.uncertainty, kept.uncertainty)
 
 
 class TestLaplacianNll:

@@ -18,6 +18,7 @@ from triad import (
     triangulate_pixel,
 )
 from triad.geometry import normalized_grid
+from triad.triangulate import InitialDepth
 from triad.synth import constant_velocity_trajectory
 
 from helpers import exact_flow_case, golden_section_argmin, random_rotation, suite_case
@@ -312,3 +313,55 @@ class TestEpipolarLoss:
         field = FlowField(np.zeros((24, 32, 2)), np.ones((24, 32), dtype=bool))
         with pytest.raises(InputError):
             epipolar_loss(field, RelativePose(np.eye(3), (0.1, 0, 0)), np.ones((5, 5)), k)
+
+
+class TestInitialDepthChecks:
+    @staticmethod
+    def _channels():
+        valid = np.array([[True, True], [False, True]])
+        depth = np.array([[2.0, 3.0], [np.nan, 4.0]])
+        conf_h = np.array([[0.5, 0.1], [np.nan, 0.2]])
+        conf_r = np.array([[0.0, 0.01], [np.nan, 0.03]])
+        return {"depth": depth, "conf_h": conf_h, "conf_r": conf_r, "valid": valid}
+
+    def test_well_formed_maps_accepted(self):
+        InitialDepth(**self._channels())
+
+    @pytest.mark.parametrize("name", ["conf_h", "conf_r", "valid"])
+    def test_shape_mismatch(self, name):
+        maps = self._channels()
+        maps[name] = maps[name][:, :1]
+        with pytest.raises(InputError, match=f"{name} shape .* != depth shape"):
+            InitialDepth(**maps)
+
+    @pytest.mark.parametrize("name", ["depth", "conf_h", "conf_r"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_on_valid_pixel(self, name, value):
+        maps = self._channels()
+        maps[name][0, 1] = value
+        with pytest.raises(InputError, match=f"^{name} must be finite on valid pixels$"):
+            InitialDepth(**maps)
+
+    @pytest.mark.parametrize("name", ["depth", "conf_h", "conf_r"])
+    @pytest.mark.parametrize("value", [1.0, np.inf, -np.inf])
+    def test_non_nan_on_invalid_pixel(self, name, value):
+        maps = self._channels()
+        maps[name][1, 0] = value
+        with pytest.raises(InputError, match=f"^{name} must be NaN on invalid pixels$"):
+            InitialDepth(**maps)
+
+    @pytest.mark.parametrize(
+        "name, value", [("depth", 0.0), ("depth", -1.0), ("conf_h", 0.0), ("conf_r", -0.5)]
+    )
+    def test_sign_rules_on_valid_pixels(self, name, value):
+        maps = self._channels()
+        maps[name][1, 1] = value
+        with pytest.raises(InputError, match="valid pixels need depth > 0, conf_h > 0, conf_r >= 0"):
+            InitialDepth(**maps)
+
+    def test_first_failing_channel_named(self):
+        maps = self._channels()
+        maps["conf_r"][0, 0] = np.nan
+        maps["conf_h"][1, 0] = 1.0
+        with pytest.raises(InputError, match="^conf_h must be NaN on invalid pixels$"):
+            InitialDepth(**maps)
