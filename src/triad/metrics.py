@@ -17,6 +17,8 @@ from .errors import EmptyEvaluation, InputError
 
 DELTA_THRESHOLDS = (1.05, 1.10, 1.25, 1.25**2, 1.25**3)
 SWEEP_THRESHOLDS = (0.5, 0.16, 0.10, 0.08)
+# fewest masked pixels a Spearman correlation is computed on
+SPEARMAN_MIN_PIXELS = 10
 
 
 @dataclass(frozen=True)
@@ -159,8 +161,8 @@ def error_uncertainty_correlation(
     gt = np.asarray(gt, dtype=np.float64)
     m = _evaluation_mask(pred, gt, mask) & np.isfinite(sigma)
     n = int(np.count_nonzero(m))
-    if n < 10:
-        raise InputError(f"need at least 10 masked pixels, got {n}")
+    if n < SPEARMAN_MIN_PIXELS:
+        raise InputError(f"need at least {SPEARMAN_MIN_PIXELS} masked pixels, got {n}")
     err_ranks = _average_ranks(np.abs(pred[m] - gt[m]))
     sig_ranks = _average_ranks(sigma[m])
     e = err_ranks - err_ranks.mean()

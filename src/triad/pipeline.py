@@ -21,6 +21,7 @@ from .errors import ConfigError, InputError, NumericalError
 from .flow import FlowField
 from .geometry import Intrinsics, Trajectory
 from .metrics import (
+    SPEARMAN_MIN_PIXELS,
     CorrelationResult,
     MetricReport,
     error_uncertainty_correlation,
@@ -140,18 +141,13 @@ class RunConfig:
         )
 
     def refine_config(self, weight_mode: str | None = None, iterations: int | None = None) -> RefineConfig:
-        return RefineConfig(
-            iterations=self.iterations if iterations is None else iterations,
-            mu=self.mu,
-            kappa=self.kappa,
-            omega=self.omega,
-            tau=self.tau,
-            w_max=self.w_max,
-            sigma_min=self.sigma_min,
-            beta=self.beta,
-            sigma_cap=self.sigma_cap,
-            weight_mode=self.weight_mode if weight_mode is None else weight_mode,
-        )
+        """The refinement settings: every RefineConfig field read from the same-named key."""
+        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(RefineConfig)}
+        if weight_mode is not None:
+            values["weight_mode"] = weight_mode
+        if iterations is not None:
+            values["iterations"] = iterations
+        return RefineConfig(**values)
 
     def noise_model(self, frame_index: int) -> NoiseModel:
         base = self.noise_seed if self.noise_seed >= 0 else self.seed + 1
@@ -407,9 +403,25 @@ def _metric_blocks(
     mask = init.valid & np.isfinite(gt)
     initial_report = evaluate(init.depth, gt, mask)
     refined_report = evaluate(refined_depth, gt, mask)
-    corr = error_uncertainty_correlation(refined_depth, sigma, gt, mask)
+    corr = _correlation(refined_depth, sigma, gt, mask)
     sweep = uncertainty_sweep(refined_depth, sigma, gt, cfg.sweep_threshold_list(), mask)
     return mask, initial_report, refined_report, corr, sweep
+
+
+def _correlation(pred: np.ndarray, sigma: np.ndarray, gt: np.ndarray, mask: np.ndarray) -> CorrelationResult:
+    """Spearman rho on the shared mask; undefined (rho = 0) below SPEARMAN_MIN_PIXELS pixels.
+
+    Both callers pass a mask under which pred and gt are finite.
+    """
+    if np.count_nonzero(mask & np.isfinite(sigma)) < SPEARMAN_MIN_PIXELS:
+        return CorrelationResult(rho=0.0, defined=False)
+    return error_uncertainty_correlation(pred, sigma, gt, mask)
+
+
+def _uncertainty_lines(corr: CorrelationResult) -> tuple[list[str], list[str]]:
+    """The [uncertainty] block of report.txt and its report.kv lines."""
+    values = [f"spearman_rho = {corr.rho:.12g}", f"spearman_defined = {str(corr.defined).lower()}"]
+    return ["[uncertainty]"] + values, [f"uncertainty.{line}" for line in values]
 
 
 def _report_documents(
@@ -433,15 +445,9 @@ def _report_documents(
         text += report_lines(report, title)
         kv += report.as_keyvalues(prefix=f"{title}.")
     if corr is not None:
-        text += [
-            "[uncertainty]",
-            f"spearman_rho = {corr.rho:.12g}",
-            f"spearman_defined = {str(corr.defined).lower()}",
-        ]
-        kv += [
-            f"uncertainty.spearman_rho = {corr.rho:.12g}",
-            f"uncertainty.spearman_defined = {str(corr.defined).lower()}",
-        ]
+        corr_text, corr_kv = _uncertainty_lines(corr)
+        text += corr_text
+        kv += corr_kv
     return text, kv
 
 
@@ -555,18 +561,12 @@ def cmd_eval(cfg: RunConfig, root) -> dict:
     sigma_path = root / cfg.sigma_map
     if sigma_path.is_file():
         sigma = fileio.read_pfm(sigma_path).astype(np.float64)
-        corr = error_uncertainty_correlation(pred, sigma, gt, mask)
+        corr = _correlation(pred, sigma, gt, mask)
         sweep = uncertainty_sweep(pred, sigma, gt, cfg.sweep_threshold_list(), mask)
         _write_lines(out / SWEEP_FILE, sweep_csv_lines(sweep))
-        text += [
-            "[uncertainty]",
-            f"spearman_rho = {corr.rho:.12g}",
-            f"spearman_defined = {str(corr.defined).lower()}",
-        ]
-        kv += [
-            f"uncertainty.spearman_rho = {corr.rho:.12g}",
-            f"uncertainty.spearman_defined = {str(corr.defined).lower()}",
-        ]
+        corr_text, corr_kv = _uncertainty_lines(corr)
+        text += corr_text
+        kv += corr_kv
         summary.update({"corr": corr, "sweep": sweep})
     _write_lines(out / REPORT_FILE, text)
     _write_lines(out / KEYVALUE_FILE, kv)

@@ -15,6 +15,28 @@ omega <= 1 guarantees the objective never increases. High-confidence pixels
 are anchored near their triangulated depth; invalid ones are inpainted by the
 smoothness term from a neutral start.
 
+Each iteration makes one pass per row band of about BAND_PIXELS pixels (the
+bands triangulation uses), so a band's rows of every operand stay in cache
+between the elementwise steps. The pass computes the band's rows of the next
+iterate, reading the halo rows above and below from the previous map, and
+then writes the previous map's data, horizontal and vertical objective terms
+for those rows into whole-map buffers; the three sums run over the whole
+buffers, so C(d) has the same bits for any band split. Every elementwise step
+takes the same operands in the same order as the plain full-map update:
+
+    s     = sum_j g_ij d_j        (terms added left, right, below, above)
+    d_new = d + omega * (w dbar + mu s - denom d) / safe_denom
+
+Two shortcuts are exact. The neighbour sum starts from its first product
+rather than from zero, since every product g d is positive and 0 + t == t.
+And the update needs no select to hold unconstrained pixels (denom = 0, so
+w = 0 and mu * degree = 0): with mu = 0 their step is
+(0*dbar + 0*s - 0*d) / 1 * omega = 0 and d + 0 == d, since d > 0. With
+mu > 0 a pixel has denom = 0 only in a 1x1 map or where mu * g underflowed
+to zero while mu * g * d did not; only then are the unconstrained pixels
+reset to the previous map after the pass. Two maps alternate as the current
+and next iterate unless every iterate is kept.
+
 The per-pixel uncertainty is the inverse square root of the objective's
 diagonal curvature, scaled by beta and floored at sigma_min: exactly the
 pixels the data and smoothness terms constrain weakly get a wide scale.
@@ -27,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .triangulate import InitialDepth
+from .triangulate import InitialDepth, _row_bands
 
 WEIGHT_MODES = ("full", "hessian_only", "residual_only", "constant")
 
@@ -142,39 +164,72 @@ def build_weights(init: InitialDepth, intensity: np.ndarray, cfg: RefineConfig) 
     return WeightMaps(w=w, g_h=g_h, g_v=g_v)
 
 
-def _scratch(shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Work buffers shaped like a pixel map, its horizontal and its vertical edges."""
+def _term_buffers(shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whole-map buffers for C(d)'s data, horizontal-edge and vertical-edge terms."""
     h, w = shape
     return np.empty((h, w)), np.empty((h, w - 1)), np.empty((h - 1, w))
 
 
-def _neighbor_sum(d: np.ndarray, weights: WeightMaps, out: np.ndarray, scratch) -> np.ndarray:
-    """sum_j g_ij d_j over the 4-neighbor edges of every pixel, written into out."""
-    _, horiz, vert = scratch
-    out.fill(0.0)
-    out[:, :-1] += np.multiply(weights.g_h, d[:, 1:], out=horiz)
-    out[:, 1:] += np.multiply(weights.g_h, d[:, :-1], out=horiz)
-    out[:-1, :] += np.multiply(weights.g_v, d[1:, :], out=vert)
-    out[1:, :] += np.multiply(weights.g_v, d[:-1, :], out=vert)
-    return out
+def _write_terms(d: np.ndarray, dbar_filled: np.ndarray, weights: WeightMaps, rows: slice, terms) -> None:
+    """Write the terms of C(d) owned by ``rows`` into their rows of the term buffers.
 
-
-def objective_value(
-    d: np.ndarray, dbar_filled: np.ndarray, weights: WeightMaps, mu: float, scratch=None
-) -> float:
-    """C(d); dbar_filled must be finite everywhere (its value is ignored where w = 0).
-
-    scratch, from _scratch(d.shape), is overwritten; without it the buffers are
-    allocated per call.
+    Row y owns its data terms, its horizontal edges and its edges to row y + 1.
     """
-    full, horiz, vert = _scratch(d.shape) if scratch is None else scratch
-    np.subtract(d, dbar_filled, out=full)
-    data = np.sum(np.multiply(weights.w, np.square(full, out=full), out=full))
-    np.subtract(d[:, 1:], d[:, :-1], out=horiz)
-    smooth_h = np.sum(np.multiply(weights.g_h, np.square(horiz, out=horiz), out=horiz))
-    np.subtract(d[1:, :], d[:-1, :], out=vert)
-    smooth_v = np.sum(np.multiply(weights.g_v, np.square(vert, out=vert), out=vert))
-    return float(data + mu * (smooth_h + smooth_v))
+    data, horiz, vert = terms
+    t = data[rows]
+    np.subtract(d[rows], dbar_filled[rows], out=t)
+    np.multiply(weights.w[rows], np.square(t, out=t), out=t)
+    t = horiz[rows]
+    np.subtract(d[rows, 1:], d[rows, :-1], out=t)
+    np.multiply(weights.g_h[rows], np.square(t, out=t), out=t)
+    down = slice(rows.start, min(rows.stop, len(vert)))
+    t = vert[down]
+    np.subtract(d[down.start + 1 : down.stop + 1], d[down], out=t)
+    np.multiply(weights.g_v[down], np.square(t, out=t), out=t)
+
+
+def _sum_terms(terms, mu: float) -> float:
+    data, horiz, vert = terms
+    return float(np.sum(data) + mu * (np.sum(horiz) + np.sum(vert)))
+
+
+def _objective(d: np.ndarray, dbar_filled: np.ndarray, weights: WeightMaps, mu: float, terms) -> float:
+    for rows in _row_bands(*d.shape, 1):
+        _write_terms(d, dbar_filled, weights, rows, terms)
+    return _sum_terms(terms, mu)
+
+
+def objective_value(d: np.ndarray, dbar_filled: np.ndarray, weights: WeightMaps, mu: float) -> float:
+    """C(d); dbar_filled must be finite everywhere (its value is ignored where w = 0)."""
+    return _objective(d, dbar_filled, weights, mu, _term_buffers(d.shape))
+
+
+def _sweep(d, nxt, rows, weights, mu, omega, w_dbar, denom, safe_denom, terms) -> None:
+    """Write ``rows`` of the Jacobi step from d into nxt.
+
+    The rows of the data and horizontal term buffers serve as temporaries, so
+    the band's terms must be written after its sweep.
+    """
+    data, horiz, _ = terms
+    top, bottom = rows.start, rows.stop
+    s = nxt[rows]
+    tmp = data[rows]
+    # sum_j g_ij d_j with its terms added in the order of a zero-filled sum;
+    # every term is positive, so starting from the first one is exact
+    np.multiply(weights.g_h[rows], d[rows, 1:], out=s[:, :-1])
+    s[:, -1] = 0.0
+    s[:, 1:] += np.multiply(weights.g_h[rows], d[rows, :-1], out=horiz[rows])
+    n = min(bottom, len(d) - 1) - top  # band rows with a row below
+    s[:n] += np.multiply(weights.g_v[top : top + n], d[top + 1 : top + 1 + n], out=tmp[:n])
+    a = max(top, 1)  # first band row with a row above
+    s[a - top :] += np.multiply(weights.g_v[a - 1 : bottom - 1], d[a - 1 : bottom - 1], out=tmp[: bottom - a])
+    # s = d + omega * (w dbar + mu s - denom d) / safe_denom
+    np.multiply(s, mu, out=s)
+    np.add(w_dbar[rows], s, out=s)
+    np.subtract(s, np.multiply(denom[rows], d[rows], out=tmp), out=s)
+    np.divide(s, safe_denom[rows], out=s)
+    np.multiply(s, omega, out=s)
+    np.add(d[rows], s, out=s)
 
 
 def refine(
@@ -184,10 +239,11 @@ def refine(
 
     d(0) is the triangulated depth with invalid pixels filled by the median of
     the valid ones (1.0 m if nothing is valid). Pixels with zero diagonal
-    (possible only when mu = 0 on an invalid pixel) hold their initialization
-    and are assigned sigma_cap. The result keeps every iterate d(0)..d(K) only
-    when keep_iterates is set, and just the final map otherwise; the objective
-    is recorded for every iterate either way.
+    (no data weight and, with mu = 0 or no neighbour, no smoothness weight)
+    hold their initialization and are assigned sigma_cap. The result keeps
+    every iterate d(0)..d(K) only when keep_iterates is set, and just the
+    final map otherwise; the objective is recorded for every iterate either
+    way.
     """
     if weights.w.shape != init.depth.shape:
         raise InputError("weights were built for a different map size")
@@ -197,32 +253,32 @@ def refine(
     d = np.where(valid, init.depth, fill)
 
     mu = cfg.mu
-    diag_smooth = weights.degree(mu)
-    denom = weights.w + diag_smooth
+    denom = weights.w + weights.degree(mu)
     constrained = denom > 0.0
     safe_denom = np.where(constrained, denom, 1.0)
+    # where denom = 0 the step is exactly 0 when mu = 0 (see the module notes)
+    hold = ~constrained if mu > 0.0 and not constrained.all() else None
 
-    # every step below is the same elementwise operation on the same operands
-    # as the textbook update, evaluated into reused buffers, so the iterates
-    # and the objective do not depend on the buffering
     w_dbar = weights.w * dbar
-    step = np.empty_like(d)
-    scratch = _scratch(d.shape)
+    bands = _row_bands(*d.shape, 1)
+    terms = _term_buffers(d.shape)
+    spare = None if keep_iterates else np.empty_like(d)
     iterates = [d] if keep_iterates else []
-    objective = [objective_value(d, dbar, weights, mu, scratch)]
+    objective = []
     for _ in range(cfg.iterations):
-        # step = d + omega * (w dbar + mu sum_j g_ij d_j - denom d) / safe_denom
-        _neighbor_sum(d, weights, step, scratch)
-        np.multiply(step, mu, out=step)
-        np.add(w_dbar, step, out=step)
-        np.subtract(step, np.multiply(denom, d, out=scratch[0]), out=step)
-        np.divide(step, safe_denom, out=step)
-        np.multiply(step, cfg.omega, out=step)
-        np.add(d, step, out=step)
-        d = np.where(constrained, step, d)
+        nxt = np.empty_like(d) if keep_iterates else spare
+        for rows in bands:
+            _sweep(d, nxt, rows, weights, mu, cfg.omega, w_dbar, denom, safe_denom, terms)
+            _write_terms(d, dbar, weights, rows, terms)
+        if hold is not None:
+            np.copyto(nxt, d, where=hold)
+        objective.append(_sum_terms(terms, mu))
         if keep_iterates:
-            iterates.append(d)
-        objective.append(objective_value(d, dbar, weights, mu, scratch))
+            iterates.append(nxt)
+        else:
+            spare = d
+        d = nxt
+    objective.append(_objective(d, dbar, weights, mu, terms))
 
     sigma = np.maximum(cfg.sigma_min, cfg.beta / np.sqrt(safe_denom))
     sigma = np.where(constrained, sigma, cfg.sigma_cap)

@@ -1,11 +1,13 @@
+import dataclasses
 import platform
 
 import numpy as np
 import pytest
 
-from triad import ConfigError, evaluate
+from triad import ConfigError, RefineConfig, evaluate
 from triad.cli import MMAP_THRESHOLD, fix_heap_thresholds, main
 from triad.fileio import read_flow, read_image, read_pfm, write_flow, write_image, write_pfm
+from triad.metrics import SPEARMAN_MIN_PIXELS
 from triad.pipeline import (
     RunConfig,
     cmd_ablate,
@@ -81,6 +83,14 @@ class TestConfigLoading:
         assert resolve_keyframe(RunConfig(keyframe=4), 5) == 4
         with pytest.raises(ConfigError):
             resolve_keyframe(RunConfig(keyframe=9), 5)
+
+
+    def test_refine_config_fields_are_run_config_keys(self):
+        run_defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+        for field in dataclasses.fields(RefineConfig):
+            assert field.name in run_defaults
+            assert run_defaults[field.name] == field.default
+        assert RunConfig().refine_config() == RefineConfig()
 
 
 class TestSynthBundle:
@@ -317,6 +327,18 @@ class TestExitCodes:
         assert run_cli("estimate", "--root", str(root), *opts, f"--opt={bad}") == 1
         out = root / "out"
         assert not out.exists() or not any(out.iterdir())
+
+    def test_tiny_map_reports_spearman_undefined(self, tmp_path):
+        root = tmp_path / "tiny"
+        opts = ["--opt=width=3", "--opt=height=3", "--opt=fx=4", "--opt=fy=4"]
+        assert run_cli("synth", "--root", str(root), *opts) == 0
+        assert run_cli("estimate", "--root", str(root), *opts, "--opt=fixed_step=1") == 0
+        kv = read_keyvalues(root / "out" / "report.kv")
+        assert int(kv["refined.n_evaluated"]) < SPEARMAN_MIN_PIXELS
+        assert kv["uncertainty.spearman_defined"] == "false"
+        assert kv["uncertainty.spearman_rho"] == "0"
+        assert run_cli("eval", "--root", str(root), *opts) == 0
+        assert read_keyvalues(root / "out" / "report.kv")["uncertainty.spearman_defined"] == "false"
 
     def test_all_pixels_degenerate_is_three(self, tmp_path):
         root = tmp_path / "deg"

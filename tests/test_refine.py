@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,6 +370,71 @@ class TestBufferedJacobi:
         assert np.array_equal(final.depth, kept.depth)
         assert final.objective == kept.objective
         assert np.array_equal(final.uncertainty, kept.uncertainty)
+
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 1)])
+    @pytest.mark.parametrize("mu", [0.0, 1.3])
+    @pytest.mark.parametrize("valid_fraction", [0.6, 0.0])
+    def test_thin_maps_match_reference(self, shape, mu, valid_fraction):
+        rng = np.random.default_rng(7)
+        init = random_initial(rng, *shape, valid_fraction=valid_fraction)
+        cfg = RefineConfig(mu=mu, iterations=5)
+        weights = build_weights(init, rng.uniform(0, 1, shape), cfg)
+        result = refine(init, weights, cfg, keep_iterates=True)
+        iterates, values, sigma = reference_jacobi(init, weights, cfg)
+        assert all(np.array_equal(got, want) for got, want in zip(result.iterates, iterates))
+        assert result.objective == tuple(values)
+        assert np.array_equal(result.uncertainty, sigma)
+
+    def test_underflowed_smoothness_holds_pixel(self):
+        # mu * g rounds to 0, so the invalid middle pixel has no diagonal, but
+        # mu * (g d) does not, and without being held it would move off d(0)
+        init = make_initial([[1e-300, 1e-300, 1.0, 1e9, 1e-300]], [[True, True, False, True, True]])
+        weights = WeightMaps(w=np.array([[1.0, 1.0, 0.0, 1.0, 1.0]]), g_h=np.full((1, 4), 0.2), g_v=np.empty((0, 5)))
+        cfg = RefineConfig(mu=5e-324, iterations=3)
+        assert not np.any(weights.degree(cfg.mu))
+        result = refine(init, weights, cfg, keep_iterates=True)
+        iterates, values, sigma = reference_jacobi(init, weights, cfg)
+        assert all(np.array_equal(got, want) for got, want in zip(result.iterates, iterates))
+        assert result.objective == tuple(values)
+        assert np.array_equal(result.uncertainty, sigma)
+
+    def test_objective_value_spans_bands(self):
+        rng = np.random.default_rng(8)
+        init = random_initial(rng, height=300, width=400, valid_fraction=0.7)
+        cfg = RefineConfig(mu=0.8, iterations=2)
+        weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
+        iterates, values, _ = reference_jacobi(init, weights, cfg)
+        dbar = np.where(init.valid, init.depth, 0.0)
+        assert [objective_value(d, dbar, weights, cfg.mu) for d in iterates] == values
+
+
+class TestBufferedJacobiSmallBands(TestBufferedJacobi):
+    """Every TestBufferedJacobi case again, with row bands of one to a few rows."""
+
+    @pytest.fixture(autouse=True, params=[1, 3])
+    def small_bands(self, request, monkeypatch):
+        monkeypatch.setattr("triad.triangulate.BAND_PIXELS", request.param)
+
+
+class TestRefineMemory:
+    def test_vga_peak_is_bounded_and_independent_of_iterations(self):
+        rng = np.random.default_rng(9)
+        init = random_initial(rng, height=480, width=640, valid_fraction=0.8)
+        weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), RefineConfig())
+        refine(init, weights, RefineConfig(iterations=1))  # lazy set-up outside the measurement
+        peaks = {}
+        for iterations in (7, 40):
+            tracemalloc.start()
+            try:
+                refine(init, weights, RefineConfig(iterations=iterations))
+                peaks[iterations] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        map_bytes = init.depth.nbytes
+        assert peaks[7] <= 12.5 * map_bytes
+        # only the objective list grows with the iteration count
+        assert abs(peaks[40] - peaks[7]) < 4096
 
 
 class TestLaplacianNll:
