@@ -33,6 +33,7 @@ from .geometry import (
 from .metrics import (
     CorrelationResult,
     MetricReport,
+    Scorer,
     SweepRow,
     error_uncertainty_correlation,
     evaluate,
@@ -69,6 +70,7 @@ __all__ = [
     "RefineResult",
     "RelativePose",
     "Selection",
+    "Scorer",
     "SelectionPolicy",
     "SweepRow",
     "SyntheticScene",

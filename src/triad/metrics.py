@@ -4,12 +4,44 @@ All reductions run in fixed row-major order over the masked pixels, so
 reports are deterministic. Pixels where either map is non-finite are excluded
 by mask intersection; finite non-positive values under the mask are an error,
 since the relative/log/inverse metrics are undefined there.
+
+One scorer computes all of it. ``Scorer`` gathers the ground truth on its
+mask once, with the gt-side terms log g and 1/g, and scores any number of
+predictions against it; ``evaluate``, ``uncertainty_sweep`` and
+``error_uncertainty_correlation`` are thin wrappers over it. For one
+prediction each per-pixel term (the ratio max(p/g, g/p), |d|/g, d², d²/g,
+(log p - log g)² and (1/p - 1/g)², with d = p - g) is computed once on the
+gathered pixels and reduced over every selection (all pixels, and each
+non-empty sweep threshold on the gathered sigma) before the next term is
+computed. The reports are bit-identical to evaluating each selection on its
+own: an elementwise result does not depend on where a value sits, and a
+selection gathered from a term holds the same values in the same row-major
+order as a fresh gather, so every ``np.mean`` sums the same array.
+
+Two shortcuts are exact, not approximations:
+
+- A delta accuracy is ``count_nonzero(r < t) / n``. ``np.mean`` of the boolean
+  sums zeros and ones in float64, which is exact below 2**53, and divides by
+  n; both quotients are of the same two integers and correctly rounded.
+- Ranks of values without ties are scattered from ``arange(1, n + 1)``. The
+  tie-averaging formula gives a group of one at sorted slot k the rank
+  0.5 * (2k) + 1, which is exactly k + 1.
+
+Memory: besides the caller's maps, a scorer keeps three gathered arrays (g,
+log g and 1/g). Scoring one prediction adds the gathered prediction (which
+becomes d, then |d|), one term buffer, one selection gathered from it and,
+with a sweep, the gathered sigma and each threshold's pixel indices. The
+ranks overwrite |d| and sigma in place; each rank pass adds the sort order
+and one sorted array. Scoring an initial and a refined 640x480 map with sigma
+and a sweep peaks 8.5-8.8 float64 maps above what was live before (the
+per-call code it replaced: 10.0), and a test holds it to 10.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +51,8 @@ DELTA_THRESHOLDS = (1.05, 1.10, 1.25, 1.25**2, 1.25**3)
 SWEEP_THRESHOLDS = (0.5, 0.16, 0.10, 0.08)
 # fewest masked pixels a Spearman correlation is computed on
 SPEARMAN_MIN_PIXELS = 10
+
+_SHAPE_ERROR = "pred, gt, and mask must share one shape"
 
 
 @dataclass(frozen=True)
@@ -33,17 +67,17 @@ class MetricReport:
     delta_acc: dict[float, float]  # threshold -> percentage in [0, 100]
     n_evaluated: int
 
-    def as_keyvalues(self, prefix: str = "") -> list[str]:
-        lines = [
-            f"{prefix}n_evaluated = {self.n_evaluated}",
-            f"{prefix}abs_rel = {self.abs_rel:.12g}",
-            f"{prefix}sq_rel = {self.sq_rel:.12g}",
-            f"{prefix}log_rmse = {self.log_rmse:.12g}",
-            f"{prefix}irmse = {self.irmse:.12g}",
-            f"{prefix}rmse = {self.rmse:.12g}",
+    def entries(self) -> list[tuple[str, str]]:
+        """(key, formatted value) pairs in report order; the CSV columns follow it too."""
+        values = [
+            ("n_evaluated", f"{self.n_evaluated}"),
+            ("abs_rel", f"{self.abs_rel:.12g}"),
+            ("sq_rel", f"{self.sq_rel:.12g}"),
+            ("log_rmse", f"{self.log_rmse:.12g}"),
+            ("irmse", f"{self.irmse:.12g}"),
+            ("rmse", f"{self.rmse:.12g}"),
         ]
-        lines += [f"{prefix}delta[{t:.12g}] = {p:.12g}" for t, p in self.delta_acc.items()]
-        return lines
+        return values + [(f"delta[{t:.12g}]", f"{p:.12g}") for t, p in self.delta_acc.items()]
 
 
 @dataclass(frozen=True)
@@ -55,11 +89,173 @@ class SweepRow:
     report: MetricReport | None
 
 
-def _evaluation_mask(pred: np.ndarray, gt: np.ndarray, mask) -> np.ndarray:
-    base = np.ones(pred.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if base.shape != pred.shape or gt.shape != pred.shape:
-        raise InputError("pred, gt, and mask must share one shape")
-    return base & np.isfinite(pred) & np.isfinite(gt)
+@dataclass(frozen=True)
+class CorrelationResult:
+    rho: float
+    defined: bool
+
+
+class _Truth:
+    """Ground truth on the evaluated pixels, with its gt-side terms computed once."""
+
+    def __init__(self, g: np.ndarray):
+        self.g = g
+
+    @cached_property
+    def nonpositive(self) -> bool:
+        return bool(np.any(self.g <= 0))
+
+    @cached_property
+    def log_g(self) -> np.ndarray:
+        return np.log(self.g)
+
+    @cached_property
+    def inv_g(self) -> np.ndarray:
+        return 1.0 / self.g
+
+
+class Scorer:
+    """Ground truth gathered once on a mask, scored against any number of predictions.
+
+    A prediction is evaluated on the mask's pixels where both it and the
+    ground truth are finite, in row-major order.
+    """
+
+    def __init__(self, gt: np.ndarray, mask=None):
+        gt = np.asarray(gt, dtype=np.float64)
+        base = np.ones(gt.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+        if base.shape != gt.shape:
+            raise InputError(_SHAPE_ERROR)
+        self.mask = base & np.isfinite(gt)
+        self.truth = _Truth(gt[self.mask])
+
+    def _gather(self, pred) -> _Prediction:
+        pred = np.asarray(pred, dtype=np.float64)
+        if pred.shape != self.mask.shape:
+            raise InputError(_SHAPE_ERROR)
+        p = pred[self.mask]
+        finite = np.isfinite(p)
+        if finite.all():
+            return _Prediction(self.mask, None, p, self.truth)
+        return _Prediction(self.mask, finite, p[finite], _Truth(self.truth.g[finite]))
+
+    def prediction(self, pred) -> _Prediction:
+        """The prediction on the evaluated pixels, checked as ``evaluate`` checks it.
+
+        Raises EmptyEvaluation when no pixel survives masking, InputError when
+        a surviving pixel is non-positive.
+        """
+        scored = self._gather(pred)
+        if scored.p.size == 0:
+            raise EmptyEvaluation("no pixels to evaluate")
+        if np.any(scored.p <= 0) or scored.truth.nonpositive:
+            raise InputError("depth must be positive on evaluated pixels")
+        return scored
+
+    def report(self, pred) -> MetricReport:
+        return self.prediction(pred).report()
+
+
+class _Prediction:
+    """One prediction on a scorer's evaluated pixels.
+
+    ``finite`` selects, among the scorer's gathered pixels, those where the
+    prediction is finite (None: all of them); ``p`` and ``truth`` hold those
+    pixels. Reducing overwrites ``p``, so each prediction is scored once.
+    """
+
+    def __init__(self, mask: np.ndarray, finite, p: np.ndarray, truth: _Truth):
+        self.mask = mask
+        self.finite = finite
+        self.p = p
+        self.truth = truth
+
+    def _sigma(self, sigma) -> tuple[np.ndarray, np.ndarray]:
+        """Sigma on the scorer's mask, and on the evaluated pixels."""
+        on_mask = np.asarray(sigma, dtype=np.float64)[self.mask]
+        return on_mask, on_mask if self.finite is None else on_mask[self.finite]
+
+    def report(self) -> MetricReport:
+        return _reports(self.p, self.truth, [None])[0]
+
+    def score(self, sigma, thresholds) -> tuple[MetricReport, CorrelationResult, list[SweepRow]]:
+        """The report, Spearman rho and sweep rows of one prediction with its sigma.
+
+        rho is reported undefined (0) when fewer than SPEARMAN_MIN_PIXELS mask
+        pixels have a finite sigma, and raises InputError when enough do but
+        too few of them have a finite prediction. Thresholds must be positive.
+        """
+        on_mask, sig = self._sigma(sigma)
+        report, rows = _sweep(self.p, self.truth, sig, thresholds, self.p.size, score_all=True)
+        if np.count_nonzero(np.isfinite(on_mask)) < SPEARMAN_MIN_PIXELS:
+            return report, CorrelationResult(rho=0.0, defined=False), rows
+        return report, _rank_correlation(self.p, sig), rows
+
+
+def _reports(p: np.ndarray, truth: _Truth, selections: list) -> list[MetricReport]:
+    """One report per selection of the evaluated pixels, each term computed once.
+
+    A selection is None (every pixel) or the ascending indices of its pixels,
+    and none is empty; every pixel is finite and positive. p ends up as
+    |p - g|.
+    """
+    g = truth.g
+    sizes = [p.size if s is None else s.size for s in selections]
+
+    def means(term):
+        return [np.mean(term if s is None else term[s]) for s in selections]
+
+    term = np.divide(p, g)
+    np.maximum(term, np.divide(g, p), out=term)
+    deltas = []
+    for s, n in zip(selections, sizes):
+        ratio = term if s is None else term[s]
+        deltas.append({t: 100.0 * (np.count_nonzero(ratio < t) / n) for t in DELTA_THRESHOLDS})
+    np.log(p, out=term)
+    term -= truth.log_g
+    log_mse = means(np.square(term, out=term))
+    np.divide(1.0, p, out=term)
+    term -= truth.inv_g
+    inv_mse = means(np.square(term, out=term))
+    np.subtract(p, g, out=p)
+    mse = means(np.multiply(p, p, out=term))
+    term /= g
+    sq_rel = means(term)
+    np.abs(p, out=p)
+    abs_rel = means(np.divide(p, g, out=term))
+    return [
+        MetricReport(
+            abs_rel=float(abs_rel[i]),
+            sq_rel=float(sq_rel[i]),
+            log_rmse=float(np.sqrt(log_mse[i])),
+            irmse=float(np.sqrt(inv_mse[i])),
+            rmse=float(np.sqrt(mse[i])),
+            delta_acc=deltas[i],
+            n_evaluated=n,
+        )
+        for i, n in enumerate(sizes)
+    ]
+
+
+def _sweep(p, truth: _Truth, sig, thresholds, n_base: int, score_all: bool):
+    """The report on every pixel (when score_all, else None) and one sweep row per threshold.
+
+    Coverage is relative to n_base; a threshold that keeps no pixel gets a
+    null report.
+    """
+    # index arrays, since gathering a term through a boolean mask is several times slower
+    kept = [np.flatnonzero(sig < t) for t in thresholds]
+    reports = iter(_reports(p, truth, [None] * score_all + [k for k in kept if k.size]))
+    report = next(reports) if score_all else None
+    rows = [
+        SweepRow(
+            sigma_threshold=float(t),
+            coverage_percent=100.0 * k.size / n_base if n_base else 0.0,
+            report=next(reports) if k.size else None,
+        )
+        for t, k in zip(thresholds, kept)
+    ]
+    return report, rows
 
 
 def evaluate(pred: np.ndarray, gt: np.ndarray, mask=None) -> MetricReport:
@@ -69,26 +265,7 @@ def evaluate(pred: np.ndarray, gt: np.ndarray, mask=None) -> MetricReport:
     surviving pixel is non-positive.
     """
     pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    m = _evaluation_mask(pred, gt, mask)
-    if not np.any(m):
-        raise EmptyEvaluation("no pixels to evaluate")
-    p = pred[m]
-    g = gt[m]
-    if np.any(p <= 0) or np.any(g <= 0):
-        raise InputError("depth must be positive on evaluated pixels")
-    diff = p - g
-    ratio = np.maximum(p / g, g / p)
-    delta_acc = {t: 100.0 * float(np.mean(ratio < t)) for t in DELTA_THRESHOLDS}
-    return MetricReport(
-        abs_rel=float(np.mean(np.abs(diff) / g)),
-        sq_rel=float(np.mean(diff * diff / g)),
-        log_rmse=float(np.sqrt(np.mean(np.square(np.log(p) - np.log(g))))),
-        irmse=float(np.sqrt(np.mean(np.square(1.0 / p - 1.0 / g)))),
-        rmse=float(np.sqrt(np.mean(diff * diff))),
-        delta_acc=delta_acc,
-        n_evaluated=int(p.size),
-    )
+    return Scorer(gt, mask).report(pred)
 
 
 def uncertainty_sweep(
@@ -109,40 +286,63 @@ def uncertainty_sweep(
     gt = np.asarray(gt, dtype=np.float64)
     if any(t <= 0 for t in thresholds):
         raise InputError("thresholds must be positive")
-    base = _evaluation_mask(pred, gt, mask)
-    n_base = int(np.count_nonzero(base))
-    rows = []
-    for t in thresholds:
-        retained = base & (sigma < t)
-        n_kept = int(np.count_nonzero(retained))
-        coverage = 100.0 * n_kept / n_base if n_base else 0.0
-        report = evaluate(pred, gt, retained) if n_kept else None
-        rows.append(SweepRow(sigma_threshold=float(t), coverage_percent=coverage, report=report))
-    return rows
+    scored = Scorer(gt, mask)._gather(pred)
+    _, sig = scored._sigma(sigma)
+    n_base = sig.size
+    # only pixels some threshold keeps are scored, so a non-positive pixel no
+    # threshold keeps raises nothing
+    widest = sig < max(thresholds, default=-np.inf)
+    p, truth = scored.p, scored.truth
+    if not widest.all():
+        p, truth, sig = p[widest], _Truth(truth.g[widest]), sig[widest]
+    if p.size and (np.any(p <= 0) or truth.nonpositive):
+        raise InputError("depth must be positive on evaluated pixels")
+    return _sweep(p, truth, sig, thresholds, n_base, score_all=False)[1]
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
+def _average_ranks(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Ranks 1..n with ties sharing their average rank.
 
     Every member of a tie group gets the same average, so the order inside a
     group does not matter and the unstable default sort gives the same ranks
-    as a stable one, bit for bit.
+    as a stable one, bit for bit. The ranks go to ``out`` when given, which
+    may be ``x`` itself: x is read only before out is written.
     """
     order = np.argsort(x)
     sorted_x = x[order]
-    change = np.nonzero(sorted_x[1:] != sorted_x[:-1])[0] + 1
-    boundaries = np.concatenate(([0], change, [len(x)]))
-    # a tie group filling sorted slots a..b-1 takes the mean of ranks a+1..b
-    averages = 0.5 * (boundaries[:-1] + boundaries[1:] - 1) + 1.0
-    ranks = np.empty(len(x))
-    ranks[order] = np.repeat(averages, np.diff(boundaries))
+    tied = sorted_x[1:] == sorted_x[:-1]
+    del sorted_x
+    # sorted slot k takes rank k + 1 unless it is in a tie group
+    sorted_ranks = np.arange(1, len(x) + 1, dtype=np.float64)
+    if tied.any():
+        # each run of ties fills sorted slots a..b-1 and takes the mean of ranks a+1..b
+        edges = np.flatnonzero(np.diff(tied, prepend=False, append=False))
+        starts, stops = edges[0::2], edges[1::2] + 1
+        in_group = np.zeros(len(x), dtype=bool)
+        in_group[:-1] = tied
+        in_group[1:] |= tied
+        sorted_ranks[in_group] = np.repeat(0.5 * (starts + stops - 1) + 1.0, stops - starts)
+    ranks = np.empty(len(x)) if out is None else out
+    ranks[order] = sorted_ranks
     return ranks
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    rho: float
-    defined: bool
+def _rank_correlation(err: np.ndarray, sig: np.ndarray) -> CorrelationResult:
+    """Spearman rho of err and sig where sig is finite; both arrays are overwritten."""
+    ranked = np.isfinite(sig)
+    n = int(np.count_nonzero(ranked))
+    if n < SPEARMAN_MIN_PIXELS:
+        raise InputError(f"need at least {SPEARMAN_MIN_PIXELS} masked pixels, got {n}")
+    if n < sig.size:
+        err, sig = err[ranked], sig[ranked]
+    e = _average_ranks(err, out=err)
+    s = _average_ranks(sig, out=sig)
+    e -= e.mean()
+    s -= s.mean()
+    denom = math.sqrt(float(e @ e) * float(s @ s))
+    if denom == 0.0:
+        return CorrelationResult(rho=0.0, defined=False)
+    return CorrelationResult(rho=float(e @ s) / denom, defined=True)
 
 
 def error_uncertainty_correlation(
@@ -158,25 +358,9 @@ def error_uncertainty_correlation(
     """
     pred = np.asarray(pred, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    m = _evaluation_mask(pred, gt, mask) & np.isfinite(sigma)
-    n = int(np.count_nonzero(m))
-    if n < SPEARMAN_MIN_PIXELS:
-        raise InputError(f"need at least {SPEARMAN_MIN_PIXELS} masked pixels, got {n}")
-    err_ranks = _average_ranks(np.abs(pred[m] - gt[m]))
-    sig_ranks = _average_ranks(sigma[m])
-    e = err_ranks - err_ranks.mean()
-    s = sig_ranks - sig_ranks.mean()
-    denom = math.sqrt(float(e @ e) * float(s @ s))
-    if denom == 0.0:
-        return CorrelationResult(rho=0.0, defined=False)
-    return CorrelationResult(rho=float(e @ s) / denom, defined=True)
-
-
-def report_lines(report: MetricReport, title: str) -> list[str]:
-    """Human-readable block, one metric per line."""
-    lines = [f"[{title}]"] + report.as_keyvalues()
-    return lines
+    scored = Scorer(gt, mask)._gather(pred)
+    _, sig = scored._sigma(sigma)
+    return _rank_correlation(np.abs(scored.p - scored.truth.g), sig)
 
 
 def sweep_csv_lines(rows: list[SweepRow]) -> list[str]:
@@ -189,10 +373,6 @@ def sweep_csv_lines(rows: list[SweepRow]) -> list[str]:
             blanks = "," * (6 + len(DELTA_THRESHOLDS) - 1)
             lines.append(f"{row.sigma_threshold:.12g},{row.coverage_percent:.12g},0{blanks}")
             continue
-        r = row.report
-        deltas = ",".join(f"{r.delta_acc[t]:.12g}" for t in DELTA_THRESHOLDS)
-        lines.append(
-            f"{row.sigma_threshold:.12g},{row.coverage_percent:.12g},{r.n_evaluated},"
-            f"{r.abs_rel:.12g},{r.sq_rel:.12g},{r.log_rmse:.12g},{r.irmse:.12g},{r.rmse:.12g},{deltas}"
-        )
+        values = ",".join(value for _, value in row.report.entries())
+        lines.append(f"{row.sigma_threshold:.12g},{row.coverage_percent:.12g},{values}")
     return lines

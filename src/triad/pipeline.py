@@ -21,15 +21,14 @@ from .errors import ConfigError, InputError, NumericalError
 from .flow import FlowField
 from .geometry import Intrinsics, Trajectory
 from .metrics import (
-    SPEARMAN_MIN_PIXELS,
+    DELTA_THRESHOLDS,
     CorrelationResult,
     MetricReport,
-    error_uncertainty_correlation,
-    evaluate,
-    report_lines,
+    Scorer,
     sweep_csv_lines,
-    uncertainty_sweep,
 )
+# not called here; perfbench's --trace spans patch these names in this module
+from .metrics import error_uncertainty_correlation, evaluate, uncertainty_sweep  # noqa: F401
 from .refine import WEIGHT_MODES, RefineConfig, build_weights, refine
 from .select import Selection, SelectionPolicy, select_frames
 from .synth import NoiseModel, corrupt_flow, make_scene, make_trajectory, render_flow
@@ -131,13 +130,9 @@ class RunConfig:
         return Intrinsics(fx=self.fx, fy=self.fy, cx=cx, cy=cy, width=self.width, height=self.height)
 
     def selection_policy(self) -> SelectionPolicy:
+        """The selection settings: every SelectionPolicy field read from its config key."""
         return SelectionPolicy(
-            mode=self.selection_mode,
-            n_frames=self.sel_n_frames,
-            fixed_step=self.fixed_step,
-            theta_min=self.theta_min,
-            t_min=self.t_min,
-            anchor=self.anchor,
+            **{f.name: getattr(self, SELECTION_KEYS.get(f.name, f.name)) for f in dataclasses.fields(SelectionPolicy)}
         )
 
     def refine_config(self, weight_mode: str | None = None, iterations: int | None = None) -> RefineConfig:
@@ -187,6 +182,8 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# the SelectionPolicy fields whose config key has another name
+SELECTION_KEYS = {"mode": "selection_mode", "n_frames": "sel_n_frames"}
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -387,68 +384,42 @@ def cmd_refine(cfg: RunConfig, root) -> dict:
     return {"init": init, "result": result}
 
 
-def _metric_blocks(
-    cfg: RunConfig,
-    init: InitialDepth,
-    refined_depth: np.ndarray,
-    sigma: np.ndarray,
-    gt: np.ndarray,
-):
-    """Initial and refined reports on the shared mask, plus uncertainty diagnostics.
-
-    Both maps are scored where the triangulation is valid and the ground truth
-    is finite; the refined map also covers inpainted pixels, but scoring both
-    on one mask is what makes the two blocks comparable.
-    """
-    mask = init.valid & np.isfinite(gt)
-    initial_report = evaluate(init.depth, gt, mask)
-    refined_report = evaluate(refined_depth, gt, mask)
-    corr = _correlation(refined_depth, sigma, gt, mask)
-    sweep = uncertainty_sweep(refined_depth, sigma, gt, cfg.sweep_threshold_list(), mask)
-    return mask, initial_report, refined_report, corr, sweep
-
-
-def _correlation(pred: np.ndarray, sigma: np.ndarray, gt: np.ndarray, mask: np.ndarray) -> CorrelationResult:
-    """Spearman rho on the shared mask; undefined (rho = 0) below SPEARMAN_MIN_PIXELS pixels.
-
-    Both callers pass a mask under which pred and gt are finite.
-    """
-    if np.count_nonzero(mask & np.isfinite(sigma)) < SPEARMAN_MIN_PIXELS:
-        return CorrelationResult(rho=0.0, defined=False)
-    return error_uncertainty_correlation(pred, sigma, gt, mask)
-
-
-def _uncertainty_lines(corr: CorrelationResult) -> tuple[list[str], list[str]]:
-    """The [uncertainty] block of report.txt and its report.kv lines."""
-    values = [f"spearman_rho = {corr.rho:.12g}", f"spearman_defined = {str(corr.defined).lower()}"]
-    return ["[uncertainty]"] + values, [f"uncertainty.{line}" for line in values]
-
-
-def _report_documents(
-    keyframe: int,
-    selection: Selection,
-    warnings: list[str],
-    blocks: list[tuple[str, MetricReport]],
-    corr: CorrelationResult | None,
-):
-    text = ["[run]", f"keyframe = {keyframe}"]
-    text.append("selected = " + " ".join(str(i) for i in selection.indices))
-    text.append(f"shortfall = {str(selection.shortfall).lower()}")
-    text += [f"warning = {w}" for w in warnings]
-    kv = [
-        f"run.keyframe = {keyframe}",
-        "run.selected = " + " ".join(str(i) for i in selection.indices),
-        f"run.shortfall = {str(selection.shortfall).lower()}",
+def _run_entries(keyframe: int, selection: Selection, warnings: list[str]) -> list[tuple[str, str, str]]:
+    entries = [
+        ("run", "keyframe", f"{keyframe}"),
+        ("run", "selected", " ".join(str(i) for i in selection.indices)),
+        ("run", "shortfall", str(selection.shortfall).lower()),
     ]
-    kv += [f"run.warning = {w}" for w in warnings]
-    for title, report in blocks:
-        text += report_lines(report, title)
-        kv += report.as_keyvalues(prefix=f"{title}.")
-    if corr is not None:
-        corr_text, corr_kv = _uncertainty_lines(corr)
-        text += corr_text
-        kv += corr_kv
-    return text, kv
+    return entries + [("run", "warning", w) for w in warnings]
+
+
+def _metric_entries(section: str, report: MetricReport) -> list[tuple[str, str, str]]:
+    return [(section, key, value) for key, value in report.entries()]
+
+
+def _uncertainty_entries(corr: CorrelationResult) -> list[tuple[str, str, str]]:
+    return [
+        ("uncertainty", "spearman_rho", f"{corr.rho:.12g}"),
+        ("uncertainty", "spearman_defined", str(corr.defined).lower()),
+    ]
+
+
+def _write_reports(out: Path, entries: list[tuple[str, str, str]]) -> list[str]:
+    """Write report.txt and report.kv from one list of (section, key, value) entries.
+
+    report.txt opens each section with a "[section]" line and then lists
+    "key = value"; report.kv lists "section.key = value". Returns the
+    report.txt lines.
+    """
+    text, kv = [], []
+    for i, (section, key, value) in enumerate(entries):
+        if i == 0 or section != entries[i - 1][0]:
+            text.append(f"[{section}]")
+        text.append(f"{key} = {value}")
+        kv.append(f"{section}.{key} = {value}")
+    _write_lines(out / REPORT_FILE, text)
+    _write_lines(out / KEYVALUE_FILE, kv)
+    return text
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
@@ -472,39 +443,33 @@ def cmd_estimate(cfg: RunConfig, root) -> dict:
         "result": result,
     }
     gt_path = root / cfg.gt_depth
-    blocks: list[tuple[str, MetricReport]] = []
-    corr = None
+    entries = _run_entries(keyframe, selection, warnings)
     if gt_path.is_file():
         gt = fileio.read_pfm(gt_path).astype(np.float64)
-        _, initial_report, refined_report, corr, sweep = _metric_blocks(
-            cfg, init, result.depth, result.uncertainty, gt
+        # both maps are scored where the triangulation is valid: the refined
+        # map also covers inpainted pixels, but one mask keeps them comparable
+        scorer = Scorer(gt, init.valid & np.isfinite(gt))
+        initial_report = scorer.report(init.depth)
+        refined_report, corr, sweep = scorer.prediction(result.depth).score(
+            result.uncertainty, cfg.sweep_threshold_list()
         )
-        blocks = [("initial", initial_report), ("refined", refined_report)]
         _write_lines(out / SWEEP_FILE, sweep_csv_lines(sweep))
+        entries += _metric_entries("initial", initial_report) + _metric_entries("refined", refined_report)
+        entries += _uncertainty_entries(corr)
         summary.update(
             {"initial_report": initial_report, "refined_report": refined_report, "corr": corr, "sweep": sweep}
         )
-    text, kv = _report_documents(keyframe, selection, warnings, blocks, corr)
-    _write_lines(out / REPORT_FILE, text)
-    _write_lines(out / KEYVALUE_FILE, kv)
+    _write_reports(out, entries)
     return summary
 
 
 def _ablation_header() -> str:
-    from .metrics import DELTA_THRESHOLDS
-
     deltas = ",".join(f"delta_{t:.12g}" for t in DELTA_THRESHOLDS)
     return f"weight_mode,iterations,n_evaluated,abs_rel,sq_rel,log_rmse,irmse,rmse,{deltas}"
 
 
 def _ablation_row(mode: str, iterations: int, report: MetricReport) -> str:
-    from .metrics import DELTA_THRESHOLDS
-
-    deltas = ",".join(f"{report.delta_acc[t]:.12g}" for t in DELTA_THRESHOLDS)
-    return (
-        f"{mode},{iterations},{report.n_evaluated},{report.abs_rel:.12g},{report.sq_rel:.12g},"
-        f"{report.log_rmse:.12g},{report.irmse:.12g},{report.rmse:.12g},{deltas}"
-    )
+    return f"{mode},{iterations}," + ",".join(value for _, value in report.entries())
 
 
 def cmd_ablate(cfg: RunConfig, root) -> dict:
@@ -518,13 +483,13 @@ def cmd_ablate(cfg: RunConfig, root) -> dict:
     _, _, keyframe, selection, init, warnings = _triangulate_stage(cfg, root)
     gt = fileio.read_pfm(root / cfg.gt_depth).astype(np.float64)
     intensity = fileio.read_image(root / cfg.image)
-    mask = init.valid & np.isfinite(gt)
+    scorer = Scorer(gt, init.valid & np.isfinite(gt))
     iteration_grid = cfg.ablate_iteration_list()
     max_iterations = max(iteration_grid)
 
     out = root / cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    initial_report = evaluate(init.depth, gt, mask)
+    initial_report = scorer.report(init.depth)
     rows = [_ablation_header()]
     reports: dict[tuple[str, int], MetricReport] = {}
     for mode in WEIGHT_MODES:
@@ -532,7 +497,7 @@ def cmd_ablate(cfg: RunConfig, root) -> dict:
         weights = build_weights(init, intensity, rc)
         result = refine(init, weights, rc, keep_iterates=True)
         for iterations in iteration_grid:
-            report = evaluate(result.iterates[iterations], gt, mask)
+            report = scorer.report(result.iterates[iterations])
             reports[(mode, iterations)] = report
             rows.append(_ablation_row(mode, iterations, report))
     _write_lines(out / ABLATION_FILE, rows)
@@ -551,26 +516,22 @@ def cmd_eval(cfg: RunConfig, root) -> dict:
     root = Path(root)
     pred = fileio.read_pfm(root / cfg.pred_depth).astype(np.float64)
     gt = fileio.read_pfm(root / cfg.gt_depth).astype(np.float64)
-    mask = np.isfinite(pred) & np.isfinite(gt)
-    report = evaluate(pred, gt, mask)
+    prediction = Scorer(gt, np.isfinite(pred) & np.isfinite(gt)).prediction(pred)
     out = root / cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    text = report_lines(report, "eval")
-    kv = report.as_keyvalues(prefix="eval.")
-    summary: dict = {"report": report}
+    summary: dict = {}
     sigma_path = root / cfg.sigma_map
     if sigma_path.is_file():
         sigma = fileio.read_pfm(sigma_path).astype(np.float64)
-        corr = _correlation(pred, sigma, gt, mask)
-        sweep = uncertainty_sweep(pred, sigma, gt, cfg.sweep_threshold_list(), mask)
+        report, corr, sweep = prediction.score(sigma, cfg.sweep_threshold_list())
         _write_lines(out / SWEEP_FILE, sweep_csv_lines(sweep))
-        corr_text, corr_kv = _uncertainty_lines(corr)
-        text += corr_text
-        kv += corr_kv
+        entries = _metric_entries("eval", report) + _uncertainty_entries(corr)
         summary.update({"corr": corr, "sweep": sweep})
-    _write_lines(out / REPORT_FILE, text)
-    _write_lines(out / KEYVALUE_FILE, kv)
-    summary["text"] = text
+    else:
+        report = prediction.report()
+        entries = _metric_entries("eval", report)
+    summary["report"] = report
+    summary["text"] = _write_reports(out, entries)
     return summary
 
 

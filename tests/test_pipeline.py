@@ -4,11 +4,12 @@ import platform
 import numpy as np
 import pytest
 
-from triad import ConfigError, RefineConfig, evaluate
+from triad import ConfigError, RefineConfig, SelectionPolicy, evaluate
 from triad.cli import MMAP_THRESHOLD, fix_heap_thresholds, main
 from triad.fileio import read_flow, read_image, read_pfm, write_flow, write_image, write_pfm
 from triad.metrics import SPEARMAN_MIN_PIXELS
 from triad.pipeline import (
+    SELECTION_KEYS,
     RunConfig,
     cmd_ablate,
     cmd_estimate,
@@ -91,6 +92,16 @@ class TestConfigLoading:
             assert field.name in run_defaults
             assert run_defaults[field.name] == field.default
         assert RunConfig().refine_config() == RefineConfig()
+
+    def test_selection_policy_fields_are_run_config_keys(self):
+        run_defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+        for field in dataclasses.fields(SelectionPolicy):
+            key = SELECTION_KEYS.get(field.name, field.name)
+            assert key in run_defaults
+            assert run_defaults[key] == field.default
+        assert RunConfig().selection_policy() == SelectionPolicy()
+        cfg = RunConfig(selection_mode="adaptive", sel_n_frames=3, fixed_step=2, theta_min=0.1, t_min=0.2, anchor="keyframe")
+        assert cfg.selection_policy() == SelectionPolicy("adaptive", 3, 2, 0.1, 0.2, "keyframe")
 
 
 class TestSynthBundle:

@@ -1,0 +1,297 @@
+"""The one-pass scorer against the plain per-call metrics it replaced.
+
+The reference functions below are the earlier bodies of ``evaluate``,
+``uncertainty_sweep``, ``error_uncertainty_correlation`` and the estimate
+command's scoring sequence: one gather, one set of terms and one tie-aware
+rank pass per call. The scorer must match them exactly, errors included.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from triad import (
+    CorrelationResult,
+    EmptyEvaluation,
+    InputError,
+    MetricReport,
+    Scorer,
+    SweepRow,
+    build_weights,
+    error_uncertainty_correlation,
+    evaluate,
+    refine,
+    uncertainty_sweep,
+)
+from triad.fileio import read_image, read_pfm
+from triad.metrics import DELTA_THRESHOLDS, SPEARMAN_MIN_PIXELS, SWEEP_THRESHOLDS, _average_ranks
+from triad.pipeline import _triangulate_stage, cmd_ablate, cmd_synth, load_run_config
+
+from helpers import suite_case
+
+
+def ref_evaluation_mask(pred, gt, mask):
+    base = np.ones(pred.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if base.shape != pred.shape or gt.shape != pred.shape:
+        raise InputError("pred, gt, and mask must share one shape")
+    return base & np.isfinite(pred) & np.isfinite(gt)
+
+
+def ref_evaluate(pred, gt, mask=None):
+    pred = np.asarray(pred, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
+    m = ref_evaluation_mask(pred, gt, mask)
+    if not np.any(m):
+        raise EmptyEvaluation("no pixels to evaluate")
+    p = pred[m]
+    g = gt[m]
+    if np.any(p <= 0) or np.any(g <= 0):
+        raise InputError("depth must be positive on evaluated pixels")
+    diff = p - g
+    ratio = np.maximum(p / g, g / p)
+    delta_acc = {t: 100.0 * float(np.mean(ratio < t)) for t in DELTA_THRESHOLDS}
+    return MetricReport(
+        abs_rel=float(np.mean(np.abs(diff) / g)),
+        sq_rel=float(np.mean(diff * diff / g)),
+        log_rmse=float(np.sqrt(np.mean(np.square(np.log(p) - np.log(g))))),
+        irmse=float(np.sqrt(np.mean(np.square(1.0 / p - 1.0 / g)))),
+        rmse=float(np.sqrt(np.mean(diff * diff))),
+        delta_acc=delta_acc,
+        n_evaluated=int(p.size),
+    )
+
+
+def ref_uncertainty_sweep(pred, sigma, gt, thresholds=SWEEP_THRESHOLDS, mask=None):
+    pred = np.asarray(pred, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
+    if any(t <= 0 for t in thresholds):
+        raise InputError("thresholds must be positive")
+    base = ref_evaluation_mask(pred, gt, mask)
+    n_base = int(np.count_nonzero(base))
+    rows = []
+    for t in thresholds:
+        retained = base & (sigma < t)
+        n_kept = int(np.count_nonzero(retained))
+        coverage = 100.0 * n_kept / n_base if n_base else 0.0
+        report = ref_evaluate(pred, gt, retained) if n_kept else None
+        rows.append(SweepRow(sigma_threshold=float(t), coverage_percent=coverage, report=report))
+    return rows
+
+
+def ref_average_ranks(x):
+    order = np.argsort(x)
+    sorted_x = x[order]
+    change = np.nonzero(sorted_x[1:] != sorted_x[:-1])[0] + 1
+    boundaries = np.concatenate(([0], change, [len(x)]))
+    averages = 0.5 * (boundaries[:-1] + boundaries[1:] - 1) + 1.0
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(averages, np.diff(boundaries))
+    return ranks
+
+
+def ref_correlation(pred, sigma, gt, mask=None):
+    pred = np.asarray(pred, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
+    m = ref_evaluation_mask(pred, gt, mask) & np.isfinite(sigma)
+    n = int(np.count_nonzero(m))
+    if n < SPEARMAN_MIN_PIXELS:
+        raise InputError(f"need at least {SPEARMAN_MIN_PIXELS} masked pixels, got {n}")
+    err_ranks = ref_average_ranks(np.abs(pred[m] - gt[m]))
+    sig_ranks = ref_average_ranks(sigma[m])
+    e = err_ranks - err_ranks.mean()
+    s = sig_ranks - sig_ranks.mean()
+    denom = math.sqrt(float(e @ e) * float(s @ s))
+    if denom == 0.0:
+        return CorrelationResult(rho=0.0, defined=False)
+    return CorrelationResult(rho=float(e @ s) / denom, defined=True)
+
+
+def ref_score(pred, sigma, gt, mask, thresholds):
+    """The estimate command's scoring of its refined map; mask already excludes non-finite gt."""
+    report = ref_evaluate(pred, gt, mask)
+    if np.count_nonzero(mask & np.isfinite(sigma)) < SPEARMAN_MIN_PIXELS:
+        corr = CorrelationResult(rho=0.0, defined=False)
+    else:
+        corr = ref_correlation(pred, sigma, gt, mask)
+    return report, corr, ref_uncertainty_sweep(pred, sigma, gt, thresholds, mask)
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as e:  # every exception must match, numpy's included
+        return type(e), str(e)
+
+
+def quantile_thresholds(sigma):
+    finite = sigma[np.isfinite(sigma)]
+    return [float(t) for t in np.quantile(finite, [0.9, 0.5, 0.1])] + [1e-9]
+
+
+class TestSuiteCasesExact:
+    @pytest.fixture(scope="class", params=[0, 1, 2])
+    @staticmethod
+    def case(request):
+        return suite_case(request.param)
+
+    @pytest.mark.parametrize("rounding", [np.float64, np.float32])
+    def test_estimate_scoring_equals_reference(self, case, rounding):
+        # float32 rounding gives |pred - gt| heavy ties, so both rank paths run
+        gt, mask = case["gt"], case["mask"]
+        initial = case["init"].depth.astype(rounding).astype(np.float64)
+        refined = case["result"].depth.astype(rounding).astype(np.float64)
+        sigma = case["result"].uncertainty.astype(rounding).astype(np.float64)
+        thresholds = quantile_thresholds(sigma) + list(SWEEP_THRESHOLDS)
+        scorer = Scorer(gt, mask)
+        assert scorer.report(initial) == ref_evaluate(initial, gt, mask)
+        assert scorer.prediction(refined).score(sigma, thresholds) == ref_score(refined, sigma, gt, mask, thresholds)
+        # the shared ground truth is left as it was
+        assert scorer.report(initial) == ref_evaluate(initial, gt, mask)
+
+    def test_public_functions_equal_reference(self, case):
+        gt, mask = case["gt"], case["mask"]
+        refined, sigma = case["result"].depth, case["result"].uncertainty
+        thresholds = quantile_thresholds(sigma)
+        assert evaluate(refined, gt, mask) == ref_evaluate(refined, gt, mask)
+        assert evaluate(refined, gt) == ref_evaluate(refined, gt)
+        assert uncertainty_sweep(refined, sigma, gt, thresholds, mask) == ref_uncertainty_sweep(
+            refined, sigma, gt, thresholds, mask
+        )
+        assert error_uncertainty_correlation(refined, sigma, gt, mask) == ref_correlation(refined, sigma, gt, mask)
+
+
+positive = st.sampled_from([0.5, 1.0, 1.25, 2.0, 3.0])
+nonfinite = st.sampled_from([0.5, 1.0, 1.25, 2.0, 3.0, np.nan, np.inf])
+mixed = st.sampled_from([0.5, 1.0, 1.25, 2.0, 3.0, 0.0, -1.0, np.nan, np.inf, -np.inf])
+sigmas = st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5, 1.0, np.nan, np.inf, -np.inf])
+thresholds_pool = st.sampled_from([0.08, 0.1, 0.16, 0.3, 0.5, 2.0, np.inf])
+
+
+@st.composite
+def map_case(draw):
+    """Small maps with heavy ties, some with NaN sigma, non-finite or non-positive depths."""
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 8)))
+
+    def depth_map():
+        return draw(arrays(np.float64, shape, elements=draw(st.sampled_from([positive, nonfinite, mixed]))))
+
+    gt, pred, initial = depth_map(), depth_map(), depth_map()
+    sigma = draw(arrays(np.float64, shape, elements=sigmas))
+    mask = draw(st.one_of(st.none(), arrays(np.bool_, shape)))
+    thresholds = draw(st.lists(thresholds_pool, max_size=4))
+    return gt, pred, initial, sigma, mask, thresholds
+
+
+class TestScorerProperty:
+    @given(map_case(), st.sampled_from([0.0, -0.5]))
+    @settings(max_examples=300)
+    def test_public_functions_match_reference(self, case, bad_threshold):
+        gt, pred, _, sigma, mask, thresholds = case
+        assert outcome(evaluate, pred, gt, mask) == outcome(ref_evaluate, pred, gt, mask)
+        assert outcome(error_uncertainty_correlation, pred, sigma, gt, mask) == outcome(
+            ref_correlation, pred, sigma, gt, mask
+        )
+        for ts in (thresholds, thresholds + [bad_threshold]):
+            assert outcome(uncertainty_sweep, pred, sigma, gt, ts, mask) == outcome(
+                ref_uncertainty_sweep, pred, sigma, gt, ts, mask
+            )
+
+    @given(map_case())
+    @settings(max_examples=300)
+    def test_estimate_scoring_matches_reference(self, case):
+        gt, pred, initial, sigma, mask, thresholds = case
+        mask = (np.ones(gt.shape, dtype=bool) if mask is None else mask) & np.isfinite(gt)
+        scorer = Scorer(gt, mask)
+        assert outcome(scorer.report, initial) == outcome(ref_evaluate, initial, gt, mask)
+
+        def score():
+            return scorer.prediction(pred).score(sigma, thresholds)
+
+        assert outcome(score) == outcome(ref_score, pred, sigma, gt, mask, thresholds)
+
+    def test_non_finite_prediction_leaves_too_few_pixels_to_rank(self):
+        # 16 mask pixels have a finite sigma, but only 8 a finite prediction
+        gt = np.full((4, 4), 2.0)
+        pred = np.where(np.arange(16).reshape(4, 4) % 2 == 0, 2.5, np.nan)
+        sigma = np.linspace(0.1, 0.9, 16).reshape(4, 4)
+        mask = np.ones((4, 4), dtype=bool)
+
+        def score():
+            return Scorer(gt, mask).prediction(pred).score(sigma, [0.5])
+
+        want = outcome(ref_score, pred, sigma, gt, mask, [0.5])
+        assert want == (InputError, "need at least 10 masked pixels, got 8")
+        assert outcome(score) == want
+
+    def test_shape_mismatch_message(self):
+        for args in ((np.ones(3), np.ones(4), None), (np.ones(3), np.ones(3), np.ones(4, dtype=bool))):
+            assert outcome(evaluate, *args) == outcome(ref_evaluate, *args)
+            assert outcome(evaluate, *args)[0] is InputError
+
+
+class TestAverageRanksExact:
+    @given(arrays(np.float64, st.integers(0, 60), elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.5, -3.0])))
+    def test_tied_values_equal_reference(self, x):
+        assert np.array_equal(_average_ranks(x), ref_average_ranks(x))
+
+    def test_untied_values_equal_reference(self):
+        x = np.random.default_rng(11).standard_normal(5000)
+        assert np.array_equal(_average_ranks(x), ref_average_ranks(x))
+
+    def test_in_place_output(self):
+        x = np.random.default_rng(12).integers(0, 40, 3000) * 0.5
+        want = ref_average_ranks(x)
+        assert _average_ranks(x, out=x) is x
+        assert np.array_equal(x, want)
+
+
+class TestAblateRows:
+    def test_rows_equal_evaluate_on_each_iterate(self, tmp_path):
+        opts = {"width": 96, "height": 72, "fx": 120.0, "fy": 120.0, "seed": 5, "fixed_step": 1}
+        opts.update({"sigma_flow": 0.5, "outlier_rate": 0.02, "ablate_iterations": "0 2 5"})
+        cfg = load_run_config(overrides=[f"{k}={v}" for k, v in opts.items()])
+        cmd_synth(cfg, tmp_path)
+        summary = cmd_ablate(cfg, tmp_path)
+        init = _triangulate_stage(cfg, tmp_path)[4]
+        gt = read_pfm(tmp_path / cfg.gt_depth).astype(np.float64)
+        intensity = read_image(tmp_path / cfg.image)
+        mask = init.valid & np.isfinite(gt)
+        for mode in ("full", "hessian_only", "residual_only", "constant"):
+            rc = cfg.refine_config(weight_mode=mode, iterations=5)
+            result = refine(init, build_weights(init, intensity, rc), rc, keep_iterates=True)
+            for k in (0, 2, 5):
+                want = ref_evaluate(result.iterates[k], gt, mask)
+                assert evaluate(result.iterates[k], gt, mask) == want
+                assert summary["reports"][(mode, k)] == want
+
+
+class TestScoringMemory:
+    @pytest.mark.parametrize("rounding", [np.float64, np.float32])
+    def test_vga_stage_peaks_within_ten_maps(self, rounding):
+        h, w = 480, 640
+        rng = np.random.default_rng(3)
+        tracemalloc.start()
+        try:
+            gt = rng.uniform(1.0, 4.0, (h, w)).astype(rounding).astype(np.float64)
+            initial = gt * rng.uniform(0.9, 1.1, (h, w))
+            initial[rng.random((h, w)) < 0.01] = np.nan
+            refined = (gt * rng.uniform(0.97, 1.03, (h, w))).astype(rounding).astype(np.float64)
+            sigma = rng.uniform(0.39, 0.68, (h, w)).astype(rounding).astype(np.float64)
+            mask = np.isfinite(initial) & np.isfinite(gt)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            scorer = Scorer(gt, mask)
+            scorer.report(initial)
+            scorer.prediction(refined).score(sigma, [0.6, 0.5, 0.45, 0.3])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 8 * h * w, peak / (8 * h * w)
