@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import os
 import sys
 
@@ -83,7 +84,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing leaves the parser as it was (every call gets a new namespace and
+    the --opt default list is copied before it is appended to), so one
+    parser serves every call of main.
+    """
     parser = _Parser(prog="triad", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 
 import numpy as np
 
@@ -38,22 +39,30 @@ FLO_MAGIC = b"PIEH"
 
 
 def read_flow(path) -> np.ndarray:
-    """Read a .flo file into a (H, W, 2) float32 raster (sentinels preserved)."""
+    """Read a .flo file into a (H, W, 2) float32 raster (sentinels preserved).
+
+    The payload is read straight into the returned array, so it is copied
+    once on its way out of the kernel.
+    """
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != FLO_MAGIC:
-        raise FormatError(f"{path}: bad flow magic {data[:4]!r}")
-    if len(data) < 12:
-        raise FormatError(f"{path}: truncated flow header")
-    w = int(np.frombuffer(data, dtype="<i4", count=1, offset=4)[0])
-    h = int(np.frombuffer(data, dtype="<i4", count=1, offset=8)[0])
-    if w <= 0 or h <= 0:
-        raise FormatError(f"{path}: invalid flow dimensions {w}x{h}")
-    expected = 12 + 8 * w * h
-    if len(data) < expected:
-        raise FormatError(f"{path}: truncated flow payload ({len(data)} < {expected} bytes)")
-    values = np.frombuffer(data, dtype="<f4", count=2 * w * h, offset=12)
-    return values.reshape(h, w, 2).astype(np.float32)
+        header = f.read(12)
+        if header[:4] != FLO_MAGIC:
+            raise FormatError(f"{path}: bad flow magic {header[:4]!r}")
+        if len(header) < 12:
+            raise FormatError(f"{path}: truncated flow header")
+        w, h = (int(v) for v in np.frombuffer(header, dtype="<i4", count=2, offset=4))
+        if w <= 0 or h <= 0:
+            raise FormatError(f"{path}: invalid flow dimensions {w}x{h}")
+        expected = 12 + 8 * w * h
+        # the file size is checked before the raster is allocated, so a
+        # corrupt header cannot ask for more memory than the file could fill
+        size = os.fstat(f.fileno()).st_size
+        if size >= expected:
+            flow = np.empty((h, w, 2), dtype="<f4")
+            size = 12 + f.readinto(flow)
+    if size < expected:
+        raise FormatError(f"{path}: truncated flow payload ({size} < {expected} bytes)")
+    return flow.astype(np.float32, copy=False)
 
 
 def write_flow(flow: np.ndarray, path) -> None:
@@ -114,7 +123,12 @@ def read_pfm(path) -> np.ndarray:
 
 
 def write_pfm(img: np.ndarray, path) -> None:
-    img = np.asarray(img, dtype=np.float32)
+    """Write a (H, W) or (H, W, 3) raster as little-endian float32 PFM, bottom row first.
+
+    One pass flips the rows and rounds to float32, and the file is written
+    from that array directly, so float64 maps need no conversion beforehand.
+    """
+    img = np.asarray(img)
     if img.ndim == 2:
         magic = b"Pf"
     elif img.ndim == 3 and img.shape[2] == 3:
@@ -122,11 +136,12 @@ def write_pfm(img: np.ndarray, path) -> None:
     else:
         raise FormatError(f"PFM rasters must be (H, W) or (H, W, 3), got {img.shape}")
     h, w = img.shape[:2]
+    scanlines = np.ascontiguousarray(np.flipud(img), dtype="<f4")
     with open(path, "wb") as f:
         f.write(magic + b"\n")
         f.write(f"{w} {h}\n".encode("ascii"))
         f.write(b"-1.0\n")
-        f.write(np.ascontiguousarray(np.flipud(img), dtype="<f4").tobytes())
+        f.write(scanlines)
 
 
 def read_image(path) -> np.ndarray:

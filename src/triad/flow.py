@@ -51,17 +51,21 @@ class FlowField:
 
         A pixel is valid when both components are at most INVALID_FLOW_THRESHOLD
         in magnitude; the comparison is false for NaN and infinities, so one
-        pass finds every invalid pixel. Valid vectors are finite by that rule
-        and invalid ones are zeroed, so the result skips the constructor's
-        re-validation.
+        pass finds every invalid pixel. The vectors are a float64 copy that
+        shares no memory with the raster, and the invalid pixels are zeroed
+        in it through their flat indices, which touches only those pixels.
+        Valid vectors are finite by that rule and invalid ones are zero, so
+        the result skips the constructor's re-validation.
         """
         raw = np.asarray(raster)
         if raw.ndim != 3 or raw.shape[2] != 2:
             raise InputError(f"flow vectors must have shape (H, W, 2), got {raw.shape}")
-        within = np.abs(raw) <= INVALID_FLOW_THRESHOLD
-        valid = within[..., 0] & within[..., 1]
-        vectors = raw.astype(np.float64)
-        vectors[~valid] = 0.0
+        within = np.ascontiguousarray(np.abs(raw) <= INVALID_FLOW_THRESHOLD)
+        # a pixel's two flags, read as one uint16, are 0x0101 when both hold
+        # (a 1 in each byte, so in either byte order)
+        valid = within.view(np.uint16)[..., 0] == 0x0101
+        vectors = raw.astype(np.float64, order="C")
+        vectors.reshape(-1, 2)[np.flatnonzero(~valid)] = 0.0
         field = object.__new__(cls)
         object.__setattr__(field, "vectors", vectors)
         object.__setattr__(field, "valid", valid)

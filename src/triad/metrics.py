@@ -172,7 +172,10 @@ class _Prediction:
 
     def _sigma(self, sigma) -> tuple[np.ndarray, np.ndarray]:
         """Sigma on the scorer's mask, and on the evaluated pixels."""
-        on_mask = np.asarray(sigma, dtype=np.float64)[self.mask]
+        sigma = np.asarray(sigma, dtype=np.float64)
+        if sigma.shape != self.mask.shape:
+            raise InputError(f"sigma shape {sigma.shape} != depth shape {self.mask.shape}")
+        on_mask = sigma[self.mask]
         return on_mask, on_mask if self.finite is None else on_mask[self.finite]
 
     def report(self) -> MetricReport:

@@ -281,7 +281,7 @@ def cmd_synth(cfg: RunConfig, root) -> dict:
     fileio.write_intrinsics(k, root / cfg.intrinsics)
     fileio.write_trajectory(traj, root / cfg.trajectory)
     fileio.write_image(scene.texture, root / cfg.image)
-    fileio.write_pfm(scene.depth_map().astype(np.float32), root / cfg.gt_depth)
+    fileio.write_pfm(scene.depth_map(), root / cfg.gt_depth)
     files = [cfg.intrinsics, cfg.trajectory, cfg.image, cfg.gt_depth]
 
     for index in range(len(traj)):
@@ -341,9 +341,9 @@ def _triangulate_stage(cfg: RunConfig, root: Path):
 
 def _write_initial(init: InitialDepth, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    fileio.write_pfm(init.depth.astype(np.float32), out / INITIAL_DEPTH_FILE)
-    fileio.write_pfm(init.conf_h.astype(np.float32), out / CONF_H_FILE)
-    fileio.write_pfm(init.conf_r.astype(np.float32), out / CONF_R_FILE)
+    fileio.write_pfm(init.depth, out / INITIAL_DEPTH_FILE)
+    fileio.write_pfm(init.conf_h, out / CONF_H_FILE)
+    fileio.write_pfm(init.conf_r, out / CONF_R_FILE)
 
 
 def cmd_triangulate(cfg: RunConfig, root) -> dict:
@@ -367,8 +367,8 @@ def _run_refinement(cfg: RunConfig, root: Path, init: InitialDepth, out: Path):
     rc = cfg.refine_config()
     weights = build_weights(init, intensity, rc)
     result = refine(init, weights, rc)
-    fileio.write_pfm(result.depth.astype(np.float32), out / REFINED_DEPTH_FILE)
-    fileio.write_pfm(result.uncertainty.astype(np.float32), out / SIGMA_FILE)
+    fileio.write_pfm(result.depth, out / REFINED_DEPTH_FILE)
+    fileio.write_pfm(result.uncertainty, out / SIGMA_FILE)
     with open(out / OBJECTIVE_FILE, "w", encoding="ascii") as f:
         for step, value in enumerate(result.objective):
             f.write(f"{step} {value:.17g}\n")

@@ -33,6 +33,26 @@ Pixels with H below h_eps (no baseline) or a minimizer outside (0, d_max]
 (cheirality violation) are degenerate and must be masked invalid, never
 clamped. Per-pixel reductions always run in the given observation order, so
 results are bit-identical however the pixels are partitioned across workers.
+
+Each call for a row band allocates its three sums and eight band-sized work
+buffers once and evaluates every frame's terms into them in place (ufuncs
+with out=). Every value is rounded from the same operands in the same order
+as the formulas in _accumulate_rows's comments, read left to right, so the
+results are bit for bit those of evaluating each formula into fresh arrays.
+The steps that read differently are exact rewrites:
+  - R m and (R m).p are formed as row term plus column term; IEEE addition
+    gives the same bits with its operands swapped.
+  - Invalid pixels are handled through their flat indices. Their flow is
+    zeroed before the ray is built, and each frame's H, beta and gamma terms
+    are zeroed there before they are added. The sums start at +0.0, and under
+    round-to-nearest x + y is -0.0 only when both are -0.0, so no sum is ever
+    -0.0 and adding +0.0 leaves it as it was.
+  - "Any valid observation" is one boolean map; a count would only be
+    compared with 1.
+  - The solve writes into the output rows and then sets the pixels it could
+    not solve to NaN by index.
+The buffers belong to the call that allocated them, and each call runs on one
+thread, so pool threads share no buffer and write disjoint rows of the output.
 """
 
 from __future__ import annotations
@@ -49,7 +69,7 @@ from .geometry import Intrinsics, RelativePose, normalized_grid
 DEFAULT_H_EPS = 1e-12
 DEFAULT_D_MAX = 100.0
 # Rows are processed in bands of about this many pixels, so that a band's
-# per-frame temporaries (0.5 MB each) stay in cache.
+# work buffers (0.5 MB each) stay in cache.
 BAND_PIXELS = 1 << 16
 
 
@@ -145,22 +165,25 @@ def triangulate_pixel(
     return depth, h_acc, residual
 
 
-def _observation_rays(flow_field: FlowField, k: Intrinsics, rows: slice):
+def _observation_rays(flow_field: FlowField, k: Intrinsics, rows: slice, x: np.ndarray, y: np.ndarray):
     """Unnormalized observation rays [x, y, 1] of a band of rows: pixel plus flow, through K^-1.
 
-    Returns the x and y components; pixels with invalid flow get the ray of
-    zero flow, so every value is finite.
+    Writes the x and y components into ``x`` and ``y`` (band-shaped float64)
+    and returns the flat indices of the band's invalid pixels. Those get the
+    ray of zero flow, so every value is finite whatever their vectors hold.
     """
-    valid = flow_field.valid[rows]
-    x = np.where(valid, flow_field.vectors[rows, :, 0], 0.0)
+    bad = np.flatnonzero(~flow_field.valid[rows])
+    np.copyto(x, flow_field.vectors[rows, :, 0])
+    x.reshape(-1)[bad] = 0.0
     x += np.arange(k.width, dtype=np.float64)[None, :]
     x -= k.cx
     x /= k.fx
-    y = np.where(valid, flow_field.vectors[rows, :, 1], 0.0)
+    np.copyto(y, flow_field.vectors[rows, :, 1])
+    y.reshape(-1)[bad] = 0.0
     y += np.arange(k.height, dtype=np.float64)[rows, None]
     y -= k.cy
     y /= k.fy
-    return x, y
+    return bad
 
 
 def _accumulate_rows(inp: TriangulationInput, xm: np.ndarray, ym: np.ndarray, rows: slice):
@@ -168,30 +191,73 @@ def _accumulate_rows(inp: TriangulationInput, xm: np.ndarray, ym: np.ndarray, ro
 
     ``xm`` and ``ym`` are the keyframe's normalized column and row
     coordinates. The terms use the dot-product form of the module docstring.
+    Returns H, beta, gamma and whether any observation of the pixel is valid.
     """
     ym = ym[rows, None]
     shape = (ym.shape[0], xm.shape[0])
     h_acc = np.zeros(shape)
     beta = np.zeros(shape)
     gamma = np.zeros(shape)
-    n_obs = np.zeros(shape, dtype=np.int64)
+    any_obs = np.zeros(shape, dtype=bool)
+    # nx, ny: ray; inv: 1/|n|^2; rm: one component of R m at a time, then
+    # (R m).p; n_rm: n.R m; rm_sq: |R m|^2; n_p: n.p; t: the term in hand
+    nx, ny, inv, rm, n_rm, rm_sq, n_p, t = np.empty((8, *shape))
     for flow_field, pose in inp.observations:
-        valid = flow_field.valid[rows]
-        nx, ny = _observation_rays(flow_field, inp.intrinsics, rows)
+        bad = _observation_rays(flow_field, inp.intrinsics, rows, nx, ny)
         r, p = pose.rotation, pose.translation
-        # R m and (R m).p = m.(R^T p) are sums of a column term and a row term
-        rm0, rm1, rm2 = (r[i, 0] * xm + r[i, 2] + r[i, 1] * ym for i in range(3))
+        # inv = 1 / (nx nx + ny ny + 1)
+        np.multiply(nx, nx, out=inv)
+        np.multiply(ny, ny, out=t)
+        inv += t
+        inv += 1.0
+        np.divide(1.0, inv, out=inv)
+        # R m and (R m).p = m.(R^T p) are sums of a column term and a row term;
+        # n_rm = nx rm0 + ny rm1 + rm2 and rm_sq = rm0 rm0 + rm1 rm1 + rm2 rm2
+        np.copyto(rm, r[0, 1] * ym)
+        rm += r[0, 0] * xm + r[0, 2]
+        np.multiply(nx, rm, out=n_rm)
+        np.multiply(rm, rm, out=rm_sq)
+        np.copyto(rm, r[1, 1] * ym)
+        rm += r[1, 0] * xm + r[1, 2]
+        np.multiply(ny, rm, out=t)
+        n_rm += t
+        np.multiply(rm, rm, out=t)
+        rm_sq += t
+        np.copyto(rm, r[2, 1] * ym)
+        rm += r[2, 0] * xm + r[2, 2]
+        n_rm += rm
+        np.multiply(rm, rm, out=t)
+        rm_sq += t
+        # n_p = nx p0 + ny p1 + p2
+        np.multiply(nx, p[0], out=n_p)
+        np.multiply(ny, p[1], out=t)
+        n_p += t
+        n_p += p[2]
+        # each term is zeroed on the invalid pixels, then added everywhere
+        # (exact: see the module docstring)
+        # H += rm_sq - n_rm n_rm inv
+        np.multiply(n_rm, n_rm, out=t)
+        t *= inv
+        np.subtract(rm_sq, t, out=t)
+        t.reshape(-1)[bad] = 0.0
+        h_acc += t
+        # beta += (R m).p - n_rm n_p inv
         c = r.T @ p
-        rm_p = c[0] * xm + c[2] + c[1] * ym
-        rm_sq = rm0 * rm0 + rm1 * rm1 + rm2 * rm2
-        inv_n_sq = 1.0 / (nx * nx + ny * ny + 1.0)
-        n_rm = nx * rm0 + ny * rm1 + rm2
-        n_p = nx * p[0] + ny * p[1] + p[2]
-        np.add(h_acc, rm_sq - n_rm * n_rm * inv_n_sq, out=h_acc, where=valid)
-        np.add(beta, rm_p - n_rm * n_p * inv_n_sq, out=beta, where=valid)
-        np.add(gamma, p @ p - n_p * n_p * inv_n_sq, out=gamma, where=valid)
-        n_obs += valid
-    return h_acc, beta, gamma, n_obs
+        np.copyto(rm, c[1] * ym)
+        rm += c[0] * xm + c[2]
+        np.multiply(n_rm, n_p, out=t)
+        t *= inv
+        np.subtract(rm, t, out=t)
+        t.reshape(-1)[bad] = 0.0
+        beta += t
+        # gamma += p.p - n_p n_p inv
+        np.multiply(n_p, n_p, out=t)
+        t *= inv
+        np.subtract(p @ p, t, out=t)
+        t.reshape(-1)[bad] = 0.0
+        gamma += t
+        any_obs |= flow_field.valid[rows]
+    return h_acc, beta, gamma, any_obs
 
 
 def _row_bands(height: int, width: int, workers: int) -> list[slice]:
@@ -225,16 +291,26 @@ def triangulate_map(
     valid = np.empty((h, w), dtype=bool)
 
     def solve(rows):
-        h_acc, beta, gamma, n_obs = _accumulate_rows(inp, xm, ym, rows)
-        solvable = (n_obs >= 1) & (h_acc >= h_eps)
-        safe_h = np.where(solvable, h_acc, 1.0)
-        d = -beta / safe_h
-        ok = solvable & (d > 0.0) & (d <= d_max)
-        residual = np.sqrt(np.maximum(0.0, gamma - beta * beta / safe_h))
+        h_acc, beta, gamma, ok = _accumulate_rows(inp, xm, ym, rows)
+        ok &= h_acc >= h_eps
+        # safe_h: 1 where there is nothing to solve
+        h_acc.reshape(-1)[np.flatnonzero(~ok)] = 1.0
+        # residual: sqrt(max(0, gamma - beta beta / safe_h))
+        beta_sq = np.multiply(beta, beta)
+        beta_sq /= h_acc
+        np.subtract(gamma, beta_sq, out=gamma)
+        np.maximum(0.0, gamma, out=gamma)
+        np.sqrt(gamma, out=conf_r[rows])
+        np.sqrt(h_acc, out=conf_h[rows])
+        np.negative(beta, out=beta)
+        np.divide(beta, h_acc, out=depth[rows])
+        d = depth[rows]
+        ok &= d > 0.0
+        ok &= d <= d_max
         valid[rows] = ok
-        depth[rows] = np.where(ok, d, np.nan)
-        conf_h[rows] = np.where(ok, np.sqrt(safe_h), np.nan)
-        conf_r[rows] = np.where(ok, residual, np.nan)
+        unsolved = np.flatnonzero(~ok)
+        for channel in (depth, conf_h, conf_r):
+            channel[rows].reshape(-1)[unsolved] = np.nan
 
     bands = _row_bands(h, w, workers)
     if workers <= 1:
@@ -266,7 +342,8 @@ def epipolar_loss(
         raise InputError(f"gt depth shape {gt.shape} != image size {(k.height, k.width)}")
     valid = flow_field.valid & np.isfinite(gt)
     m_grid = normalized_grid(k)
-    nx, ny = _observation_rays(flow_field, k, slice(None))
+    nx, ny = np.empty((2, k.height, k.width))
+    _observation_rays(flow_field, k, slice(None), nx, ny)
     s = np.stack([nx, ny, np.ones_like(nx)], axis=-1)
     s /= np.linalg.norm(s, axis=-1, keepdims=True)
     safe_gt = np.where(valid, gt, 1.0)

@@ -5,6 +5,7 @@ import pytest
 
 from triad import FlowField, FormatError, compose, inverse
 from triad.fileio import (
+    FLO_MAGIC,
     read_flow,
     read_image,
     read_intrinsics,
@@ -75,6 +76,80 @@ class TestFlo:
         again = FlowField.from_raster(read_flow(path))
         assert np.array_equal(again.valid, valid)
         assert np.allclose(again.vectors[valid], vectors[valid])
+
+
+class TestFloReadInPlace:
+    """read_flow reads the payload straight into its result, with the same checks and messages."""
+
+    @staticmethod
+    def _message(path, data):
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as caught:
+            read_flow(path)
+        return str(caught.value)
+
+    def test_error_messages_unchanged(self, tmp_path):
+        path = tmp_path / "f.flo"
+        header = FLO_MAGIC + np.array([3, 2], dtype="<i4").tobytes()
+        assert self._message(path, b"XXXX" + header[4:]) == f"{path}: bad flow magic b'XXXX'"
+        assert self._message(path, b"PI") == f"{path}: bad flow magic b'PI'"
+        assert self._message(path, FLO_MAGIC + b"\0" * 7) == f"{path}: truncated flow header"
+        zero = FLO_MAGIC + np.array([0, 2], dtype="<i4").tobytes()
+        assert self._message(path, zero) == f"{path}: invalid flow dimensions 0x2"
+        negative = FLO_MAGIC + np.array([3, -1], dtype="<i4").tobytes()
+        assert self._message(path, negative + b"\0" * 8) == f"{path}: invalid flow dimensions 3x-1"
+        short = header + b"\0" * 47
+        assert self._message(path, short) == f"{path}: truncated flow payload (59 < 60 bytes)"
+
+    def test_huge_header_on_short_file_is_truncated_payload(self, tmp_path):
+        path = tmp_path / "huge.flo"
+        header = FLO_MAGIC + np.array([2**31 - 1, 2**31 - 1], dtype="<i4").tobytes()
+        expected = 12 + 8 * (2**31 - 1) ** 2
+        message = self._message(path, header + b"\0" * 8)
+        assert message == f"{path}: truncated flow payload (20 < {expected} bytes)"
+
+    def test_result_is_writable_native_float32(self, tmp_path):
+        rng = np.random.default_rng(5)
+        flow = rng.uniform(-50, 50, (6, 9, 2)).astype(np.float32)
+        path = tmp_path / "f.flo"
+        write_flow(flow, path)
+        # trailing bytes after the payload are ignored
+        path.write_bytes(path.read_bytes() + b"tail")
+        again = read_flow(path)
+        assert again.dtype == np.float32 and again.dtype.isnative
+        assert again.flags.writeable and again.flags.c_contiguous
+        assert np.array_equal(again, flow)
+        again[0, 0, 0] = 7.0  # writable without touching the file
+        assert np.array_equal(read_flow(path), flow)
+
+
+class TestFromRasterLayout:
+    def test_non_contiguous_raster_decodes_like_a_contiguous_one(self):
+        rng = np.random.default_rng(6)
+        raster = rng.uniform(-5, 5, (5, 7, 2)).astype(np.float32)
+        raster[1, 2, 0] = np.nan
+        raster[3, 4, 1] = 1e10
+        want = FlowField.from_raster(raster)
+        for view in (np.asfortranarray(raster), raster.transpose(1, 0, 2).copy().transpose(1, 0, 2)):
+            got = FlowField.from_raster(view)
+            assert np.array_equal(got.valid, want.valid)
+            assert got.vectors.tobytes() == want.vectors.tobytes()
+            assert not np.shares_memory(got.vectors, view)
+
+
+class TestPfmWriteBytes:
+    @pytest.mark.parametrize("shape", [(9, 7), (4, 5, 3)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bytes_equal_flipped_float32_payload(self, tmp_path, shape, dtype):
+        rng = np.random.default_rng(7)
+        img = rng.uniform(0.1, 10, shape).astype(dtype)
+        img[1, 1] = np.nan
+        path = tmp_path / "d.pfm"
+        write_pfm(img, path)
+        h, w = shape[:2]
+        magic = b"Pf" if len(shape) == 2 else b"PF"
+        payload = np.flipud(img.astype(np.float32)).astype("<f4").tobytes()
+        assert path.read_bytes() == magic + f"\n{w} {h}\n-1.0\n".encode("ascii") + payload
 
 
 class TestPfm:

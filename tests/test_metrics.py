@@ -13,7 +13,7 @@ from triad import (
     evaluate,
     uncertainty_sweep,
 )
-from triad.metrics import DELTA_THRESHOLDS, SWEEP_THRESHOLDS, _average_ranks, sweep_csv_lines
+from triad.metrics import DELTA_THRESHOLDS, SWEEP_THRESHOLDS, Scorer, _average_ranks, sweep_csv_lines
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -234,3 +234,30 @@ class TestSpearman:
         gt = np.ones(5)
         with pytest.raises(InputError):
             error_uncertainty_correlation(gt, gt, gt)
+
+
+class TestSigmaShape:
+    """A sigma map of another size is a data error, named by both shapes."""
+
+    MESSAGE = r"^sigma shape \(10, 10\) != depth shape \(24, 32\)$"
+
+    @staticmethod
+    def _maps():
+        rng = np.random.default_rng(9)
+        gt = rng.uniform(1, 3, (24, 32))
+        return gt + rng.normal(0, 0.1, gt.shape), np.full((10, 10), 0.1), gt
+
+    def test_uncertainty_sweep(self):
+        pred, sigma, gt = self._maps()
+        with pytest.raises(InputError, match=self.MESSAGE):
+            uncertainty_sweep(pred, sigma, gt)
+
+    def test_error_uncertainty_correlation(self):
+        pred, sigma, gt = self._maps()
+        with pytest.raises(InputError, match=self.MESSAGE):
+            error_uncertainty_correlation(pred, sigma, gt)
+
+    def test_scorer(self):
+        pred, sigma, gt = self._maps()
+        with pytest.raises(InputError, match=self.MESSAGE):
+            Scorer(gt).prediction(pred).score(sigma, SWEEP_THRESHOLDS)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from triad import ConfigError, RefineConfig, SelectionPolicy, evaluate
-from triad.cli import MMAP_THRESHOLD, fix_heap_thresholds, main
+from triad import cli
+from triad.cli import MMAP_THRESHOLD, build_parser, fix_heap_thresholds, main
 from triad.fileio import read_flow, read_image, read_pfm, write_flow, write_image, write_pfm
 from triad.metrics import SPEARMAN_MIN_PIXELS
 from triad.pipeline import (
@@ -284,6 +285,55 @@ class TestEvalCommand:
         assert run_cli("eval", "--root", str(root)) == 0
         kv = read_keyvalues(root / "out" / "report.kv")
         assert float(kv["eval.rmse"]) == pytest.approx(0.1, rel=1e-5)
+
+
+class TestEvalSigmaShape:
+    def test_sigma_size_mismatch_is_two_before_any_report(self, tmp_path, capsys):
+        root = tmp_path / "sigma"
+        opts = synth_opts(width=32, height=24, fx=40.0, fy=40.0)
+        assert run_cli("synth", "--root", str(root), *opts) == 0
+        assert run_cli("estimate", "--root", str(root), *opts) == 0
+        out = root / "out"
+        written = [out / name for name in ("report.txt", "report.kv", "sweep.csv")]
+        for path in written:
+            path.unlink()
+        write_pfm(np.full((10, 10), 0.1, dtype=np.float32), out / "sigma.pfm")
+        capsys.readouterr()
+        assert run_cli("eval", "--root", str(root), *opts) == 2
+        assert "sigma shape (10, 10) != depth shape (24, 32)" in capsys.readouterr().err
+        assert not any(path.exists() for path in written)
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_options_do_not_leak_between_calls(self, tmp_path, monkeypatch, capsys):
+        seen = []
+        load = cli.load_run_config
+
+        def recording_load(path, opts, env):
+            seen.append(list(opts))
+            return load(path, opts, env)
+
+        monkeypatch.setattr(cli, "load_run_config", recording_load)
+        root = str(tmp_path / "p")
+        assert run_cli("synth", "--root", root, *synth_opts()) == 0
+        capsys.readouterr()
+        printed = []
+        for opts in (["--opt=fixed_step=1"], ["--opt=fixed_step=2", "--opt=sel_n_frames=2"], []):
+            assert run_cli("select", "--root", root, *opts) == 0
+            printed.append(capsys.readouterr().out)
+        assert seen[1:] == [["fixed_step=1"], ["fixed_step=2", "sel_n_frames=2"], []]
+        assert printed[0] != printed[1]
+        assert build_parser().parse_args(["select"]).opt == []
+
+    def test_usage_error_still_exits_one(self, tmp_path):
+        root = str(tmp_path / "u")
+        assert run_cli("select", "--root", root, "--bogus") == 1
+        assert run_cli("synth", "--root", root, *synth_opts()) == 0
+        assert run_cli("select", "--root", root, "--opt") == 1
+        assert run_cli("select", "--root", root) == 0
 
 
 class TestSelectCommand:
