@@ -71,6 +71,16 @@ class RelativePose:
         if abs(det - 1.0) > ORTHONORMAL_TOL:
             raise InputError(f"rotation must have determinant +1, got {det!r}")
 
+    @classmethod
+    def _unchecked(cls, rotation, translation) -> "RelativePose":
+        """A pose derived from validated ones, stored as construction stores it but not re-checked."""
+        pose = object.__new__(cls)
+        for name, value in (("rotation", rotation), ("translation", translation)):
+            arr = np.array(value, dtype=np.float64)
+            arr.setflags(write=False)
+            object.__setattr__(pose, name, arr)
+        return pose
+
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform an array of points with shape (..., 3)."""
         pts = np.asarray(points, dtype=np.float64)
@@ -104,12 +114,20 @@ def identity_pose() -> RelativePose:
 
 def compose(a: RelativePose, b: RelativePose) -> RelativePose:
     """Pose applying ``a`` first, then ``b``."""
-    return RelativePose(b.rotation @ a.rotation, b.rotation @ a.translation + b.translation)
+    return RelativePose(*_composed(a, b))
+
+
+def _composed(a: RelativePose, b: RelativePose) -> tuple[np.ndarray, np.ndarray]:
+    return b.rotation @ a.rotation, b.rotation @ a.translation + b.translation
 
 
 def inverse(p: RelativePose) -> RelativePose:
+    return RelativePose(*_inverted(p))
+
+
+def _inverted(p: RelativePose) -> tuple[np.ndarray, np.ndarray]:
     rt = p.rotation.T
-    return RelativePose(rt, -rt @ p.translation)
+    return rt, -rt @ p.translation
 
 
 def relative_angle_translation(a: RelativePose, b: RelativePose) -> tuple[float, float]:
@@ -217,5 +235,11 @@ class Trajectory:
         return len(self.poses)
 
     def relative_pose(self, src: int, dst: int) -> RelativePose:
-        """Transform taking points in camera ``src`` coordinates into camera ``dst``."""
-        return compose(self.poses[src], inverse(self.poses[dst]))
+        """Transform taking points in camera ``src`` coordinates into camera ``dst``.
+
+        Equal bit for bit to compose(poses[src], inverse(poses[dst])); both
+        poses were validated at construction, so the derived ones skip the
+        orthonormality checks.
+        """
+        inv = RelativePose._unchecked(*_inverted(self.poses[dst]))
+        return RelativePose._unchecked(*_composed(self.poses[src], inv))

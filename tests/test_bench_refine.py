@@ -1,0 +1,30 @@
+"""pytest-benchmark timings of refine on a 640x480 map, at 7 and 40 iterations.
+
+A few rounds each, so the test run stays short; they give refinement's time
+per call next to the end-to-end perfbench workloads. For steadier numbers run
+``pytest tests/test_bench_refine.py --benchmark-only`` with more rounds.
+"""
+
+import numpy as np
+import pytest
+
+from triad import RefineConfig, build_weights, refine
+
+from test_refine import random_initial
+
+
+@pytest.fixture(scope="module")
+def vga_maps():
+    rng = np.random.default_rng(9)
+    init = random_initial(rng, height=480, width=640, valid_fraction=0.8)
+    weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), RefineConfig())
+    return init, weights
+
+
+@pytest.mark.parametrize("iterations", [7, 40])
+def test_refine_vga(benchmark, vga_maps, iterations):
+    init, weights = vga_maps
+    cfg = RefineConfig(iterations=iterations)
+    result = benchmark.pedantic(refine, args=(init, weights, cfg), rounds=3, warmup_rounds=1)
+    assert len(result.objective) == iterations + 1
+    assert result.objective[-1] < result.objective[0]

@@ -222,3 +222,22 @@ class TestTrajectory:
         world = w0.apply(point_cam0)
         want = inverse(w1).apply(world)
         assert np.allclose(traj.relative_pose(0, 1).apply(point_cam0), want, atol=1e-12)
+
+    @given(seeds)
+    def test_relative_pose_is_compose_with_inverse_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        poses = tuple(random_pose(rng, t_scale=10.0) for _ in range(3))
+        traj = Trajectory(np.arange(3.0), poses)
+        for src in range(3):
+            for dst in range(3):
+                got = traj.relative_pose(src, dst)
+                want = compose(poses[src], inverse(poses[dst]))
+                assert np.array_equal(got.rotation, want.rotation)
+                assert np.array_equal(got.translation, want.translation)
+                assert not got.rotation.flags.writeable and not got.translation.flags.writeable
+
+    def test_bad_user_pose_still_rejected_at_construction(self):
+        bad = np.eye(3)
+        bad[0, 1] = 1e-6  # off orthonormal by far more than ORTHONORMAL_TOL
+        with pytest.raises(InputError):
+            Trajectory(np.array([0.0, 1.0]), (identity_pose(), RelativePose(bad, np.zeros(3))))

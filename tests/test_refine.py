@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -19,7 +20,15 @@ from triad.triangulate import InitialDepth
 
 from helpers import suite_case
 
+refine_module = importlib.import_module("triad.refine")  # triad.refine is also the function's name
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+# The flux-form band pass reorders the reference's rounding, so iterates and
+# objective values agree within REL relative rather than bit for bit. The
+# objective also gets an absolute floor: at C = 0 a relative bound is empty,
+# and mu * g can underflow to 0 where the reference's mu * sum(g dd^2) does not.
+REL = 1e-12
+OBJECTIVE_FLOOR = 1e-300
 
 
 def make_initial(depth, valid, conf_h=None, conf_r=None):
@@ -184,6 +193,16 @@ class TestRefine:
         for earlier, later in zip(result.objective, result.objective[1:]):
             assert later <= earlier + 1e-9
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_monotone_descent_over_200_iterations_on_suite_map(self, seed):
+        case = suite_case(seed, refine_cfg=RefineConfig(iterations=0))
+        result = refine(case["init"], case["weights"], RefineConfig(iterations=200))
+        # near the optimum a step lowers C by less than C's rounding error
+        # (about 1e-15 relative), so a later value may exceed an earlier one by that
+        for earlier, later in zip(result.objective, result.objective[1:]):
+            assert later <= earlier * (1.0 + REL)
+        assert result.objective[-1] < 0.2 * result.objective[0]
+
     def test_objective_value_matches_manual(self):
         depth = np.array([[1.0, 2.0], [3.0, 4.0]])
         dbar = np.array([[1.5, 2.0], [2.0, 4.0]])
@@ -320,6 +339,21 @@ def reference_jacobi(init, weights, cfg):
     return iterates, values, sigma
 
 
+def assert_objective_close(got, want):
+    assert len(got) == len(want)
+    for g, v in zip(got, want):
+        assert abs(g - v) <= REL * abs(v) + OBJECTIVE_FLOOR, (g, v)
+
+
+def assert_matches_reference(result, iterates, values, sigma):
+    """Iterates and objective within the stated bound; sigma bit for bit."""
+    assert len(result.iterates) == len(iterates)
+    for got, want in zip(result.iterates, iterates):
+        np.testing.assert_allclose(got, want, rtol=REL, atol=0.0)
+    assert_objective_close(result.objective, values)
+    assert np.array_equal(result.uncertainty, sigma)
+
+
 class TestBufferedJacobi:
     @pytest.mark.parametrize(
         "seed, valid_fraction, mu, omega",
@@ -332,11 +366,9 @@ class TestBufferedJacobi:
         weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
         result = refine(init, weights, cfg, keep_iterates=True)
         iterates, values, sigma = reference_jacobi(init, weights, cfg)
-        assert len(result.iterates) == len(iterates) == 10
-        for got, want in zip(result.iterates, iterates):
-            assert np.array_equal(got, want)
-        assert result.objective == tuple(values)
-        assert np.array_equal(result.uncertainty, sigma)
+        assert len(iterates) == 10
+        # the name predates the flux form: sigma is bit for bit, the rest within REL
+        assert_matches_reference(result, iterates, values, sigma)
         if mu == 0.0:  # invalid pixels have no constraint: held at the fill, sigma_cap
             assert np.all(result.uncertainty[~init.valid] == cfg.sigma_cap)
             assert np.all(result.depth[~init.valid] == iterates[0][~init.valid])
@@ -346,9 +378,7 @@ class TestBufferedJacobi:
         cfg = RefineConfig(iterations=12)
         result = refine(case["init"], case["weights"], cfg, keep_iterates=True)
         iterates, values, sigma = reference_jacobi(case["init"], case["weights"], cfg)
-        assert all(np.array_equal(got, want) for got, want in zip(result.iterates, iterates))
-        assert result.objective == tuple(values)
-        assert np.array_equal(result.uncertainty, sigma)
+        assert_matches_reference(result, iterates, values, sigma)
 
     def test_objective_value_matches_reference(self):
         rng = np.random.default_rng(5)
@@ -357,7 +387,7 @@ class TestBufferedJacobi:
         weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
         iterates, values, _ = reference_jacobi(init, weights, cfg)
         dbar = np.where(init.valid, init.depth, 0.0)
-        assert [objective_value(d, dbar, weights, cfg.mu) for d in iterates] == values
+        assert_objective_close([objective_value(d, dbar, weights, cfg.mu) for d in iterates], values)
 
     def test_final_map_only_by_default(self):
         rng = np.random.default_rng(6)
@@ -382,9 +412,10 @@ class TestBufferedJacobi:
         weights = build_weights(init, rng.uniform(0, 1, shape), cfg)
         result = refine(init, weights, cfg, keep_iterates=True)
         iterates, values, sigma = reference_jacobi(init, weights, cfg)
-        assert all(np.array_equal(got, want) for got, want in zip(result.iterates, iterates))
-        assert result.objective == tuple(values)
-        assert np.array_equal(result.uncertainty, sigma)
+        assert_matches_reference(result, iterates, values, sigma)
+        # pixels with no diagonal (all invalid ones when mu = 0) hold d(0) exactly
+        held = ~(weights.w + weights.degree(cfg.mu) > 0.0)
+        assert all(np.array_equal(iterate[held], iterates[0][held]) for iterate in result.iterates)
 
     def test_underflowed_smoothness_holds_pixel(self):
         # mu * g rounds to 0, so the invalid middle pixel has no diagonal, but
@@ -395,9 +426,8 @@ class TestBufferedJacobi:
         assert not np.any(weights.degree(cfg.mu))
         result = refine(init, weights, cfg, keep_iterates=True)
         iterates, values, sigma = reference_jacobi(init, weights, cfg)
-        assert all(np.array_equal(got, want) for got, want in zip(result.iterates, iterates))
-        assert result.objective == tuple(values)
-        assert np.array_equal(result.uncertainty, sigma)
+        assert_matches_reference(result, iterates, values, sigma)
+        assert all(iterate[0, 2] == iterates[0][0, 2] for iterate in result.iterates)
 
     def test_objective_value_spans_bands(self):
         rng = np.random.default_rng(8)
@@ -406,15 +436,15 @@ class TestBufferedJacobi:
         weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
         iterates, values, _ = reference_jacobi(init, weights, cfg)
         dbar = np.where(init.valid, init.depth, 0.0)
-        assert [objective_value(d, dbar, weights, cfg.mu) for d in iterates] == values
+        assert_objective_close([objective_value(d, dbar, weights, cfg.mu) for d in iterates], values)
 
 
 class TestBufferedJacobiSmallBands(TestBufferedJacobi):
-    """Every TestBufferedJacobi case again, with row bands of one to a few rows."""
+    """Every TestBufferedJacobi case again, with refine's row bands of one and of three rows."""
 
     @pytest.fixture(autouse=True, params=[1, 3])
     def small_bands(self, request, monkeypatch):
-        monkeypatch.setattr("triad.triangulate.BAND_PIXELS", request.param)
+        monkeypatch.setattr(refine_module, "_band_rows", lambda width: request.param)
 
 
 class TestRefineMemory:
@@ -432,7 +462,7 @@ class TestRefineMemory:
             finally:
                 tracemalloc.stop()
         map_bytes = init.depth.nbytes
-        assert peaks[7] <= 12.5 * map_bytes
+        assert peaks[7] <= 8.0 * map_bytes  # 7.33 maps measured
         # only the objective list grows with the iteration count
         assert abs(peaks[40] - peaks[7]) < 4096
 
