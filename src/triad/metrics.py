@@ -27,19 +27,31 @@ Two shortcuts are exact, not approximations:
   tie-averaging formula gives a group of one at sorted slot k the rank
   0.5 * (2k) + 1, which is exactly k + 1.
 
+Scoring can use one more thread. ``_Prediction.score`` takes an executor
+and then ranks sigma on it while ranking |d| on the calling thread, and
+``run_pair`` runs any two independent tasks that way, such as the reports of
+two predictions on one scorer. The tasks share only arrays they read, and
+``Scorer.fill`` computes the cached gt-side terms before any task starts.
+Every value comes from the same function on the same inputs, so results are
+bit-identical with and without the executor.
+
 Memory: besides the caller's maps, a scorer keeps three gathered arrays (g,
 log g and 1/g). Scoring one prediction adds the gathered prediction (which
-becomes d, then |d|), one term buffer, one selection gathered from it and,
-with a sweep, the gathered sigma and each threshold's pixel indices. The
+becomes d, then |d|), one term buffer, one selection gathered from it at a
+time and, with a sweep, the gathered sigma and each threshold's pixel
+indices; the ratio's second quotient takes RATIO_BLOCK pixels at a time. The
 ranks overwrite |d| and sigma in place; each rank pass adds the sort order
-and one sorted array. Scoring an initial and a refined 640x480 map with sigma
-and a sweep peaks 8.5-8.8 float64 maps above what was live before (the
-per-call code it replaced: 10.0), and a test holds it to 10.
+and one sorted array. Scoring an initial and a refined 640x480 map with
+sigma and a sweep peaks 8.2-8.8 float64 maps above what was live before, and
+a test holds it to 10. With an executor the two reports, and then the two
+rank passes, overlap: 9.3-11.1 maps, which a test holds to 12.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,6 +63,8 @@ DELTA_THRESHOLDS = (1.05, 1.10, 1.25, 1.25**2, 1.25**3)
 SWEEP_THRESHOLDS = (0.5, 0.16, 0.10, 0.08)
 # fewest masked pixels a Spearman correlation is computed on
 SPEARMAN_MIN_PIXELS = 10
+# pixels per block of the ratio term's second quotient (a 128 KiB buffer)
+RATIO_BLOCK = 1 << 14
 
 _SHAPE_ERROR = "pred, gt, and mask must share one shape"
 
@@ -155,6 +169,17 @@ class Scorer:
     def report(self, pred) -> MetricReport:
         return self.prediction(pred).report()
 
+    def fill(self) -> None:
+        """Compute the shared gt-side terms now, before threads score predictions against them.
+
+        Two threads filling a ``cached_property`` at once may both compute it
+        (or, before Python 3.12, wait on one lock shared by every instance).
+        With non-positive ground truth every prediction raises before it
+        reads the logs, so they are left unfilled.
+        """
+        if not self.truth.nonpositive:
+            self.truth.log_g, self.truth.inv_g
+
 
 class _Prediction:
     """One prediction on a scorer's evaluated pixels.
@@ -181,18 +206,21 @@ class _Prediction:
     def report(self) -> MetricReport:
         return _reports(self.p, self.truth, [None])[0]
 
-    def score(self, sigma, thresholds) -> tuple[MetricReport, CorrelationResult, list[SweepRow]]:
+    def score(
+        self, sigma, thresholds, executor: Executor | None = None
+    ) -> tuple[MetricReport, CorrelationResult, list[SweepRow]]:
         """The report, Spearman rho and sweep rows of one prediction with its sigma.
 
         rho is reported undefined (0) when fewer than SPEARMAN_MIN_PIXELS mask
         pixels have a finite sigma, and raises InputError when enough do but
         too few of them have a finite prediction. Thresholds must be positive.
+        With an executor, sigma is ranked on it while |p - g| is ranked here.
         """
         on_mask, sig = self._sigma(sigma)
         report, rows = _sweep(self.p, self.truth, sig, thresholds, self.p.size, score_all=True)
         if np.count_nonzero(np.isfinite(on_mask)) < SPEARMAN_MIN_PIXELS:
             return report, CorrelationResult(rho=0.0, defined=False), rows
-        return report, _rank_correlation(self.p, sig), rows
+        return report, _rank_correlation(self.p, sig, executor), rows
 
 
 def _reports(p: np.ndarray, truth: _Truth, selections: list) -> list[MetricReport]:
@@ -209,11 +237,13 @@ def _reports(p: np.ndarray, truth: _Truth, selections: list) -> list[MetricRepor
         return [np.mean(term if s is None else term[s]) for s in selections]
 
     term = np.divide(p, g)
-    np.maximum(term, np.divide(g, p), out=term)
-    deltas = []
-    for s, n in zip(selections, sizes):
-        ratio = term if s is None else term[s]
-        deltas.append({t: 100.0 * (np.count_nonzero(ratio < t) / n) for t in DELTA_THRESHOLDS})
+    # g/p a block at a time into one small buffer, so it never takes a whole map
+    inverse = np.empty(min(p.size, RATIO_BLOCK))
+    for i in range(0, p.size, RATIO_BLOCK):
+        block = slice(i, i + RATIO_BLOCK)
+        part = inverse[: term[block].size]
+        np.maximum(term[block], np.divide(g[block], p[block], out=part), out=term[block])
+    deltas = [_delta_acc(term if s is None else term[s], n) for s, n in zip(selections, sizes)]
     np.log(p, out=term)
     term -= truth.log_g
     log_mse = means(np.square(term, out=term))
@@ -238,6 +268,10 @@ def _reports(p: np.ndarray, truth: _Truth, selections: list) -> list[MetricRepor
         )
         for i, n in enumerate(sizes)
     ]
+
+
+def _delta_acc(ratio: np.ndarray, n: int) -> dict[float, float]:
+    return {t: 100.0 * (np.count_nonzero(ratio < t) / n) for t in DELTA_THRESHOLDS}
 
 
 def _sweep(p, truth: _Truth, sig, thresholds, n_base: int, score_all: bool):
@@ -330,7 +364,24 @@ def _average_ranks(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return ranks
 
 
-def _rank_correlation(err: np.ndarray, sig: np.ndarray) -> CorrelationResult:
+def run_pair(executor: Executor | None, first: Callable, second: Callable) -> tuple:
+    """(first(), second()): first on the executor while second runs here, or both here in order.
+
+    first's error wins when both raise, as it does when they run in order,
+    and first has finished whenever this returns or raises.
+    """
+    if executor is None:
+        return first(), second()
+    pending = executor.submit(first)
+    try:
+        other = second()
+    except BaseException:
+        pending.result()
+        raise
+    return pending.result(), other
+
+
+def _rank_correlation(err: np.ndarray, sig: np.ndarray, executor: Executor | None = None) -> CorrelationResult:
     """Spearman rho of err and sig where sig is finite; both arrays are overwritten."""
     ranked = np.isfinite(sig)
     n = int(np.count_nonzero(ranked))
@@ -338,8 +389,7 @@ def _rank_correlation(err: np.ndarray, sig: np.ndarray) -> CorrelationResult:
         raise InputError(f"need at least {SPEARMAN_MIN_PIXELS} masked pixels, got {n}")
     if n < sig.size:
         err, sig = err[ranked], sig[ranked]
-    e = _average_ranks(err, out=err)
-    s = _average_ranks(sig, out=sig)
+    s, e = run_pair(executor, lambda: _average_ranks(sig, out=sig), lambda: _average_ranks(err, out=err))
     e -= e.mean()
     s -= s.mean()
     denom = math.sqrt(float(e @ e) * float(s @ s))

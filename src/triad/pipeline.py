@@ -6,11 +6,20 @@ against an explicit root directory. The estimation flow is select ->
 triangulate -> build weights -> refine -> evaluate; every raster leaves
 through the writers in fileio, and all writes happen from the coordinating
 thread so outputs are byte-stable for any worker count.
+
+``workers`` >= 2 runs triangulation's row bands on that many threads, and
+``estimate`` with ground truth and ``eval`` with a sigma map open one more
+thread while they score: it scores the initial map while the refined map is
+scored, and then ranks sigma while the error is ranked. The thread is closed
+before the command returns or raises. With one worker no thread starts.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +34,7 @@ from .metrics import (
     CorrelationResult,
     MetricReport,
     Scorer,
+    run_pair,
     sweep_csv_lines,
 )
 # not called here; perfbench's --trace spans patch these names in this module
@@ -167,9 +177,18 @@ class RunConfig:
             values = [float(t) for t in self.sweep_thresholds.split()]
         except ValueError as e:
             raise ConfigError(f"bad sweep_thresholds: {e}") from e
-        if not values or any(t <= 0 for t in values):
+        # NaN fails "> 0" as well; an infinite threshold keeps every pixel
+        if not values or not all(t > 0 for t in values):
             raise ConfigError("sweep_thresholds must be positive numbers")
         return values
+
+    def triangulation_limits(self) -> tuple[float, float]:
+        """(h_eps, d_max): h_eps finite and nonnegative, d_max positive and finite."""
+        if not (math.isfinite(self.h_eps) and self.h_eps >= 0.0):
+            raise ConfigError("h_eps must be a finite nonnegative number")
+        if not (0.0 < self.d_max < math.inf):
+            raise ConfigError("d_max must be positive and finite")
+        return self.h_eps, self.d_max
 
     def ablate_iteration_list(self) -> list[int]:
         try:
@@ -244,6 +263,7 @@ def load_run_config(config_path=None, overrides=(), env=None) -> RunConfig:
         raise ConfigError(str(e)) from e
     cfg.sweep_threshold_list()
     cfg.ablate_iteration_list()
+    cfg.triangulation_limits()
     return cfg
 
 
@@ -333,7 +353,8 @@ def _triangulate_stage(cfg: RunConfig, root: Path):
         raise NumericalError("frame selection produced no usable frames")
     observations = _load_selected_flows(cfg, root, traj, keyframe, selection)
     inp = TriangulationInput(k, tuple(observations))
-    init = triangulate_map(inp, h_eps=cfg.h_eps, d_max=cfg.d_max, workers=cfg.workers)
+    h_eps, d_max = cfg.triangulation_limits()
+    init = triangulate_map(inp, h_eps=h_eps, d_max=d_max, workers=cfg.workers)
     if not np.any(init.valid):
         raise NumericalError("triangulation left no valid pixels")
     return traj, k, keyframe, selection, init, warnings
@@ -427,6 +448,32 @@ def _write_lines(path: Path, lines: list[str]) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+def _scoring_pool(cfg: RunConfig):
+    """One extra thread for scoring when the run has more than one worker, else no pool.
+
+    Scoring runs big-array sorts and ufuncs, which release the interpreter
+    lock, so two independent scoring tasks overlap on two cores.
+    """
+    return ThreadPoolExecutor(max_workers=1) if cfg.workers >= 2 else nullcontext()
+
+
+def _score_maps(scorer: Scorer, initial, refined, sigma, thresholds, pool):
+    """(initial report, (refined report, rho, sweep rows)), the same with or without a pool.
+
+    With a pool the initial map is scored on it while the refined map is
+    scored here, and then sigma is ranked on it while |refined - gt| is
+    ranked here. Without one, all of it runs here in that order. Either way
+    the initial map's error wins when both maps would raise.
+    """
+    if pool is not None:
+        scorer.fill()
+    return run_pair(
+        pool,
+        lambda: scorer.report(initial),
+        lambda: scorer.prediction(refined).score(sigma, thresholds, pool),
+    )
+
+
 def cmd_estimate(cfg: RunConfig, root) -> dict:
     """Full chain: select, triangulate, refine, and (with ground truth) evaluate."""
     root = Path(root)
@@ -449,10 +496,11 @@ def cmd_estimate(cfg: RunConfig, root) -> dict:
         # both maps are scored where the triangulation is valid: the refined
         # map also covers inpainted pixels, but one mask keeps them comparable
         scorer = Scorer(gt, init.valid & np.isfinite(gt))
-        initial_report = scorer.report(init.depth)
-        refined_report, corr, sweep = scorer.prediction(result.depth).score(
-            result.uncertainty, cfg.sweep_threshold_list()
-        )
+        del gt
+        with _scoring_pool(cfg) as pool:
+            initial_report, (refined_report, corr, sweep) = _score_maps(
+                scorer, init.depth, result.depth, result.uncertainty, cfg.sweep_threshold_list(), pool
+            )
         _write_lines(out / SWEEP_FILE, sweep_csv_lines(sweep))
         entries += _metric_entries("initial", initial_report) + _metric_entries("refined", refined_report)
         entries += _uncertainty_entries(corr)
@@ -517,13 +565,15 @@ def cmd_eval(cfg: RunConfig, root) -> dict:
     pred = fileio.read_pfm(root / cfg.pred_depth).astype(np.float64)
     gt = fileio.read_pfm(root / cfg.gt_depth).astype(np.float64)
     prediction = Scorer(gt, np.isfinite(pred) & np.isfinite(gt)).prediction(pred)
+    del gt
     out = root / cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     summary: dict = {}
     sigma_path = root / cfg.sigma_map
     if sigma_path.is_file():
         sigma = fileio.read_pfm(sigma_path).astype(np.float64)
-        report, corr, sweep = prediction.score(sigma, cfg.sweep_threshold_list())
+        with _scoring_pool(cfg) as pool:
+            report, corr, sweep = prediction.score(sigma, cfg.sweep_threshold_list(), pool)
         _write_lines(out / SWEEP_FILE, sweep_csv_lines(sweep))
         entries = _metric_entries("eval", report) + _uncertainty_entries(corr)
         summary.update({"corr": corr, "sweep": sweep})

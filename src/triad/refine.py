@@ -55,6 +55,7 @@ pixels the data and smoothness terms constrain weakly get a wide scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,9 @@ class RefineConfig:
     weight_mode: str = "full"
 
     def __post_init__(self):
+        for name in ("mu", "kappa", "omega", "tau", "w_max", "sigma_min", "beta", "sigma_cap"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite")
         if self.iterations < 0:
             raise InputError("iterations must be nonnegative")
         if not (0.0 < self.omega <= 1.0):

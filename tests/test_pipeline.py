@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import platform
+import threading
 
 import numpy as np
 import pytest
@@ -77,6 +79,10 @@ class TestConfigLoading:
         bad.write_text("mu 2.0\n")
         with pytest.raises(ConfigError):
             parse_config_file(bad)
+
+    def test_infinite_sweep_threshold_is_legal(self):
+        cfg = load_run_config(overrides=["sweep_thresholds=inf 0.5"])
+        assert cfg.sweep_threshold_list() == [math.inf, 0.5]
 
     def test_middle_keyframe_default(self):
         from triad.pipeline import resolve_keyframe
@@ -194,18 +200,27 @@ class TestEstimate:
             fb = bundle / "det_b" / fa.name
             assert fa.read_bytes() == fb.read_bytes(), fa.name
 
-    def test_workers_do_not_change_outputs(self, bundle, tmp_path):
-        out1, out8 = "out_w1", "out_w8"
-        for workers, out in ((1, out1), (8, out8)):
+    @staticmethod
+    def assert_workers_do_not_change(bundle, command):
+        outs = {workers: f"{command}_w{workers}" for workers in (1, 2, 8)}
+        for workers, out in outs.items():
             code = run_cli(
-                "estimate", "--root", str(bundle), *synth_opts(), f"--opt=workers={workers}",
+                command, "--root", str(bundle), *synth_opts(), f"--opt=workers={workers}",
                 f"--opt=out_dir={out}",
             )
             assert code == 0
-        files1 = sorted((bundle / out1).iterdir())
+        files1 = sorted((bundle / outs[1]).iterdir())
+        assert "sweep.csv" in [f.name for f in files1]
         for f1 in files1:
-            f8 = bundle / out8 / f1.name
-            assert f1.read_bytes() == f8.read_bytes(), f1.name
+            for workers in (2, 8):
+                assert f1.read_bytes() == (bundle / outs[workers] / f1.name).read_bytes(), (f1.name, workers)
+
+    def test_workers_do_not_change_outputs(self, bundle):
+        self.assert_workers_do_not_change(bundle, "estimate")
+
+    def test_workers_do_not_change_eval_outputs(self, bundle):
+        # eval scores the estimate's refined map with its sigma from out/
+        self.assert_workers_do_not_change(bundle, "eval")
 
     def test_noise_free_chain_is_exact(self, tmp_path):
         # exactness degrades with pixel-space curvature, so run at full size
@@ -379,7 +394,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "bad",
-        ["omega=2", "iterations=-1", "selection_mode=bogus", "fixed_step=0", "sweep_thresholds=-1"],
+        ["omega=2", "iterations=-1", "selection_mode=bogus", "fixed_step=0", "sweep_thresholds=-1"]
+        + [f"{key}=nan" for key in ("mu", "kappa", "tau", "w_max", "sigma_min", "beta", "sigma_cap")]
+        + ["mu=inf", "sweep_thresholds=nan", "sweep_thresholds=0.5 nan", "h_eps=nan", "d_max=nan", "d_max=-1"],
     )
     def test_bad_derived_setting_is_one_before_any_output(self, tmp_path, bad):
         root = tmp_path / "bad"
@@ -461,6 +478,46 @@ class TestAblate:
             )
             constant.append(evaluate(const_case["result"].depth, gt, mask).rmse)
         assert np.median(full) <= np.median(constant)
+
+
+class TestScoringPool:
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def bundle(tmp_path_factory):
+        root = tmp_path_factory.mktemp("pool")
+        assert run_cli("synth", "--root", str(root), *synth_opts()) == 0
+        return root
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_started_thread_is_joined(self, bundle, monkeypatch, workers):
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        before = threading.active_count()
+        assert run_cli("estimate", "--root", str(bundle), *synth_opts(), f"--opt=workers={workers}") == 0
+        assert threading.active_count() == before
+        assert not any(thread.is_alive() for thread in started)
+        assert bool(started) == (workers > 1)
+
+    @pytest.mark.parametrize(
+        "gt_value, code, message",
+        [(-1.0, 2, "data error: depth must be positive on evaluated pixels"),
+         (math.nan, 3, "numerical failure: no pixels to evaluate")],
+    )
+    def test_failing_scoring_exits_alike_for_any_worker_count(self, bundle, capsys, gt_value, code, message):
+        # both maps fail on this ground truth, and the initial map's error is reported
+        write_pfm(np.full((120, 160), gt_value, dtype=np.float32), bundle / "bad_gt.pfm")
+        for workers in (1, 2, 8):
+            before = threading.active_count()
+            argv = ["--opt=gt_depth=bad_gt.pfm", f"--opt=workers={workers}", f"--opt=out_dir=bad_w{workers}"]
+            assert run_cli("estimate", "--root", str(bundle), *synth_opts(), *argv) == code
+            assert capsys.readouterr().err.strip() == message
+            assert threading.active_count() == before
 
 
 class TestLibraryEstimate:
