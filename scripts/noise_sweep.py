@@ -25,7 +25,7 @@ from triad import (
     evaluate,
     make_scene,
     refine,
-    render_flow,
+    render_flows,
     triangulate_map,
 )
 from triad.synth import constant_velocity_trajectory
@@ -46,12 +46,10 @@ def run_once(seed, sigma_flow, outlier_rate, width, height, fx):
     traj = constant_velocity_trajectory(5, (0.05, 0.0, 0.0))
     keyframe = 2
     gt = scene.depth_map()
+    others = [index for index in range(5) if index != keyframe]
+    poses = [traj.relative_pose(keyframe, index) for index in others]
     observations = []
-    for index in range(5):
-        if index == keyframe:
-            continue
-        pose = traj.relative_pose(keyframe, index)
-        field = render_flow(scene, k, pose)
+    for index, pose, field in zip(others, poses, render_flows(scene, k, poses)):
         if sigma_flow > 0 or outlier_rate > 0:
             field = corrupt_flow(field, NoiseModel(sigma_flow, outlier_rate, 8.0, seed=seed + 1 + index))
         observations.append((field, pose))

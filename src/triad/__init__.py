@@ -41,7 +41,15 @@ from .metrics import (
 )
 from .refine import RefineConfig, RefineResult, WeightMaps, build_weights, laplacian_nll, refine
 from .select import Selection, SelectionPolicy, select_frames
-from .synth import NoiseModel, SyntheticScene, corrupt_flow, make_scene, make_trajectory, render_flow
+from .synth import (
+    NoiseModel,
+    SyntheticScene,
+    corrupt_flow,
+    make_scene,
+    make_trajectory,
+    render_flow,
+    render_flows,
+)
 from .triangulate import (
     InitialDepth,
     TriangulationInput,
@@ -94,6 +102,7 @@ __all__ = [
     "refine",
     "relative_angle_translation",
     "render_flow",
+    "render_flows",
     "select_frames",
     "triangulate_map",
     "triangulate_pixel",

@@ -4,6 +4,12 @@ A flow field stores, for each keyframe pixel, the displacement to its
 corresponding pixel in an adjacent frame. On disk (see fileio.read_flow)
 invalid pixels carry components with magnitude above INVALID_FLOW_THRESHOLD;
 in memory they are tracked with an explicit boolean mask.
+
+Constructing a FlowField checks the shapes and that every valid vector is
+finite. Fields whose invariants hold by construction skip that check
+through ``FlowField._unchecked``: ``from_raster``, whose validity rule
+admits only finite components, and the synthetic renderer and noise model
+(see synth), whose valid vectors are finite by their own arithmetic.
 """
 
 from __future__ import annotations
@@ -46,6 +52,19 @@ class FlowField:
         return self.vectors.shape[1]
 
     @classmethod
+    def _unchecked(cls, vectors: np.ndarray, valid: np.ndarray) -> "FlowField":
+        """A field stored as given, without the constructor's checks.
+
+        The caller guarantees what the constructor would check: ``vectors``
+        is float64 of shape (H, W, 2), ``valid`` is bool of shape (H, W),
+        and every valid vector is finite.
+        """
+        field = object.__new__(cls)
+        object.__setattr__(field, "vectors", vectors)
+        object.__setattr__(field, "valid", valid)
+        return field
+
+    @classmethod
     def from_raster(cls, raster: np.ndarray) -> "FlowField":
         """Interpret a raw (H, W, 2) raster, treating huge components as invalid.
 
@@ -66,12 +85,15 @@ class FlowField:
         valid = within.view(np.uint16)[..., 0] == 0x0101
         vectors = raw.astype(np.float64, order="C")
         vectors.reshape(-1, 2)[np.flatnonzero(~valid)] = 0.0
-        field = object.__new__(cls)
-        object.__setattr__(field, "vectors", vectors)
-        object.__setattr__(field, "valid", valid)
-        return field
+        return cls._unchecked(vectors, valid)
 
     def to_raster(self) -> np.ndarray:
-        """Raw float32 raster with the invalid-pixel sentinel filled in."""
-        out = np.where(self.valid[..., None], self.vectors, INVALID_FLOW)
-        return out.astype(np.float32)
+        """Raw float32 raster with the invalid-pixel sentinel filled in.
+
+        One cast to float32, then the sentinel written over the invalid
+        pixels through their flat indices; both round the same values as
+        casting the filled float64 field would.
+        """
+        raster = self.vectors.astype(np.float32, order="C")
+        raster.reshape(-1, 2)[np.flatnonzero(~self.valid)] = INVALID_FLOW
+        return raster

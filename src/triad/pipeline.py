@@ -39,9 +39,17 @@ from .metrics import (
 )
 # not called here; perfbench's --trace spans patch these names in this module
 from .metrics import error_uncertainty_correlation, evaluate, uncertainty_sweep  # noqa: F401
+from .synth import render_flow  # noqa: F401
 from .refine import WEIGHT_MODES, RefineConfig, build_weights, refine
 from .select import Selection, SelectionPolicy, select_frames
-from .synth import NoiseModel, corrupt_flow, make_scene, make_trajectory, render_flow
+from .synth import (
+    NoiseModel,
+    check_scene_settings,
+    corrupt_flow,
+    make_scene,
+    make_trajectory,
+    render_flows,
+)
 from .triangulate import InitialDepth, TriangulationInput, triangulate_map
 
 ENV_PREFIX = "TRIAD_"
@@ -163,6 +171,10 @@ class RunConfig:
             seed=base + frame_index,
         )
 
+    def scene_settings(self) -> dict:
+        """make_scene's shape settings, each read from the same-named key."""
+        return {key: getattr(self, key) for key in SCENE_KEYS}
+
     def trajectory_params(self) -> dict:
         if self.trajectory_kind == "constant_velocity":
             return {"velocity": (self.vx, self.vy, self.vz), "dt": self.dt, "yaw_rate": self.yaw_rate}
@@ -203,6 +215,7 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 # the SelectionPolicy fields whose config key has another name
 SELECTION_KEYS = {"mode": "selection_mode", "n_frames": "sel_n_frames"}
+SCENE_KEYS = ("n_bumps", "base_depth", "bump_amplitude", "bump_sigma_lo", "bump_sigma_hi", "texture_cutoff")
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -256,9 +269,13 @@ def load_run_config(config_path=None, overrides=(), env=None) -> RunConfig:
     cfg = RunConfig(**values)
     # build every derived setting now, so a bad value fails as a config error
     # before any command writes output
+    if cfg.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     try:
         cfg.refine_config()
         cfg.selection_policy()
+        cfg.noise_model(0)
+        check_scene_settings(**cfg.scene_settings())
     except InputError as e:
         raise ConfigError(str(e)) from e
     cfg.sweep_threshold_list()
@@ -285,17 +302,7 @@ def cmd_synth(cfg: RunConfig, root) -> dict:
     (root / cfg.flow_dir).mkdir(parents=True, exist_ok=True)
     k = cfg.intrinsics_obj()
     traj = make_trajectory(cfg.trajectory_kind, cfg.n_frames, cfg.trajectory_params())
-    scene = make_scene(
-        cfg.width,
-        cfg.height,
-        cfg.seed,
-        n_bumps=cfg.n_bumps,
-        base_depth=cfg.base_depth,
-        bump_amplitude=cfg.bump_amplitude,
-        bump_sigma_lo=cfg.bump_sigma_lo,
-        bump_sigma_hi=cfg.bump_sigma_hi,
-        texture_cutoff=cfg.texture_cutoff,
-    )
+    scene = make_scene(cfg.width, cfg.height, cfg.seed, **cfg.scene_settings())
     keyframe = resolve_keyframe(cfg, len(traj))
 
     fileio.write_intrinsics(k, root / cfg.intrinsics)
@@ -304,11 +311,9 @@ def cmd_synth(cfg: RunConfig, root) -> dict:
     fileio.write_pfm(scene.depth_map(), root / cfg.gt_depth)
     files = [cfg.intrinsics, cfg.trajectory, cfg.image, cfg.gt_depth]
 
-    for index in range(len(traj)):
-        if index == keyframe:
-            continue
-        pose = traj.relative_pose(keyframe, index)
-        exact = render_flow(scene, k, pose)
+    others = [index for index in range(len(traj)) if index != keyframe]
+    exact_fields = render_flows(scene, k, [traj.relative_pose(keyframe, index) for index in others])
+    for index, exact in zip(others, exact_fields):
         noisy = corrupt_flow(exact, cfg.noise_model(index))
         exact_path = _flow_path(root, cfg, "exact", index)
         noisy_path = _flow_path(root, cfg, "noisy", index)
@@ -318,12 +323,9 @@ def cmd_synth(cfg: RunConfig, root) -> dict:
         files.append(noisy_path.relative_to(root).as_posix())
 
     manifest = root / "manifest.txt"
-    with open(manifest, "w", encoding="ascii") as f:
-        f.write(f"seed = {cfg.seed}\n")
-        f.write(f"noise_seed = {cfg.noise_seed if cfg.noise_seed >= 0 else cfg.seed + 1}\n")
-        f.write(f"keyframe = {keyframe}\n")
-        for name in files:
-            f.write(f"file = {name}\n")
+    noise_seed = cfg.noise_seed if cfg.noise_seed >= 0 else cfg.seed + 1
+    header = [f"seed = {cfg.seed}", f"noise_seed = {noise_seed}", f"keyframe = {keyframe}"]
+    _write_lines(manifest, header + [f"file = {name}" for name in files])
     return {"keyframe": keyframe, "files": files, "manifest": manifest}
 
 
@@ -390,9 +392,7 @@ def _run_refinement(cfg: RunConfig, root: Path, init: InitialDepth, out: Path):
     result = refine(init, weights, rc)
     fileio.write_pfm(result.depth, out / REFINED_DEPTH_FILE)
     fileio.write_pfm(result.uncertainty, out / SIGMA_FILE)
-    with open(out / OBJECTIVE_FILE, "w", encoding="ascii") as f:
-        for step, value in enumerate(result.objective):
-            f.write(f"{step} {value:.17g}\n")
+    _write_lines(out / OBJECTIVE_FILE, [f"{step} {value:.17g}" for step, value in enumerate(result.objective)])
     return result
 
 
@@ -444,8 +444,7 @@ def _write_reports(out: Path, entries: list[tuple[str, str, str]]) -> list[str]:
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    fileio.write_in_place(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _scoring_pool(cfg: RunConfig):

@@ -6,17 +6,30 @@ exact displacement field implied by that depth and a relative pose, and the
 noise model corrupts it in a controlled, seeded way. All generators are pure
 given their seed; per-pixel rendering is vectorized and independent of any
 partitioning.
+
+Pose-independent work is done once: a scene computes its depth map on first
+use and keeps it read-only, and ``render_flows`` back-projects the keyframe
+once for all the poses it renders. The fields that ``render_flows`` and
+``corrupt_flow`` return skip FlowField's finiteness check, because their
+valid vectors are finite by construction: a rendered vector is valid only
+when its reprojection lands inside the image, and NoiseModel keeps its noise
+scales finite and bounded, so noise added to a finite vector stays finite.
+Every other FlowField is still checked when it is built.
+``check_scene_settings`` rejects scene settings that would give a
+non-finite depth map or texture; the pipeline runs it, and builds the noise
+model, when the config loads.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .flow import FlowField
+from .flow import INVALID_FLOW_THRESHOLD, FlowField
 from .geometry import Intrinsics, RelativePose, Trajectory, normalized_grid
 
 
@@ -47,19 +60,38 @@ class SyntheticScene:
             raise InputError("texture shape must match the scene size")
 
     def depth_map(self) -> np.ndarray:
-        """Ground-truth depth for every keyframe pixel, shape (H, W), meters."""
-        xs = np.arange(self.width, dtype=np.float64)[None, :]
-        ys = np.arange(self.height, dtype=np.float64)[:, None]
-        depth = np.full((self.height, self.width), self.base_depth)
-        for (cx, cy), sigma, amp in zip(self.bump_centers, self.bump_sigmas, self.bump_amplitudes):
-            r2 = (xs - cx) ** 2 + (ys - cy) ** 2
-            depth += amp * np.exp(-r2 / (2.0 * sigma * sigma))
-        return np.clip(depth, self.depth_min, self.depth_max)
+        """Ground-truth depth for every keyframe pixel, shape (H, W), meters.
+
+        Computed on the first call and kept; the array is read-only, so a
+        caller that writes into it must copy it first.
+        """
+        depth = self.__dict__.get("_depth")
+        if depth is None:
+            xs = np.arange(self.width, dtype=np.float64)[None, :]
+            ys = np.arange(self.height, dtype=np.float64)[:, None]
+            depth = np.full((self.height, self.width), self.base_depth)
+            bump = np.empty_like(depth)
+            for (cx, cy), sigma, amp in zip(self.bump_centers, self.bump_sigmas, self.bump_amplitudes):
+                # amp * exp(-r2 / (2 sigma^2)), one buffer; r2 / -s rounds as -r2 / s does
+                np.add((xs - cx) ** 2, (ys - cy) ** 2, out=bump)
+                bump /= -(2.0 * sigma * sigma)
+                np.exp(bump, out=bump)
+                bump *= amp
+                depth += bump
+            np.clip(depth, self.depth_min, self.depth_max, out=depth)
+            depth.setflags(write=False)
+            object.__setattr__(self, "_depth", depth)
+        return depth
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Seeded flow corruption: i.i.d. Gaussian noise plus uniform outliers."""
+    """Seeded flow corruption: i.i.d. Gaussian noise plus uniform outliers.
+
+    Both scales lie in [0, INVALID_FLOW_THRESHOLD] pixels: noise beyond the
+    threshold that marks invalid flow on disk would make a pixel read back
+    as invalid, and the bound keeps every corrupted vector finite.
+    """
 
     sigma_flow: float = 0.0  # pixels, per component
     outlier_rate: float = 0.0
@@ -67,12 +99,13 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_flow < 0:
-            raise InputError("sigma_flow must be nonnegative")
+        # written so that NaN fails every check
+        if not (0.0 <= self.sigma_flow <= INVALID_FLOW_THRESHOLD):
+            raise InputError(f"sigma_flow must be in [0, {INVALID_FLOW_THRESHOLD:g}] pixels")
         if not (0.0 <= self.outlier_rate <= 1.0):
             raise InputError("outlier_rate must be in [0, 1]")
-        if self.outlier_span < 0:
-            raise InputError("outlier_span must be nonnegative")
+        if not (0.0 <= self.outlier_span <= INVALID_FLOW_THRESHOLD):
+            raise InputError(f"outlier_span must be in [0, {INVALID_FLOW_THRESHOLD:g}] pixels")
 
 
 def _bandlimited_field(height: int, width: int, rng: np.random.Generator, cutoff: float) -> np.ndarray:
@@ -86,6 +119,33 @@ def _bandlimited_field(height: int, width: int, rng: np.random.Generator, cutoff
     if span == 0.0:
         return np.full((height, width), 0.5)
     return (field - field.min()) / span
+
+
+def check_scene_settings(
+    n_bumps: int,
+    base_depth: float,
+    bump_amplitude: float,
+    bump_sigma_lo: float,
+    bump_sigma_hi: float,
+    texture_cutoff: float,
+) -> None:
+    """Raise InputError unless make_scene's shape settings give a finite scene.
+
+    The base depth and the bump sigmas must be positive and finite, with
+    lo <= hi; the amplitude finite and nonnegative; the texture cutoff
+    positive and finite; the bump count nonnegative.
+    """
+    # written so that NaN fails every check
+    if n_bumps < 0:
+        raise InputError("n_bumps must be nonnegative")
+    if not (0.0 < base_depth < math.inf):
+        raise InputError("base_depth must be positive and finite")
+    if not (0.0 <= bump_amplitude < math.inf):
+        raise InputError("bump_amplitude must be finite and nonnegative")
+    if not (0.0 < bump_sigma_lo <= bump_sigma_hi < math.inf):
+        raise InputError("need 0 < bump_sigma_lo <= bump_sigma_hi, both finite")
+    if not (0.0 < texture_cutoff < math.inf):
+        raise InputError("texture_cutoff must be positive and finite")
 
 
 def make_scene(
@@ -105,8 +165,10 @@ def make_scene(
 
     Bump sigmas are fractions of the smaller image dimension. The defaults
     give a gently sloped desk-scale surface; larger amplitudes with wider
-    sigma ranges produce room-scale depth spreads.
+    sigma ranges produce room-scale depth spreads. The shape settings are
+    checked by ``check_scene_settings`` before anything is drawn.
     """
+    check_scene_settings(n_bumps, base_depth, bump_amplitude, bump_sigma_lo, bump_sigma_hi, texture_cutoff)
     rng = np.random.default_rng(seed)
     centers = rng.uniform([0, 0], [width, height], size=(n_bumps, 2))
     sigmas = rng.uniform(bump_sigma_lo, bump_sigma_hi, size=n_bumps) * min(width, height)
@@ -126,51 +188,93 @@ def make_scene(
     )
 
 
+def render_flows(
+    scene: SyntheticScene,
+    k: Intrinsics,
+    poses: Iterable[RelativePose],
+    z_eps: float = 1e-6,
+) -> Iterator[FlowField]:
+    """Exact keyframe -> adjacent-frame flow for each pose, yielded one field at a time.
+
+    Each keyframe pixel is back-projected with its ground-truth depth once,
+    here; then, per pose, transformed by it (keyframe coordinates into the
+    adjacent frame) and reprojected. Pixels landing behind the camera
+    (z <= z_eps) or outside the image are marked invalid rather than raising.
+    A valid vector ends inside the image, so it is finite, and the field
+    skips FlowField's re-validation.
+    """
+    if (k.width, k.height) != (scene.width, scene.height):
+        raise InputError("intrinsics size must match the scene")
+    points = normalized_grid(k)
+    points *= scene.depth_map()[..., None]
+    return _reprojected(points, k, poses, z_eps)
+
+
+def _reprojected(points: np.ndarray, k: Intrinsics, poses: Iterable[RelativePose], z_eps: float):
+    # work buffers shared by every pose; each field gets its own vectors
+    transformed = np.empty_like(points)
+    u = np.empty(points.shape[:2])
+    v = np.empty(points.shape[:2])
+    xs = np.arange(k.width, dtype=np.float64)[None, :]
+    ys = np.arange(k.height, dtype=np.float64)[:, None]
+    for pose in poses:
+        np.matmul(points, pose.rotation.T, out=transformed)
+        for axis in range(3):  # one strided add per axis beats a broadcast over the last one
+            transformed[..., axis] += pose.translation[axis]
+        z = transformed[..., 2]
+        in_front = z > z_eps
+        safe_z = np.where(in_front, z, 1.0)
+        np.multiply(transformed[..., 0], k.fx, out=u)
+        u /= safe_z
+        u += k.cx
+        np.multiply(transformed[..., 1], k.fy, out=v)
+        v /= safe_z
+        v += k.cy
+        # pixel-footprint bounds: pixel centers live on [0, n-1], footprints on [-0.5, n-0.5]
+        valid = in_front & (u >= -0.5) & (u <= k.width - 0.5) & (v >= -0.5) & (v <= k.height - 0.5)
+        vectors = np.empty(points.shape[:2] + (2,))
+        np.subtract(u, xs, out=vectors[..., 0])
+        np.subtract(v, ys, out=vectors[..., 1])
+        vectors.reshape(-1, 2)[np.flatnonzero(~valid)] = 0.0
+        yield FlowField._unchecked(vectors, valid)
+
+
 def render_flow(
     scene: SyntheticScene,
     k: Intrinsics,
     pose_k: RelativePose,
     z_eps: float = 1e-6,
 ) -> FlowField:
-    """Exact keyframe -> adjacent-frame flow implied by the scene depth and pose.
-
-    Each keyframe pixel is back-projected with its ground-truth depth,
-    transformed by ``pose_k`` (keyframe coordinates into the adjacent frame),
-    and reprojected. Pixels landing behind the camera (z <= z_eps) or outside
-    the image are marked invalid rather than raising.
-    """
-    if (k.width, k.height) != (scene.width, scene.height):
-        raise InputError("intrinsics size must match the scene")
-    depth = scene.depth_map()
-    points = normalized_grid(k) * depth[..., None]
-    transformed = points @ pose_k.rotation.T + pose_k.translation
-    z = transformed[..., 2]
-    in_front = z > z_eps
-    safe_z = np.where(in_front, z, 1.0)
-    u = k.fx * transformed[..., 0] / safe_z + k.cx
-    v = k.fy * transformed[..., 1] / safe_z + k.cy
-    # pixel-footprint bounds: pixel centers live on [0, n-1], footprints on [-0.5, n-0.5]
-    in_bounds = (u >= -0.5) & (u <= k.width - 0.5) & (v >= -0.5) & (v <= k.height - 0.5)
-    valid = in_front & in_bounds
-    xs = np.arange(k.width, dtype=np.float64)[None, :]
-    ys = np.arange(k.height, dtype=np.float64)[:, None]
-    vectors = np.stack([u - xs, v - ys], axis=-1)
-    return FlowField(np.where(valid[..., None], vectors, 0.0), valid)
+    """Exact keyframe -> adjacent-frame flow for one pose: ``render_flows`` with one pose."""
+    return next(render_flows(scene, k, (pose_k,), z_eps))
 
 
 def corrupt_flow(flow: FlowField, model: NoiseModel) -> FlowField:
-    """Apply the noise model to valid pixels; invalid pixels pass through untouched."""
+    """Apply the noise model to valid pixels; invalid pixels pass through untouched.
+
+    The draws are, in order: Gaussian noise for every component (when
+    sigma_flow > 0), then an outlier flag per pixel and a uniform
+    replacement for every component (when outlier_rate > 0). A valid
+    output vector is either a finite input vector plus sigma_flow times a
+    normal variate (numpy's stay below 14 in magnitude, and sigma_flow is at
+    most INVALID_FLOW_THRESHOLD), or a replacement within the outlier span.
+    Either is finite, so the field skips FlowField's re-validation.
+    """
     rng = np.random.default_rng(model.seed)
     shape = flow.vectors.shape
-    out = flow.vectors.copy()
     if model.sigma_flow > 0:
-        out = out + rng.normal(0.0, model.sigma_flow, size=shape)
+        out = rng.normal(0.0, model.sigma_flow, size=shape)
+        out += flow.vectors
+    else:
+        out = flow.vectors.copy()
+    pairs = out.reshape(-1, 2)
     if model.outlier_rate > 0:
-        outliers = rng.random(shape[:2]) < model.outlier_rate
+        outliers = np.flatnonzero(rng.random(shape[:2]) < model.outlier_rate)
         replacement = rng.uniform(-model.outlier_span, model.outlier_span, size=shape)
-        out = np.where(outliers[..., None], replacement, out)
-    out = np.where(flow.valid[..., None], out, flow.vectors)
-    return FlowField(out, flow.valid)
+        pairs[outliers] = replacement.reshape(-1, 2)[outliers]
+    invalid = np.flatnonzero(~flow.valid)
+    pairs[invalid] = flow.vectors.reshape(-1, 2)[invalid]
+    return FlowField._unchecked(out, flow.valid)
 
 
 def _yaw_matrix(angle: float) -> np.ndarray:

@@ -15,6 +15,7 @@ from triad.fileio import (
     write_image,
     write_intrinsics,
     write_pfm,
+    write_in_place,
     write_trajectory,
 )
 from triad.geometry import Intrinsics, RelativePose, Trajectory, quaternion_to_rotation
@@ -150,6 +151,48 @@ class TestPfmWriteBytes:
         magic = b"Pf" if len(shape) == 2 else b"PF"
         payload = np.flipud(img.astype(np.float32)).astype("<f4").tobytes()
         assert path.read_bytes() == magic + f"\n{w} {h}\n-1.0\n".encode("ascii") + payload
+
+
+class TestWriteInPlace:
+    def test_new_file_holds_the_chunks(self, tmp_path):
+        path = tmp_path / "new.bin"
+        write_in_place(path, b"ab", np.arange(3, dtype="<i4"), memoryview(b"z"))
+        assert path.read_bytes() == b"ab" + np.arange(3, dtype="<i4").tobytes() + b"z"
+
+    @pytest.mark.parametrize("old_size", [0, 5, 6, 7, 4096])
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, old_size):
+        path = tmp_path / "old.bin"
+        path.write_bytes(bytes(range(256)) * (old_size // 256) + b"\xff" * (old_size % 256))
+        write_in_place(path, b"new", b"abc")
+        assert path.read_bytes() == b"newabc"
+
+    def test_rewrite_keeps_the_inode(self, tmp_path):
+        # an existing file is written over, not replaced
+        path = tmp_path / "same.bin"
+        path.write_bytes(b"x" * 100)
+        inode = path.stat().st_ino
+        write_in_place(path, b"y" * 10)
+        assert path.stat().st_ino == inode and path.read_bytes() == b"y" * 10
+
+    def test_every_writer_shrinks_a_longer_file(self, tmp_path):
+        rng = np.random.default_rng(3)
+        flow = rng.uniform(-1, 1, (3, 4, 2)).astype(np.float32)
+        depth, image = rng.uniform(1, 2, (3, 4)), rng.uniform(0, 1, (3, 4))
+        k = Intrinsics(100, 100, 16, 12, 32, 24)
+        traj = Trajectory(np.array([0.0, 1.0]), (random_pose(rng), random_pose(rng)))
+        writers = {
+            "f.flo": lambda p: write_flow(flow, p),
+            "d.pfm": lambda p: write_pfm(depth, p),
+            "t.pgm": lambda p: write_image(image, p),
+            "k.txt": lambda p: write_intrinsics(k, p),
+            "t.txt": lambda p: write_trajectory(traj, p),
+        }
+        for name, write in writers.items():
+            fresh, reused = tmp_path / ("fresh_" + name), tmp_path / name
+            reused.write_bytes(b"\xff" * 10_000)
+            write(fresh)
+            write(reused)
+            assert reused.read_bytes() == fresh.read_bytes(), name
 
 
 class TestPfm:

@@ -130,6 +130,18 @@ class TestSynthBundle:
         for line in file_lines:
             assert (tmp_path / line.removeprefix("file = ")).is_file()
 
+    def test_synth_over_longer_files_writes_the_same_bytes(self, tmp_path):
+        # existing files are rewritten in place and cut to their new length
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        assert run_cli("synth", "--root", str(fresh), *synth_opts()) == 0
+        files = sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
+        for name in files:
+            (reused / name).parent.mkdir(parents=True, exist_ok=True)
+            (reused / name).write_bytes(b"\xff" * ((fresh / name).stat().st_size + 4096))
+        assert run_cli("synth", "--root", str(reused), *synth_opts()) == 0
+        for name in files:
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+
     def test_zero_noise_corrupted_flow_equals_exact(self, tmp_path):
         assert run_cli(
             "synth", "--root", str(tmp_path), *synth_opts(sigma_flow=0.0, outlier_rate=0.0)
@@ -199,6 +211,15 @@ class TestEstimate:
         for fa in files:
             fb = bundle / "det_b" / fa.name
             assert fa.read_bytes() == fb.read_bytes(), fa.name
+
+    def test_rerun_over_longer_files_writes_the_same_bytes(self, bundle):
+        fresh, reused = bundle / "out", bundle / "reused"
+        reused.mkdir()
+        for f in fresh.iterdir():
+            (reused / f.name).write_bytes(b"\xff" * (f.stat().st_size + 4096))
+        assert run_cli("estimate", "--root", str(bundle), *synth_opts(), "--opt=out_dir=reused") == 0
+        for f in fresh.iterdir():
+            assert (reused / f.name).read_bytes() == f.read_bytes(), f.name
 
     @staticmethod
     def assert_workers_do_not_change(bundle, command):
@@ -405,6 +426,22 @@ class TestExitCodes:
         assert run_cli("estimate", "--root", str(root), *opts, f"--opt={bad}") == 1
         out = root / "out"
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["sigma_flow=nan", "sigma_flow=-1", "sigma_flow=inf", "sigma_flow=2e9"]
+        + ["outlier_rate=nan", "outlier_rate=1.5", "outlier_span=-1", "outlier_span=inf", "outlier_span=nan"]
+        + ["bump_amplitude=inf", "bump_amplitude=-0.1", "bump_sigma_lo=nan", "bump_sigma_lo=0"]
+        + ["bump_sigma_lo=0.5", "bump_sigma_hi=-1", "bump_sigma_hi=inf", "n_bumps=-1"]
+        + ["base_depth=nan", "base_depth=0", "base_depth=inf", "texture_cutoff=nan", "texture_cutoff=0"]
+        + ["seed=-1"],
+    )
+    def test_bad_synth_setting_is_one_before_any_output(self, tmp_path, capsys, bad):
+        root = tmp_path / "bad"
+        opts = ["--opt=width=32", "--opt=height=24", "--opt=fx=40", "--opt=fy=40"]
+        assert run_cli("synth", "--root", str(root), *opts, f"--opt={bad}") == 1
+        assert "config error" in capsys.readouterr().err
+        assert not root.exists() or not any(root.iterdir())
 
     def test_tiny_map_reports_spearman_undefined(self, tmp_path):
         root = tmp_path / "tiny"
