@@ -15,9 +15,7 @@ Formats:
   intrinsics -- single text line "fx fy cx cy width height".
 
 Everything here is a pure function; concurrent reads of distinct files are
-safe. Internal rasters are row-major, top-to-bottom, everywhere. Every
-writer goes through ``write_in_place``, which rewrites an existing file over
-its old bytes instead of truncating it first.
+safe. Internal rasters are row-major, top-to-bottom, everywhere.
 """
 
 from __future__ import annotations
@@ -38,26 +36,6 @@ from .geometry import (
 )
 
 FLO_MAGIC = b"PIEH"
-
-
-def write_in_place(path, *chunks) -> None:
-    """Make the bytes-like ``chunks``, in order, the whole content of ``path``.
-
-    A missing file is created as ``open(path, "wb")`` would create it. An
-    existing one is opened without truncation, written from its first byte,
-    and cut to the new length only if it was longer. Truncating a file that
-    holds data and then writing it again costs several times more than
-    overwriting the same blocks on a file system that discards freed blocks
-    (ext4 mounted with ``discard``), and reruns rewrite their outputs at the
-    same sizes.
-    """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "wb") as f:
-        old_size = os.fstat(fd).st_size
-        for chunk in chunks:
-            f.write(chunk)
-        if f.tell() < old_size:
-            f.truncate()
 
 
 def read_flow(path) -> np.ndarray:
@@ -92,8 +70,10 @@ def write_flow(flow: np.ndarray, path) -> None:
     if flow.ndim != 3 or flow.shape[2] != 2:
         raise FormatError(f"flow raster must have shape (H, W, 2), got {flow.shape}")
     h, w = flow.shape[:2]
-    size = np.array([w, h], dtype="<i4")
-    write_in_place(path, FLO_MAGIC, size, np.ascontiguousarray(flow, dtype="<f4"))
+    with open(path, "wb") as f:
+        f.write(FLO_MAGIC)
+        f.write(np.array([w, h], dtype="<i4").tobytes())
+        f.write(np.ascontiguousarray(flow, dtype="<f4").tobytes())
 
 
 def _read_pnm_token(f: io.BufferedReader, path) -> bytes:
@@ -157,7 +137,11 @@ def write_pfm(img: np.ndarray, path) -> None:
         raise FormatError(f"PFM rasters must be (H, W) or (H, W, 3), got {img.shape}")
     h, w = img.shape[:2]
     scanlines = np.ascontiguousarray(np.flipud(img), dtype="<f4")
-    write_in_place(path, magic + f"\n{w} {h}\n-1.0\n".encode("ascii"), scanlines)
+    with open(path, "wb") as f:
+        f.write(magic + b"\n")
+        f.write(f"{w} {h}\n".encode("ascii"))
+        f.write(b"-1.0\n")
+        f.write(scanlines)
 
 
 def read_image(path) -> np.ndarray:
@@ -191,7 +175,9 @@ def write_image(img: np.ndarray, path, maxval: int = 65535) -> None:
     quantized = np.rint(np.clip(img, 0.0, 1.0) * maxval)
     dtype = "u1" if maxval < 256 else ">u2"
     h, w = img.shape
-    write_in_place(path, f"P5\n{w} {h}\n{maxval}\n".encode("ascii"), quantized.astype(dtype))
+    with open(path, "wb") as f:
+        f.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
+        f.write(quantized.astype(dtype).tobytes())
 
 
 def read_intrinsics(path) -> Intrinsics:
@@ -208,8 +194,8 @@ def read_intrinsics(path) -> Intrinsics:
 
 
 def write_intrinsics(k: Intrinsics, path) -> None:
-    line = f"{k.fx:.17g} {k.fy:.17g} {k.cx:.17g} {k.cy:.17g} {k.width} {k.height}\n"
-    write_in_place(path, line.encode("ascii"))
+    with open(path, "w", encoding="ascii") as f:
+        f.write(f"{k.fx:.17g} {k.fy:.17g} {k.cx:.17g} {k.cy:.17g} {k.width} {k.height}\n")
 
 
 def read_trajectory(path) -> Trajectory:
@@ -239,12 +225,11 @@ def read_trajectory(path) -> Trajectory:
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
-    lines = []
-    for t, pose in zip(traj.timestamps, traj.poses):
-        qx, qy, qz, qw = rotation_to_quaternion(pose.rotation)
-        tx, ty, tz = pose.translation
-        lines.append(
-            f"{t:.17g} {tx:.17g} {ty:.17g} {tz:.17g} "
-            f"{qx:.17g} {qy:.17g} {qz:.17g} {qw:.17g}\n"
-        )
-    write_in_place(path, "".join(lines).encode("ascii"))
+    with open(path, "w", encoding="ascii") as f:
+        for t, pose in zip(traj.timestamps, traj.poses):
+            qx, qy, qz, qw = rotation_to_quaternion(pose.rotation)
+            tx, ty, tz = pose.translation
+            f.write(
+                f"{t:.17g} {tx:.17g} {ty:.17g} {tz:.17g} "
+                f"{qx:.17g} {qy:.17g} {qz:.17g} {qw:.17g}\n"
+            )

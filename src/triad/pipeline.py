@@ -39,6 +39,7 @@ from .metrics import (
 )
 # not called here; perfbench's --trace spans patch these names in this module
 from .metrics import error_uncertainty_correlation, evaluate, uncertainty_sweep  # noqa: F401
+# cmd_synth renders through render_flows, so the render_flow span reads 0 calls
 from .synth import render_flow  # noqa: F401
 from .refine import WEIGHT_MODES, RefineConfig, build_weights, refine
 from .select import Selection, SelectionPolicy, select_frames
@@ -323,9 +324,12 @@ def cmd_synth(cfg: RunConfig, root) -> dict:
         files.append(noisy_path.relative_to(root).as_posix())
 
     manifest = root / "manifest.txt"
-    noise_seed = cfg.noise_seed if cfg.noise_seed >= 0 else cfg.seed + 1
-    header = [f"seed = {cfg.seed}", f"noise_seed = {noise_seed}", f"keyframe = {keyframe}"]
-    _write_lines(manifest, header + [f"file = {name}" for name in files])
+    with open(manifest, "w", encoding="ascii") as f:
+        f.write(f"seed = {cfg.seed}\n")
+        f.write(f"noise_seed = {cfg.noise_seed if cfg.noise_seed >= 0 else cfg.seed + 1}\n")
+        f.write(f"keyframe = {keyframe}\n")
+        for name in files:
+            f.write(f"file = {name}\n")
     return {"keyframe": keyframe, "files": files, "manifest": manifest}
 
 
@@ -392,7 +396,9 @@ def _run_refinement(cfg: RunConfig, root: Path, init: InitialDepth, out: Path):
     result = refine(init, weights, rc)
     fileio.write_pfm(result.depth, out / REFINED_DEPTH_FILE)
     fileio.write_pfm(result.uncertainty, out / SIGMA_FILE)
-    _write_lines(out / OBJECTIVE_FILE, [f"{step} {value:.17g}" for step, value in enumerate(result.objective)])
+    with open(out / OBJECTIVE_FILE, "w", encoding="ascii") as f:
+        for step, value in enumerate(result.objective):
+            f.write(f"{step} {value:.17g}\n")
     return result
 
 
@@ -444,7 +450,8 @@ def _write_reports(out: Path, entries: list[tuple[str, str, str]]) -> list[str]:
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
-    fileio.write_in_place(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def _scoring_pool(cfg: RunConfig):

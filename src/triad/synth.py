@@ -256,9 +256,12 @@ def corrupt_flow(flow: FlowField, model: NoiseModel) -> FlowField:
     sigma_flow > 0), then an outlier flag per pixel and a uniform
     replacement for every component (when outlier_rate > 0). A valid
     output vector is either a finite input vector plus sigma_flow times a
-    normal variate (numpy's stay below 14 in magnitude, and sigma_flow is at
-    most INVALID_FLOW_THRESHOLD), or a replacement within the outlier span.
-    Either is finite, so the field skips FlowField's re-validation.
+    normal variate, or a replacement within the outlier span. The noise is
+    below 14 * INVALID_FLOW_THRESHOLD in magnitude (numpy's normal variates
+    stay below 14), and a finite float64 plus anything smaller than 2**970
+    (half the float spacing at the float64 maximum, about 1e292) cannot
+    round to infinity, even at the float64 maximum. Either vector is finite,
+    so the field skips FlowField's re-validation.
     """
     rng = np.random.default_rng(model.seed)
     shape = flow.vectors.shape

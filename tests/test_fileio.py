@@ -15,7 +15,6 @@ from triad.fileio import (
     write_image,
     write_intrinsics,
     write_pfm,
-    write_in_place,
     write_trajectory,
 )
 from triad.geometry import Intrinsics, RelativePose, Trajectory, quaternion_to_rotation
@@ -153,27 +152,7 @@ class TestPfmWriteBytes:
         assert path.read_bytes() == magic + f"\n{w} {h}\n-1.0\n".encode("ascii") + payload
 
 
-class TestWriteInPlace:
-    def test_new_file_holds_the_chunks(self, tmp_path):
-        path = tmp_path / "new.bin"
-        write_in_place(path, b"ab", np.arange(3, dtype="<i4"), memoryview(b"z"))
-        assert path.read_bytes() == b"ab" + np.arange(3, dtype="<i4").tobytes() + b"z"
-
-    @pytest.mark.parametrize("old_size", [0, 5, 6, 7, 4096])
-    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, old_size):
-        path = tmp_path / "old.bin"
-        path.write_bytes(bytes(range(256)) * (old_size // 256) + b"\xff" * (old_size % 256))
-        write_in_place(path, b"new", b"abc")
-        assert path.read_bytes() == b"newabc"
-
-    def test_rewrite_keeps_the_inode(self, tmp_path):
-        # an existing file is written over, not replaced
-        path = tmp_path / "same.bin"
-        path.write_bytes(b"x" * 100)
-        inode = path.stat().st_ino
-        write_in_place(path, b"y" * 10)
-        assert path.stat().st_ino == inode and path.read_bytes() == b"y" * 10
-
+class TestRewrite:
     def test_every_writer_shrinks_a_longer_file(self, tmp_path):
         rng = np.random.default_rng(3)
         flow = rng.uniform(-1, 1, (3, 4, 2)).astype(np.float32)

@@ -131,7 +131,7 @@ class TestSynthBundle:
             assert (tmp_path / line.removeprefix("file = ")).is_file()
 
     def test_synth_over_longer_files_writes_the_same_bytes(self, tmp_path):
-        # existing files are rewritten in place and cut to their new length
+        # each output replaces a longer file of the same name completely
         fresh, reused = tmp_path / "fresh", tmp_path / "reused"
         assert run_cli("synth", "--root", str(fresh), *synth_opts()) == 0
         files = sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())

@@ -137,6 +137,19 @@ def test_invalid_input_vectors_pass_through_corruption():
         assert_same_field(corrupt_flow(field, model), reference_corrupt_flow(field, model))
 
 
+def test_noise_at_the_float64_maximum_stays_finite():
+    # the largest noise, about 14 * 1e9, is far below the 2**970 needed to round past the maximum
+    big = np.finfo(np.float64).max
+    vectors = np.zeros((20, 30, 2))
+    vectors[::2, :, 0], vectors[1::2, :, 1] = big, -big
+    field = FlowField(vectors, np.ones((20, 30), dtype=bool))
+    model = NoiseModel(sigma_flow=1e9, seed=4)
+    got = corrupt_flow(field, model)
+    want = reference_corrupt_flow(field, model)  # the reference re-validates
+    assert np.isfinite(got.vectors).all()
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+
+
 def test_cached_depth_map_is_read_only_and_computed_once():
     scene = make_scene(40, 30, seed=1)
     depth = scene.depth_map()
