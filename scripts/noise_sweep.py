@@ -15,47 +15,24 @@ import sys
 import numpy as np
 
 from triad import (
-    Intrinsics,
-    NoiseModel,
     RefineConfig,
     TriangulationInput,
     build_weights,
-    corrupt_flow,
     error_uncertainty_correlation,
     evaluate,
-    make_scene,
     refine,
-    render_flows,
     triangulate_map,
 )
-from triad.synth import constant_velocity_trajectory
-
-ROOM_SCENE = dict(
-    n_bumps=7,
-    base_depth=2.2,
-    bump_amplitude=1.5,
-    bump_sigma_lo=0.25,
-    bump_sigma_hi=0.55,
-    texture_cutoff=0.03,
-)
+from triad.pipeline import ROOM_SUITE, RunConfig, synthesize
 
 
 def run_once(seed, sigma_flow, outlier_rate, width, height, fx):
-    k = Intrinsics(fx, fx, width / 2, height / 2, width, height)
-    scene = make_scene(width, height, seed, **ROOM_SCENE)
-    traj = constant_velocity_trajectory(5, (0.05, 0.0, 0.0))
-    keyframe = 2
-    gt = scene.depth_map()
-    others = [index for index in range(5) if index != keyframe]
-    poses = [traj.relative_pose(keyframe, index) for index in others]
-    observations = []
-    for index, pose, field in zip(others, poses, render_flows(scene, k, poses)):
-        if sigma_flow > 0 or outlier_rate > 0:
-            field = corrupt_flow(field, NoiseModel(sigma_flow, outlier_rate, 8.0, seed=seed + 1 + index))
-        observations.append((field, pose))
-    init = triangulate_map(TriangulationInput(k, tuple(observations)))
+    room = dict(ROOM_SUITE, seed=seed, sigma_flow=sigma_flow, outlier_rate=outlier_rate)
+    k, _, scene, _, frames = synthesize(RunConfig(**room, width=width, height=height, fx=fx, fy=fx))
+    init = triangulate_map(TriangulationInput(k, tuple((noisy, pose) for _, pose, _, noisy in frames)))
     cfg = RefineConfig()
     result = refine(init, build_weights(init, scene.texture, cfg), cfg)
+    gt = scene.depth_map()
     mask = init.valid & np.isfinite(gt)
     initial = evaluate(init.depth, gt, mask).rmse
     refined = evaluate(result.depth, gt, mask).rmse

@@ -10,23 +10,13 @@ initial-depth RMSE for both policies over a batch of seeded scenes.
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
-from triad import (
-    Intrinsics,
-    NoiseModel,
-    SelectionPolicy,
-    TriangulationInput,
-    corrupt_flow,
-    evaluate,
-    make_scene,
-    render_flow,
-    select_frames,
-    triangulate_map,
-)
-from triad.synth import stop_and_go_trajectory
+from triad import SelectionPolicy, TriangulationInput, evaluate, select_frames, triangulate_map
+from triad.pipeline import RunConfig, synthesize
 
 
 def main(argv=None):
@@ -43,11 +33,11 @@ def main(argv=None):
     parser.add_argument("--outlier-rate", type=float, default=0.03)
     args = parser.parse_args(argv)
 
-    k = Intrinsics(args.fx, args.fx, args.width / 2, args.height / 2, args.width, args.height)
-    traj = stop_and_go_trajectory(
-        args.frames, velocity=(args.speed, 0, 0), move=args.move, dwell=args.dwell
+    cfg = RunConfig(
+        width=args.width, height=args.height, fx=args.fx, fy=args.fx, n_frames=args.frames,
+        trajectory_kind="stop_and_go", vx=args.speed, move=args.move, dwell=args.dwell,
+        sigma_flow=args.sigma_flow, outlier_rate=args.outlier_rate,
     )
-    keyframe = args.frames // 2
     policies = {
         "fixed": SelectionPolicy(mode="fixed", n_frames=5, fixed_step=1),
         "adaptive": SelectionPolicy(
@@ -55,32 +45,25 @@ def main(argv=None):
         ),
     }
 
+    _, traj, _, keyframe, _ = synthesize(cfg)  # the trajectory, and so each selection, is the same for every seed
+    selections = {name: select_frames(traj, keyframe, policy) for name, policy in policies.items()}
     results = {name: [] for name in policies}
     wins = 0
     for seed in range(args.seeds):
-        scene = make_scene(args.width, args.height, seed)
+        # one bundle per seed; both policies pick their frames from it
+        k, _, scene, _, frames = synthesize(dataclasses.replace(cfg, seed=seed, noise_seed=seed * 100))
+        observations = {index: (noisy, pose) for index, pose, _, noisy in frames}
         gt = scene.depth_map()
         rmse = {}
-        for name, policy in policies.items():
-            selection = select_frames(traj, keyframe, policy)
-            observations = []
-            for index in selection.indices:
-                pose = traj.relative_pose(keyframe, index)
-                field = render_flow(scene, k, pose)
-                field = corrupt_flow(
-                    field,
-                    NoiseModel(args.sigma_flow, args.outlier_rate, 8.0, seed=seed * 100 + index),
-                )
-                observations.append((field, pose))
-            init = triangulate_map(TriangulationInput(k, tuple(observations)))
+        for name, selection in selections.items():
+            init = triangulate_map(TriangulationInput(k, tuple(observations[i] for i in selection.indices)))
             mask = init.valid & np.isfinite(gt)
             rmse[name] = evaluate(init.depth, gt, mask).rmse
             results[name].append(rmse[name])
         if rmse["adaptive"] <= rmse["fixed"]:
             wins += 1
 
-    for name, policy in policies.items():
-        selection = select_frames(traj, keyframe, policy)
+    for name, selection in selections.items():
         print(f"{name}: frames {list(selection.indices)}")
     print(f"{'policy':>9} {'median rmse':>12} {'mean rmse':>10}")
     for name, values in results.items():

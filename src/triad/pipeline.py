@@ -7,6 +7,9 @@ triangulate -> build weights -> refine -> evaluate; every raster leaves
 through the writers in fileio, and all writes happen from the coordinating
 thread so outputs are byte-stable for any worker count.
 
+``synthesize(cfg)`` is the one seeded synthetic chain (trajectory, scene, exact
+and noisy flow): ``cmd_synth`` writes it, the tests and scripts use it in memory.
+
 ``workers`` >= 2 runs triangulation's row bands on that many threads, and
 ``estimate`` with ground truth and ``eval`` with a sigma map open one more
 thread while they score: it scores the initial map while the refined map is
@@ -45,6 +48,7 @@ from .refine import WEIGHT_MODES, RefineConfig, build_weights, refine
 from .select import Selection, SelectionPolicy, select_frames
 from .synth import (
     NoiseModel,
+    SyntheticScene,
     check_scene_settings,
     corrupt_flow,
     make_scene,
@@ -213,6 +217,20 @@ class RunConfig:
         return values
 
 
+# The room-scale suite as config keys: a depth spread wide enough for genuinely heteroscedastic
+# errors, moving sideways at 0.05 m per frame, with 1 px flow noise and 3 % outliers.
+ROOM_SUITE = {
+    "n_bumps": 7,
+    "base_depth": 2.2,
+    "bump_amplitude": 1.5,
+    "bump_sigma_lo": 0.25,
+    "bump_sigma_hi": 0.55,
+    "texture_cutoff": 0.03,
+    "vx": 0.05,
+    "sigma_flow": 1.0,
+    "outlier_rate": 0.03,
+}
+
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 # the SelectionPolicy fields whose config key has another name
 SELECTION_KEYS = {"mode": "selection_mode", "n_frames": "sel_n_frames"}
@@ -277,6 +295,7 @@ def load_run_config(config_path=None, overrides=(), env=None) -> RunConfig:
         cfg.selection_policy()
         cfg.noise_model(0)
         check_scene_settings(**cfg.scene_settings())
+        make_trajectory(cfg.trajectory_kind, cfg.n_frames, cfg.trajectory_params())
     except InputError as e:
         raise ConfigError(str(e)) from e
     cfg.sweep_threshold_list()
@@ -296,29 +315,44 @@ def _flow_path(root: Path, cfg: RunConfig, prefix: str, index: int) -> Path:
     return root / cfg.flow_dir / f"{prefix}_{index:04d}.flo"
 
 
-def cmd_synth(cfg: RunConfig, root) -> dict:
-    """Write a fully self-describing synthetic bundle for one keyframe."""
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    (root / cfg.flow_dir).mkdir(parents=True, exist_ok=True)
+def synthesize(cfg: RunConfig):
+    """The seeded synthetic chain: (intrinsics, trajectory, scene, keyframe, frames).
+
+    ``frames`` lazily yields (index, pose, exact, noisy) for every other frame
+    in index order, rendering and corrupting (``cfg.noise_model(index)``) each
+    one when it is reached, so a caller that streams them holds one at a time.
+    """
     k = cfg.intrinsics_obj()
     traj = make_trajectory(cfg.trajectory_kind, cfg.n_frames, cfg.trajectory_params())
     scene = make_scene(cfg.width, cfg.height, cfg.seed, **cfg.scene_settings())
     keyframe = resolve_keyframe(cfg, len(traj))
+    return k, traj, scene, keyframe, _frames(cfg, k, traj, scene, keyframe)
 
+
+def _frames(cfg: RunConfig, k: Intrinsics, traj: Trajectory, scene: SyntheticScene, keyframe: int):
+    others = [index for index in range(len(traj)) if index != keyframe]
+    poses = [traj.relative_pose(keyframe, index) for index in others]
+    for index, pose, exact in zip(others, poses, render_flows(scene, k, poses)):
+        yield index, pose, exact, corrupt_flow(exact, cfg.noise_model(index))
+
+
+def cmd_synth(cfg: RunConfig, root) -> dict:
+    """Write a fully self-describing synthetic bundle for one keyframe."""
+    k, traj, scene, keyframe, frames = synthesize(cfg)
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    (root / cfg.flow_dir).mkdir(parents=True, exist_ok=True)
     fileio.write_intrinsics(k, root / cfg.intrinsics)
     fileio.write_trajectory(traj, root / cfg.trajectory)
     fileio.write_image(scene.texture, root / cfg.image)
     fileio.write_pfm(scene.depth_map(), root / cfg.gt_depth)
     files = [cfg.intrinsics, cfg.trajectory, cfg.image, cfg.gt_depth]
 
-    others = [index for index in range(len(traj)) if index != keyframe]
-    exact_fields = render_flows(scene, k, [traj.relative_pose(keyframe, index) for index in others])
-    for index, exact in zip(others, exact_fields):
-        noisy = corrupt_flow(exact, cfg.noise_model(index))
+    for index, _, exact, noisy in frames:
         exact_path = _flow_path(root, cfg, "exact", index)
         noisy_path = _flow_path(root, cfg, "noisy", index)
         fileio.write_flow(exact.to_raster(), exact_path)
+        del exact  # freed when the iterator renders the next frame, before it corrupts that one
         fileio.write_flow(noisy.to_raster(), noisy_path)
         files.append(exact_path.relative_to(root).as_posix())
         files.append(noisy_path.relative_to(root).as_posix())

@@ -17,7 +17,7 @@ scales finite and bounded, so noise added to a finite vector stays finite.
 Every other FlowField is still checked when it is built.
 ``check_scene_settings`` rejects scene settings that would give a
 non-finite depth map or texture; the pipeline runs it, and builds the noise
-model, when the config loads.
+model and the trajectory, when the config loads.
 """
 
 from __future__ import annotations
@@ -285,6 +285,14 @@ def _yaw_matrix(angle: float) -> np.ndarray:
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
+def _timestamps(n_frames: int, dt: float) -> np.ndarray:
+    if n_frames < 1:
+        raise InputError("need at least one frame")
+    if not (0.0 < dt < math.inf):  # NaN fails too; an infinite dt would make the first time inf * 0
+        raise InputError("dt must be positive and finite")
+    return dt * np.arange(n_frames)
+
+
 def constant_velocity_trajectory(
     n_frames: int,
     velocity=(0.05, 0.0, 0.0),
@@ -292,14 +300,15 @@ def constant_velocity_trajectory(
     yaw_rate: float = 0.0,
 ) -> Trajectory:
     """Camera translating by ``velocity`` meters per frame (optionally yawing)."""
-    if n_frames < 1:
-        raise InputError("need at least one frame")
+    timestamps = _timestamps(n_frames, dt)
     v = np.asarray(velocity, dtype=np.float64)
+    if not (np.isfinite(v).all() and math.isfinite(yaw_rate)):
+        raise InputError("velocity and yaw_rate must be finite")
     poses = [
         RelativePose(_yaw_matrix(yaw_rate * i), i * v)
         for i in range(n_frames)
     ]
-    return Trajectory(dt * np.arange(n_frames), tuple(poses))
+    return Trajectory(timestamps, tuple(poses))
 
 
 def stop_and_go_trajectory(
@@ -310,11 +319,12 @@ def stop_and_go_trajectory(
     dt: float = 1.0,
 ) -> Trajectory:
     """Camera advancing for ``move`` frames then holding pose for ``dwell`` frames."""
-    if n_frames < 1:
-        raise InputError("need at least one frame")
+    timestamps = _timestamps(n_frames, dt)
     if move < 1 or dwell < 0:
         raise InputError("need move >= 1 and dwell >= 0")
     v = np.asarray(velocity, dtype=np.float64)
+    if not np.isfinite(v).all():
+        raise InputError("velocity must be finite")
     cycle = move + dwell
     poses = []
     steps = 0
@@ -322,19 +332,18 @@ def stop_and_go_trajectory(
         if i > 0 and (i - 1) % cycle < move:
             steps += 1
         poses.append(RelativePose(np.eye(3), steps * v))
-    return Trajectory(dt * np.arange(n_frames), tuple(poses))
+    return Trajectory(timestamps, tuple(poses))
 
 
 def orbit_trajectory(n_frames: int, radius: float, dt: float = 1.0) -> Trajectory:
     """Camera on a circle of given radius, yawing by 2*pi/n_frames per step."""
-    if n_frames < 1:
-        raise InputError("need at least one frame")
+    timestamps = _timestamps(n_frames, dt)
     poses = []
     for i in range(n_frames):
         phi = 2.0 * math.pi * i / n_frames
         position = np.array([radius * math.sin(phi), 0.0, radius * (1.0 - math.cos(phi))])
         poses.append(RelativePose(_yaw_matrix(phi), position))
-    return Trajectory(dt * np.arange(n_frames), tuple(poses))
+    return Trajectory(timestamps, tuple(poses))
 
 
 def make_trajectory(kind: str, n_frames: int, params: dict | None = None) -> Trajectory:

@@ -4,21 +4,8 @@ import math
 
 import numpy as np
 
-from triad import (
-    FlowField,
-    Intrinsics,
-    NoiseModel,
-    RefineConfig,
-    RelativePose,
-    TriangulationInput,
-    build_weights,
-    corrupt_flow,
-    make_scene,
-    refine,
-    render_flows,
-    triangulate_map,
-)
-from triad.synth import constant_velocity_trajectory
+from triad import RefineConfig, RelativePose, TriangulationInput, build_weights, refine, triangulate_map
+from triad.pipeline import ROOM_SUITE, RunConfig, synthesize
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -66,54 +53,15 @@ def golden_section_argmin(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     return 0.5 * (a + b)
 
 
-# The noisy evaluation suite: a room-scale depth spread (errors genuinely
-# heteroscedastic) with 1 px flow noise and 3% outliers on a five-frame
-# constant-velocity trajectory.
-SUITE_SCENE = dict(
-    n_bumps=7,
-    base_depth=2.2,
-    bump_amplitude=1.5,
-    bump_sigma_lo=0.25,
-    bump_sigma_hi=0.55,
-    texture_cutoff=0.03,
-)
-SUITE_SIGMA_FLOW = 1.0
-SUITE_OUTLIER_RATE = 0.03
-SUITE_OUTLIER_SPAN = 8.0
-
-
-def suite_case(
-    seed: int,
-    sigma_flow: float = SUITE_SIGMA_FLOW,
-    outlier_rate: float = SUITE_OUTLIER_RATE,
-    width: int = 320,
-    height: int = 240,
-    fx: float = 400.0,
-    speed: float = 0.05,
-    scene_kw: dict | None = None,
-    refine_cfg: RefineConfig | None = None,
-):
-    """One full in-memory chain run; returns everything the assertions need."""
-    scene_kw = SUITE_SCENE if scene_kw is None else scene_kw
-    k = Intrinsics(fx, fx, width / 2, height / 2, width, height)
-    scene = make_scene(width, height, seed, **scene_kw)
-    traj = constant_velocity_trajectory(5, (speed, 0.0, 0.0))
-    keyframe = 2
-    gt = scene.depth_map()
-    others = [index for index in range(5) if index != keyframe]
-    poses = [traj.relative_pose(keyframe, index) for index in others]
-    observations = []
-    for index, pose, field in zip(others, poses, render_flows(scene, k, poses)):
-        if sigma_flow > 0 or outlier_rate > 0:
-            field = corrupt_flow(
-                field,
-                NoiseModel(sigma_flow, outlier_rate, SUITE_OUTLIER_SPAN, seed=seed + 1 + index),
-            )
-        observations.append((field, pose))
+def _chain_case(cfg: RunConfig, refine_cfg: RefineConfig | None = None):
+    """One full in-memory chain run on ``synthesize(cfg)``; returns everything the assertions need."""
+    k, traj, scene, keyframe, frames = synthesize(cfg)
+    observations = [(noisy, pose) for _, pose, _, noisy in frames]
     init = triangulate_map(TriangulationInput(k, tuple(observations)))
-    cfg = refine_cfg or RefineConfig()
-    weights = build_weights(init, scene.texture, cfg)
-    result = refine(init, weights, cfg)
+    refine_cfg = refine_cfg or RefineConfig()
+    weights = build_weights(init, scene.texture, refine_cfg)
+    result = refine(init, weights, refine_cfg)
+    gt = scene.depth_map()
     mask = init.valid & np.isfinite(gt)
     return {
         "intrinsics": k,
@@ -129,18 +77,15 @@ def suite_case(
     }
 
 
-def exact_flow_case(seed: int, width: int = 160, height: int = 120, fx: float = 200.0, speed: float = 0.05):
-    """Noise-free chain at a smaller size, for exactness properties."""
-    return suite_case(
-        seed,
-        sigma_flow=0.0,
-        outlier_rate=0.0,
-        width=width,
-        height=height,
-        fx=fx,
-        speed=speed,
-        scene_kw={},
-    )
+def suite_case(seed: int, refine_cfg: RefineConfig | None = None, **settings):
+    """The noisy evaluation suite, ROOM_SUITE at 320x240 on five frames; ``settings`` override RunConfig keys."""
+    return _chain_case(RunConfig(**dict(ROOM_SUITE, seed=seed, **settings)), refine_cfg)
+
+
+def exact_flow_case(seed: int, **settings):
+    """Noise-free chain on the default desk-scale scene at 160x120, for exactness properties."""
+    exact = dict(width=160, height=120, fx=200.0, fy=200.0, vx=0.05, sigma_flow=0.0, outlier_rate=0.0)
+    return _chain_case(RunConfig(**dict(exact, seed=seed, **settings)))
 
 
 def read_keyvalues(path) -> dict[str, str]:

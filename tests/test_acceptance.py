@@ -5,6 +5,7 @@ lines. The noisy evaluation suite (helpers.suite_case) is 20 seeded runs at
 320x240 with 1 px flow noise and 3% outliers on a room-scale synthetic scene.
 """
 
+import dataclasses
 import math
 import time
 from contextlib import contextmanager
@@ -18,14 +19,11 @@ from triad import (
     SelectionPolicy,
     TriangulationInput,
     WeightMaps,
-    corrupt_flow,
     error_uncertainty_correlation,
     evaluate,
     laplacian_nll,
-    make_scene,
     refine,
     build_weights,
-    render_flow,
     select_frames,
     triangulate_map,
     triangulate_pixel,
@@ -34,10 +32,9 @@ from triad import (
 from triad.cli import main
 from triad.fileio import read_pfm
 from triad.metrics import DELTA_THRESHOLDS
-from triad.synth import NoiseModel, constant_velocity_trajectory, stop_and_go_trajectory
+from triad.pipeline import RunConfig, synthesize
+from triad.synth import constant_velocity_trajectory
 from triad.triangulate import InitialDepth
-import triad
-
 from helpers import golden_section_argmin, random_rotation, read_keyvalues, suite_case
 
 
@@ -214,28 +211,21 @@ def test_criterion_07_selection_equivalence_and_benefit():
             )
 
         # (b) stop-and-go: the fixed stride lands on dwelling frames
-        width, height, fx = 160, 120, 200.0
-        k = triad.Intrinsics(fx, fx, width / 2, height / 2, width, height)
-        traj = stop_and_go_trajectory(25, velocity=(0.08, 0, 0), move=1, dwell=3)
-        keyframe = 12
+        stop_and_go = dict(n_frames=25, trajectory_kind="stop_and_go", vx=0.08, move=1, dwell=3)
+        cfg = RunConfig(width=160, height=120, fx=200.0, fy=200.0, **stop_and_go)
         policies = {
             "fixed": SelectionPolicy(mode="fixed", n_frames=5, fixed_step=1),
             "adaptive": SelectionPolicy(mode="adaptive", n_frames=5, theta_min=np.pi, t_min=0.04),
         }
         wins = 0
         for seed in range(20):
-            scene = make_scene(width, height, seed)
+            k, traj, scene, keyframe, frames = synthesize(dataclasses.replace(cfg, seed=seed, noise_seed=seed * 100))
+            observations = {index: (noisy, pose) for index, pose, _, noisy in frames}
             gt = scene.depth_map()
             rmse = {}
             for name, policy in policies.items():
                 selection = select_frames(traj, keyframe, policy)
-                observations = []
-                for index in selection.indices:
-                    pose = traj.relative_pose(keyframe, index)
-                    field = render_flow(scene, k, pose)
-                    field = corrupt_flow(field, NoiseModel(1.0, 0.03, 8.0, seed=seed * 100 + index))
-                    observations.append((field, pose))
-                init = triangulate_map(TriangulationInput(k, tuple(observations)))
+                init = triangulate_map(TriangulationInput(k, tuple(observations[i] for i in selection.indices)))
                 mask = init.valid & np.isfinite(gt)
                 rmse[name] = _rmse(init.depth, gt, mask)
             if rmse["adaptive"] <= rmse["fixed"]:
@@ -298,18 +288,9 @@ def test_criterion_09_likelihood_evaluator():
 
 def test_criterion_10_performance_and_worker_determinism():
     with criterion(10, "VGA keyframe: triangulate + refine under 1 s, worker-count invariant"):
-        width, height, fx = 640, 480, 800.0
-        k = triad.Intrinsics(fx, fx, width / 2, height / 2, width, height)
-        scene = make_scene(width, height, seed=0)
-        traj = constant_velocity_trajectory(5, velocity=(0.0625, 0, 0))
-        keyframe = 2
-        observations = []
-        for index in range(5):
-            if index == keyframe:
-                continue
-            pose = traj.relative_pose(keyframe, index)
-            observations.append((render_flow(scene, k, pose), pose))
-        inp = TriangulationInput(k, tuple(observations))
+        vga = RunConfig(width=640, height=480, fx=800.0, fy=800.0, sigma_flow=0.0, outlier_rate=0.0)
+        k, _, scene, _, frames = synthesize(vga)
+        inp = TriangulationInput(k, tuple((exact, pose) for _, pose, exact, _ in frames))
         cfg = RefineConfig()
 
         triangulate_map(inp, workers=2)  # warm-up
@@ -319,7 +300,7 @@ def test_criterion_10_performance_and_worker_determinism():
         weights = build_weights(init, scene.texture, cfg)
         result = refine(init, weights, cfg)
         elapsed = time.perf_counter() - start
-        assert result.depth.shape == (height, width)
+        assert result.depth.shape == (vga.height, vga.width)
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
         single = triangulate_map(inp, workers=1)

@@ -13,22 +13,12 @@ import numpy as np
 import pytest
 
 import triad.triangulate as triangulate_module
-from triad import (
-    FlowField,
-    Intrinsics,
-    NoiseModel,
-    RelativePose,
-    TriangulationInput,
-    corrupt_flow,
-    make_scene,
-    render_flow,
-    triangulate_map,
-)
+from triad import FlowField, RelativePose, TriangulationInput, triangulate_map
 from triad.flow import INVALID_FLOW
-from triad.synth import constant_velocity_trajectory
+from triad.pipeline import ROOM_SUITE, RunConfig, synthesize
 from triad.triangulate import DEFAULT_D_MAX, DEFAULT_H_EPS, _accumulate_rows
 
-from helpers import SUITE_SCENE, suite_case
+from helpers import suite_case
 
 
 def _reference_observation_rays(flow_field, k, rows):
@@ -177,16 +167,9 @@ VGA_TRIANGULATION_PEAK_BYTES = 14_500_000
 
 class TestBandPassMemory:
     def test_vga_peak_within_bound(self):
-        width, height = 640, 480
-        k = Intrinsics(800.0, 800.0, width / 2, height / 2, width, height)
-        scene = make_scene(width, height, 0, **SUITE_SCENE)
-        traj = constant_velocity_trajectory(5, (0.05, 0.0, 0.0))
-        observations = []
-        for index in (0, 1, 3, 4):
-            pose = traj.relative_pose(2, index)
-            field = corrupt_flow(render_flow(scene, k, pose), NoiseModel(1.0, 0.03, 8.0, seed=index))
-            observations.append((field, pose))
-        inp = TriangulationInput(k, tuple(observations))
+        cfg = RunConfig(**ROOM_SUITE, width=640, height=480, fx=800.0, fy=800.0, noise_seed=0)
+        k, _, _, _, frames = synthesize(cfg)
+        inp = TriangulationInput(k, tuple((noisy, pose) for _, pose, _, noisy in frames))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

@@ -10,9 +10,7 @@ run stays short; for steadier numbers run
 
 import pytest
 
-from triad.pipeline import cmd_synth, load_run_config
-
-from helpers import SUITE_OUTLIER_RATE, SUITE_SCENE, SUITE_SIGMA_FLOW
+from triad.pipeline import ROOM_SUITE, cmd_synth, load_run_config
 
 SIZES = {"qvga_9": (320, 240, 400.0, 9), "vga_5": (640, 480, 800.0, 5)}
 
@@ -20,17 +18,7 @@ SIZES = {"qvga_9": (320, 240, 400.0, 9), "vga_5": (640, 480, 800.0, 5)}
 @pytest.mark.parametrize("size", list(SIZES))
 def test_synth(benchmark, tmp_path, size):
     width, height, focal, n_frames = SIZES[size]
-    values = {
-        **SUITE_SCENE,
-        "width": width,
-        "height": height,
-        "fx": focal,
-        "fy": focal,
-        "n_frames": n_frames,
-        "vx": 0.05,
-        "sigma_flow": SUITE_SIGMA_FLOW,
-        "outlier_rate": SUITE_OUTLIER_RATE,
-    }
+    values = {**ROOM_SUITE, "width": width, "height": height, "fx": focal, "fy": focal, "n_frames": n_frames}
     cfg = load_run_config(None, [f"{key}={value}" for key, value in values.items()], {})
     summary = benchmark.pedantic(cmd_synth, args=(cfg, tmp_path), rounds=3, warmup_rounds=1)
     assert len(summary["files"]) == 4 + 2 * (n_frames - 1)

@@ -434,12 +434,15 @@ class TestExitCodes:
         + ["bump_amplitude=inf", "bump_amplitude=-0.1", "bump_sigma_lo=nan", "bump_sigma_lo=0"]
         + ["bump_sigma_lo=0.5", "bump_sigma_hi=-1", "bump_sigma_hi=inf", "n_bumps=-1"]
         + ["base_depth=nan", "base_depth=0", "base_depth=inf", "texture_cutoff=nan", "texture_cutoff=0"]
-        + ["seed=-1"],
+        + ["seed=-1"]
+        + ["vx=inf", "vy=nan", "vz=-inf", "yaw_rate=nan", "yaw_rate=inf", "dt=nan", "dt=0", "dt=inf", "n_frames=0"]
+        + ["trajectory_kind=orbit orbit_radius=nan", "trajectory_kind=stop_and_go move=0", "trajectory_kind=foo"]
+        + ["keyframe=5"],
     )
     def test_bad_synth_setting_is_one_before_any_output(self, tmp_path, capsys, bad):
         root = tmp_path / "bad"
         opts = ["--opt=width=32", "--opt=height=24", "--opt=fx=40", "--opt=fy=40"]
-        assert run_cli("synth", "--root", str(root), *opts, f"--opt={bad}") == 1
+        assert run_cli("synth", "--root", str(root), *opts, *(f"--opt={b}" for b in bad.split())) == 1
         assert "config error" in capsys.readouterr().err
         assert not root.exists() or not any(root.iterdir())
 
@@ -504,7 +507,7 @@ class TestAblate:
     def test_full_confidence_beats_constant_in_median(self):
         full, constant = [], []
         for seed in range(20):
-            case_kw = dict(width=160, height=120, fx=200.0)
+            case_kw = dict(width=160, height=120, fx=200.0, fy=200.0)
             full_case = suite_case(seed, **case_kw)
             gt, mask = full_case["gt"], full_case["mask"]
             full.append(evaluate(full_case["result"].depth, gt, mask).rmse)

@@ -292,6 +292,7 @@ class TestRefine:
                     width=160,
                     height=120,
                     fx=200.0,
+                    fy=200.0,
                 )
                 gt, mask = case["gt"], case["mask"]
                 init, result = case["init"], case["result"]
@@ -374,7 +375,7 @@ class TestBufferedJacobi:
             assert np.all(result.depth[~init.valid] == iterates[0][~init.valid])
 
     def test_matches_reference_on_suite_map(self):
-        case = suite_case(0, width=160, height=120, fx=200.0)
+        case = suite_case(0, width=160, height=120, fx=200.0, fy=200.0)
         cfg = RefineConfig(iterations=12)
         result = refine(case["init"], case["weights"], cfg, keep_iterates=True)
         iterates, values, sigma = reference_jacobi(case["init"], case["weights"], cfg)

@@ -19,6 +19,7 @@ from triad import (
     render_flow,
     triangulate_map,
 )
+from triad.pipeline import RunConfig, synthesize
 from triad.synth import (
     constant_velocity_trajectory,
     orbit_trajectory,
@@ -191,20 +192,13 @@ class TestEndToEndConsistency:
     @settings(max_examples=10)
     def test_noise_free_flow_triangulates_to_ground_truth(self, seed):
         rng = np.random.default_rng(seed)
-        width, height = 80, 60
-        k = Intrinsics(120.0, 120.0, 40.0, 30.0, width, height)
-        scene = make_scene(width, height, seed=seed)
-        traj = constant_velocity_trajectory(
-            4, velocity=rng.uniform(-0.06, 0.06, 3) * [1, 1, 0.3], yaw_rate=rng.uniform(-0.01, 0.01)
+        vx, vy, vz = rng.uniform(-0.06, 0.06, 3) * [1, 1, 0.3]
+        cfg = RunConfig(
+            width=80, height=60, fx=120.0, fy=120.0, seed=seed, n_frames=4, keyframe=1,
+            vx=vx, vy=vy, vz=vz, yaw_rate=rng.uniform(-0.01, 0.01), sigma_flow=0.0, outlier_rate=0.0,
         )
-        keyframe = 1
-        observations = []
-        for index in range(4):
-            if index == keyframe:
-                continue
-            pose = traj.relative_pose(keyframe, index)
-            observations.append((render_flow(scene, k, pose), pose))
-        init = triangulate_map(TriangulationInput(k, tuple(observations)))
+        k, _, scene, _, frames = synthesize(cfg)
+        init = triangulate_map(TriangulationInput(k, tuple((exact, pose) for _, pose, exact, _ in frames)))
         gt = scene.depth_map()
         if not init.valid.any():
             return  # degenerate draw (near-zero motion); nothing to check

@@ -6,6 +6,9 @@ in place and skip FlowField's re-validation. The reference functions below
 are the earlier per-frame bodies: each rebuilds the depth map and the
 back-projected grid, and builds its result with ``np.stack`` and
 ``np.where``. Vectors, masks and rasters must match them exactly.
+
+``pipeline.synthesize``, the chain built from a RunConfig, must match the
+hand-built chains it replaced in poses, depth map, texture and fields.
 """
 
 import numpy as np
@@ -14,9 +17,11 @@ import pytest
 from triad import FlowField, Intrinsics, NoiseModel, corrupt_flow, make_scene, render_flow, render_flows
 from triad.flow import INVALID_FLOW
 from triad.geometry import normalized_grid
+from triad.pipeline import ROOM_SUITE, RunConfig, synthesize
 from triad.synth import constant_velocity_trajectory, orbit_trajectory, stop_and_go_trajectory
 
-from helpers import SUITE_OUTLIER_RATE, SUITE_OUTLIER_SPAN, SUITE_SCENE, SUITE_SIGMA_FLOW
+ROOM_SCENE = RunConfig(**ROOM_SUITE).scene_settings()
+NOISE = (1.0, 0.03, 8.0)  # sigma_flow, outlier_rate and outlier_span of the suite
 
 
 def reference_depth_map(scene):
@@ -81,14 +86,13 @@ SUITE = Intrinsics(400.0, 400.0, 160.0, 120.0, 320, 240)
 CASES = {
     **{
         f"suite_seed{seed}": (
-            seed, SUITE, SUITE_SCENE, constant_velocity_trajectory(5, (0.05, 0.0, 0.0)), 2,
-            (SUITE_SIGMA_FLOW, SUITE_OUTLIER_RATE, SUITE_OUTLIER_SPAN),
+            seed, SUITE, ROOM_SCENE, constant_velocity_trajectory(5, (0.05, 0.0, 0.0)), 2, NOISE,
         )
         for seed in range(3)
     },
     "yawing": (3, SMALL, {}, constant_velocity_trajectory(6, (0.04, 0.01, 0.02), yaw_rate=0.05), 2, (0.8, 0.05, 6.0)),
     "stop_and_go": (4, SMALL, {}, stop_and_go_trajectory(7, move=1, dwell=2), 3, (1.0, 0.03, 8.0)),
-    "orbit": (5, SMALL, SUITE_SCENE, orbit_trajectory(8, radius=1.5), 0, (0.5, 0.1, 4.0)),
+    "orbit": (5, SMALL, ROOM_SCENE, orbit_trajectory(8, radius=1.5), 0, (0.5, 0.1, 4.0)),
     "sigma_zero": (6, SMALL, {}, constant_velocity_trajectory(5), 2, (0.0, 0.2, 5.0)),
     "outliers_zero": (7, SMALL, {}, constant_velocity_trajectory(5), 2, (1.5, 0.0, 5.0)),
     "outliers_all": (8, SMALL, {}, constant_velocity_trajectory(5), 2, (1.0, 1.0, 3.0)),
@@ -169,3 +173,71 @@ def test_fields_do_not_share_vectors():
         for b in range(a + 1, 3):
             assert not np.shares_memory(fields[a].vectors, fields[b].vectors)
     assert not np.array_equal(fields[0].vectors, fields[2].vectors)
+
+
+
+def reference_chain(seed, k, scene_kw, traj, noise, noise_seed):
+    """The hand-built chains synthesize replaced, rendering one pose at a time.
+
+    helpers.suite_case skipped noise-free corruption; criterion 7b and the
+    policy script seeded each frame's noise with ``seed * 100 + index``.
+    """
+    scene = make_scene(k.width, k.height, seed, **scene_kw)
+    keyframe = len(traj) // 2
+    frames = []
+    for index in (i for i in range(len(traj)) if i != keyframe):
+        pose = traj.relative_pose(keyframe, index)
+        exact = render_flow(scene, k, pose)
+        noisy = corrupt_flow(exact, NoiseModel(*noise, seed=noise_seed + index)) if noise[:2] != (0, 0) else exact
+        frames.append((index, pose, exact, noisy))
+    return scene, keyframe, frames
+
+
+SMALL_CAMERA = {"width": 96, "height": 72, "fx": 100.0, "fy": 100.0}  # SMALL as config keys
+STOP_AND_GO = {"n_frames": 25, "trajectory_kind": "stop_and_go", "vx": 0.08, "move": 1, "dwell": 3}
+
+# name: (config keys; the reference's intrinsics, scene settings, trajectory, noise and noise seed)
+CHAIN_CASES = {
+    **{
+        f"suite_seed{seed}": (
+            dict(ROOM_SUITE, seed=seed), SUITE, ROOM_SCENE, constant_velocity_trajectory(5, (0.05, 0, 0)), NOISE,
+            seed + 1,
+        )
+        for seed in range(3)
+    },
+    "noise_free": (
+        dict(SMALL_CAMERA, seed=3, sigma_flow=0.0, outlier_rate=0.0), SMALL, {},
+        constant_velocity_trajectory(5, (0.0625, 0, 0)), (0.0, 0.0, 8.0), 4,
+    ),
+    "orbit": (
+        dict(SMALL_CAMERA, seed=4, n_frames=8, trajectory_kind="orbit", orbit_radius=1.5), SMALL, {},
+        orbit_trajectory(8, radius=1.5), NOISE, 5,
+    ),
+    **{
+        f"stop_and_go_seed{seed}": (
+            dict(SMALL_CAMERA, **STOP_AND_GO, seed=seed, noise_seed=seed * 100), SMALL, {},
+            stop_and_go_trajectory(25, velocity=(0.08, 0, 0), move=1, dwell=3), NOISE, seed * 100,
+        )
+        for seed in (0, 1)
+    },
+}
+
+
+def pose_bytes(pose):
+    return pose.rotation.tobytes() + pose.translation.tobytes()
+
+
+@pytest.mark.parametrize("name", list(CHAIN_CASES))
+def test_synthesize_matches_hand_built_chain(name):
+    settings, k, scene_kw, traj, noise, noise_seed = CHAIN_CASES[name]
+    got_k, got_traj, scene, keyframe, frames = synthesize(RunConfig(**settings))
+    want_scene, want_keyframe, want_frames = reference_chain(settings["seed"], k, scene_kw, traj, noise, noise_seed)
+    assert (got_k, keyframe) == (k, want_keyframe)
+    assert got_traj.timestamps.tobytes() == traj.timestamps.tobytes()
+    assert [pose_bytes(p) for p in got_traj.poses] == [pose_bytes(p) for p in traj.poses]
+    assert scene.depth_map().tobytes() == want_scene.depth_map().tobytes()
+    assert scene.texture.tobytes() == want_scene.texture.tobytes()
+    for (index, pose, exact, noisy), want in zip(frames, want_frames, strict=True):
+        assert (index, pose_bytes(pose)) == (want[0], pose_bytes(want[1]))
+        assert_same_field(exact, want[2])
+        assert_same_field(noisy, want[3])

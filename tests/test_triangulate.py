@@ -12,14 +12,12 @@ from triad import (
     TriangulationInput,
     compose,
     epipolar_loss,
-    make_scene,
     render_flow,
     triangulate_map,
     triangulate_pixel,
 )
 from triad.geometry import normalized_grid
 from triad.triangulate import InitialDepth
-from triad.synth import constant_velocity_trajectory
 
 from helpers import exact_flow_case, golden_section_argmin, random_rotation, suite_case
 
@@ -272,7 +270,7 @@ class TestEpipolarLoss:
         assert np.nanmax(per_pixel) < 1e-12
 
     def test_matches_row_major_recomputation(self):
-        case = exact_flow_case(seed=7, width=64, height=48, fx=90.0)
+        case = exact_flow_case(seed=7, width=64, height=48, fx=90.0, fy=90.0)
         k = case["intrinsics"]
         field, pose = case["observations"][1]
         rng = np.random.default_rng(8)
