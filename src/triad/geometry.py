@@ -41,8 +41,8 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise InputError("focal lengths must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise InputError("focal lengths must be positive and finite")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
             raise InputError("principal point must lie strictly inside the image")
         if self.width < 1 or self.height < 1:

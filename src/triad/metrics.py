@@ -8,7 +8,9 @@ since the relative/log/inverse metrics are undefined there.
 One scorer computes all of it. ``Scorer`` gathers the ground truth on its
 mask once, with the gt-side terms log g and 1/g, and scores any number of
 predictions against it; ``evaluate``, ``uncertainty_sweep`` and
-``error_uncertainty_correlation`` are thin wrappers over it. For one
+``error_uncertainty_correlation`` are thin wrappers over it (the last two
+only gather with it, and the sweep computes the terms on the pixels its
+widest threshold keeps). For one
 prediction each per-pixel term (the ratio max(p/g, g/p), |d|/g, d², d²/g,
 (log p - log g)² and (1/p - 1/g)², with d = p - g) is computed once on the
 gathered pixels and reduced over every selection (all pixels, and each
@@ -31,9 +33,10 @@ Scoring can use one more thread. ``_Prediction.score`` takes an executor
 and then ranks sigma on it while ranking |d| on the calling thread, and
 ``run_pair`` runs any two independent tasks that way, such as the reports of
 two predictions on one scorer. The tasks share only arrays they read, and
-``Scorer.fill`` computes the cached gt-side terms before any task starts.
-Every value comes from the same function on the same inputs, so results are
-bit-identical with and without the executor.
+every array a scoring task reads exists before any thread starts: a scorer
+computes log g and 1/g when it is built. Every value comes from the same
+function on the same inputs, so results are bit-identical with and without
+the executor.
 
 Memory: besides the caller's maps, a scorer keeps three gathered arrays (g,
 log g and 1/g). Scoring one prediction adds the gathered prediction (which
@@ -53,7 +56,6 @@ import math
 from collections.abc import Callable
 from concurrent.futures import Executor
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +67,10 @@ SWEEP_THRESHOLDS = (0.5, 0.16, 0.10, 0.08)
 SPEARMAN_MIN_PIXELS = 10
 # pixels per block of the ratio term's second quotient (a 128 KiB buffer)
 RATIO_BLOCK = 1 << 14
+
+# the scalar metrics in report and CSV order; one delta accuracy per threshold follows them
+METRIC_NAMES = ("n_evaluated", "abs_rel", "sq_rel", "log_rmse", "irmse", "rmse")
+CSV_COLUMNS = METRIC_NAMES + tuple(f"delta_{t:.12g}" for t in DELTA_THRESHOLDS)
 
 _SHAPE_ERROR = "pred, gt, and mask must share one shape"
 
@@ -82,15 +88,8 @@ class MetricReport:
     n_evaluated: int
 
     def entries(self) -> list[tuple[str, str]]:
-        """(key, formatted value) pairs in report order; the CSV columns follow it too."""
-        values = [
-            ("n_evaluated", f"{self.n_evaluated}"),
-            ("abs_rel", f"{self.abs_rel:.12g}"),
-            ("sq_rel", f"{self.sq_rel:.12g}"),
-            ("log_rmse", f"{self.log_rmse:.12g}"),
-            ("irmse", f"{self.irmse:.12g}"),
-            ("rmse", f"{self.rmse:.12g}"),
-        ]
+        """(key, formatted value) pairs in report order, which CSV_COLUMNS follows."""
+        values = [(name, f"{getattr(self, name):.12g}") for name in METRIC_NAMES]
         return values + [(f"delta[{t:.12g}]", f"{p:.12g}") for t, p in self.delta_acc.items()]
 
 
@@ -110,38 +109,38 @@ class CorrelationResult:
 
 
 class _Truth:
-    """Ground truth on the evaluated pixels, with its gt-side terms computed once."""
+    """Ground truth on the evaluated pixels, with its gt-side terms log g and 1/g.
 
-    def __init__(self, g: np.ndarray):
+    The terms are computed here, so threads scoring against one truth only
+    read it. They are None without ``terms``, for callers that read only g,
+    and when some pixel is non-positive: every prediction scored against such
+    a truth raises before it reads them.
+    """
+
+    def __init__(self, g: np.ndarray, terms: bool = True):
         self.g = g
-
-    @cached_property
-    def nonpositive(self) -> bool:
-        return bool(np.any(self.g <= 0))
-
-    @cached_property
-    def log_g(self) -> np.ndarray:
-        return np.log(self.g)
-
-    @cached_property
-    def inv_g(self) -> np.ndarray:
-        return 1.0 / self.g
+        self.terms = terms
+        self.nonpositive = bool(np.any(g <= 0))
+        self.log_g = self.inv_g = None
+        if terms and not self.nonpositive:
+            self.log_g, self.inv_g = np.log(g), 1.0 / g
 
 
 class Scorer:
     """Ground truth gathered once on a mask, scored against any number of predictions.
 
     A prediction is evaluated on the mask's pixels where both it and the
-    ground truth are finite, in row-major order.
+    ground truth are finite, in row-major order. Without ``terms`` the
+    scorer only gathers: it holds g but not log g and 1/g, so it cannot report.
     """
 
-    def __init__(self, gt: np.ndarray, mask=None):
+    def __init__(self, gt: np.ndarray, mask=None, *, terms: bool = True):
         gt = np.asarray(gt, dtype=np.float64)
         base = np.ones(gt.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
         if base.shape != gt.shape:
             raise InputError(_SHAPE_ERROR)
         self.mask = base & np.isfinite(gt)
-        self.truth = _Truth(gt[self.mask])
+        self.truth = _Truth(gt[self.mask], terms)
 
     def _gather(self, pred) -> _Prediction:
         pred = np.asarray(pred, dtype=np.float64)
@@ -151,7 +150,7 @@ class Scorer:
         finite = np.isfinite(p)
         if finite.all():
             return _Prediction(self.mask, None, p, self.truth)
-        return _Prediction(self.mask, finite, p[finite], _Truth(self.truth.g[finite]))
+        return _Prediction(self.mask, finite, p[finite], _Truth(self.truth.g[finite], self.truth.terms))
 
     def prediction(self, pred) -> _Prediction:
         """The prediction on the evaluated pixels, checked as ``evaluate`` checks it.
@@ -168,17 +167,6 @@ class Scorer:
 
     def report(self, pred) -> MetricReport:
         return self.prediction(pred).report()
-
-    def fill(self) -> None:
-        """Compute the shared gt-side terms now, before threads score predictions against them.
-
-        Two threads filling a ``cached_property`` at once may both compute it
-        (or, before Python 3.12, wait on one lock shared by every instance).
-        With non-positive ground truth every prediction raises before it
-        reads the logs, so they are left unfilled.
-        """
-        if not self.truth.nonpositive:
-            self.truth.log_g, self.truth.inv_g
 
 
 class _Prediction:
@@ -301,7 +289,6 @@ def evaluate(pred: np.ndarray, gt: np.ndarray, mask=None) -> MetricReport:
     Raises EmptyEvaluation when no pixel survives masking, InputError when a
     surviving pixel is non-positive.
     """
-    pred = np.asarray(pred, dtype=np.float64)
     return Scorer(gt, mask).report(pred)
 
 
@@ -318,20 +305,18 @@ def uncertainty_sweep(
     reports 100%. An empty retained set yields coverage 0 and a null report
     instead of raising.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
     if any(t <= 0 for t in thresholds):
         raise InputError("thresholds must be positive")
-    scored = Scorer(gt, mask)._gather(pred)
+    scored = Scorer(gt, mask, terms=False)._gather(pred)
     _, sig = scored._sigma(sigma)
     n_base = sig.size
     # only pixels some threshold keeps are scored, so a non-positive pixel no
     # threshold keeps raises nothing
     widest = sig < max(thresholds, default=-np.inf)
-    p, truth = scored.p, scored.truth
+    p, g = scored.p, scored.truth.g
     if not widest.all():
-        p, truth, sig = p[widest], _Truth(truth.g[widest]), sig[widest]
+        p, g, sig = p[widest], g[widest], sig[widest]
+    truth = _Truth(g)
     if p.size and (np.any(p <= 0) or truth.nonpositive):
         raise InputError("depth must be positive on evaluated pixels")
     return _sweep(p, truth, sig, thresholds, n_base, score_all=False)[1]
@@ -409,23 +394,27 @@ def error_uncertainty_correlation(
     Ties receive average ranks. A constant input makes the correlation
     undefined; that is reported as rho = 0 with the flag cleared.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    scored = Scorer(gt, mask)._gather(pred)
+    scored = Scorer(gt, mask, terms=False)._gather(pred)
     _, sig = scored._sigma(sigma)
     return _rank_correlation(np.abs(scored.p - scored.truth.g), sig)
 
 
+def csv_lines(key_columns, rows) -> list[str]:
+    """CSV of metric reports: a header, then one line per (key values, report) row.
+
+    Each line holds the row's key values and then the report's values in
+    ``MetricReport.entries`` order; a null report gives n_evaluated 0 and
+    blank metrics.
+    """
+    lines = [",".join([*key_columns, *CSV_COLUMNS])]
+    blank = ["0"] + [""] * (len(CSV_COLUMNS) - 1)
+    for keys, report in rows:
+        values = blank if report is None else [value for _, value in report.entries()]
+        lines.append(",".join([*keys, *values]))
+    return lines
+
+
 def sweep_csv_lines(rows: list[SweepRow]) -> list[str]:
     """Sweep rows as CSV (header + one line per threshold; blanks for null metrics)."""
-    delta_cols = ",".join(f"delta_{t:.12g}" for t in DELTA_THRESHOLDS)
-    header = f"sigma_threshold,coverage_percent,n_evaluated,abs_rel,sq_rel,log_rmse,irmse,rmse,{delta_cols}"
-    lines = [header]
-    for row in rows:
-        if row.report is None:
-            blanks = "," * (6 + len(DELTA_THRESHOLDS) - 1)
-            lines.append(f"{row.sigma_threshold:.12g},{row.coverage_percent:.12g},0{blanks}")
-            continue
-        values = ",".join(value for _, value in row.report.entries())
-        lines.append(f"{row.sigma_threshold:.12g},{row.coverage_percent:.12g},{values}")
-    return lines
+    keyed = [((f"{r.sigma_threshold:.12g}", f"{r.coverage_percent:.12g}"), r.report) for r in rows]
+    return csv_lines(("sigma_threshold", "coverage_percent"), keyed)

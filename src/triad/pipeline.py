@@ -13,8 +13,10 @@ and noisy flow): ``cmd_synth`` writes it, the tests and scripts use it in memory
 ``workers`` >= 2 runs triangulation's row bands on that many threads, and
 ``estimate`` with ground truth and ``eval`` with a sigma map open one more
 thread while they score: it scores the initial map while the refined map is
-scored, and then ranks sigma while the error is ranked. The thread is closed
-before the command returns or raises. With one worker no thread starts.
+scored, and then ranks sigma while the error is ranked. Every array a
+scoring task reads exists before the thread starts (a ``Scorer`` computes its
+ground-truth terms when it is built). The thread is closed before the command
+returns or raises. With one worker no thread starts.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from .errors import ConfigError, InputError, NumericalError
 from .flow import FlowField
 from .geometry import Intrinsics, Trajectory
 from .metrics import (
-    DELTA_THRESHOLDS,
+    SWEEP_THRESHOLDS,
     CorrelationResult,
     MetricReport,
     Scorer,
+    csv_lines,
     run_pair,
     sweep_csv_lines,
 )
@@ -55,7 +58,7 @@ from .synth import (
     make_trajectory,
     render_flows,
 )
-from .triangulate import InitialDepth, TriangulationInput, triangulate_map
+from .triangulate import DEFAULT_D_MAX, DEFAULT_H_EPS, InitialDepth, TriangulationInput, triangulate_map
 
 ENV_PREFIX = "TRIAD_"
 
@@ -120,31 +123,31 @@ class RunConfig:
     outlier_span: float = 8.0
 
     # frame selection
-    selection_mode: str = "fixed"
-    sel_n_frames: int = 5
-    fixed_step: int = 5
-    theta_min: float = 0.05
-    t_min: float = 0.05
-    anchor: str = "previous"
+    selection_mode: str = SelectionPolicy.mode
+    sel_n_frames: int = SelectionPolicy.n_frames
+    fixed_step: int = SelectionPolicy.fixed_step
+    theta_min: float = SelectionPolicy.theta_min
+    t_min: float = SelectionPolicy.t_min
+    anchor: str = SelectionPolicy.anchor
 
     # triangulation
-    h_eps: float = 1e-12
-    d_max: float = 100.0
+    h_eps: float = DEFAULT_H_EPS
+    d_max: float = DEFAULT_D_MAX
 
     # refinement
-    iterations: int = 7
-    mu: float = 1.0
-    kappa: float = 0.1
-    omega: float = 0.9
-    tau: float = 0.05
-    w_max: float = 1e4
-    sigma_min: float = 0.01
-    beta: float = 1.0
-    sigma_cap: float = 10.0
-    weight_mode: str = "full"
+    iterations: int = RefineConfig.iterations
+    mu: float = RefineConfig.mu
+    kappa: float = RefineConfig.kappa
+    omega: float = RefineConfig.omega
+    tau: float = RefineConfig.tau
+    w_max: float = RefineConfig.w_max
+    sigma_min: float = RefineConfig.sigma_min
+    beta: float = RefineConfig.beta
+    sigma_cap: float = RefineConfig.sigma_cap
+    weight_mode: str = RefineConfig.weight_mode
 
     # evaluation
-    sweep_thresholds: str = "0.5 0.16 0.1 0.08"
+    sweep_thresholds: str = " ".join(f"{t:g}" for t in SWEEP_THRESHOLDS)
     ablate_iterations: str = "0 1 3 5 7 9"
 
     def intrinsics_obj(self) -> Intrinsics:
@@ -290,7 +293,10 @@ def load_run_config(config_path=None, overrides=(), env=None) -> RunConfig:
     # before any command writes output
     if cfg.seed < 0:
         raise ConfigError("seed must be nonnegative")
+    if cfg.workers < 1:
+        raise ConfigError("workers must be at least 1")
     try:
+        cfg.intrinsics_obj()
         cfg.refine_config()
         cfg.selection_policy()
         cfg.noise_model(0)
@@ -358,12 +364,9 @@ def cmd_synth(cfg: RunConfig, root) -> dict:
         files.append(noisy_path.relative_to(root).as_posix())
 
     manifest = root / "manifest.txt"
-    with open(manifest, "w", encoding="ascii") as f:
-        f.write(f"seed = {cfg.seed}\n")
-        f.write(f"noise_seed = {cfg.noise_seed if cfg.noise_seed >= 0 else cfg.seed + 1}\n")
-        f.write(f"keyframe = {keyframe}\n")
-        for name in files:
-            f.write(f"file = {name}\n")
+    # frame 0's noise seed is the base every frame's seed is offset from
+    header = [f"seed = {cfg.seed}", f"noise_seed = {cfg.noise_model(0).seed}", f"keyframe = {keyframe}"]
+    _write_lines(manifest, header + [f"file = {name}" for name in files])
     return {"keyframe": keyframe, "files": files, "manifest": manifest}
 
 
@@ -505,8 +508,6 @@ def _score_maps(scorer: Scorer, initial, refined, sigma, thresholds, pool):
     ranked here. Without one, all of it runs here in that order. Either way
     the initial map's error wins when both maps would raise.
     """
-    if pool is not None:
-        scorer.fill()
     return run_pair(
         pool,
         lambda: scorer.report(initial),
@@ -551,15 +552,6 @@ def cmd_estimate(cfg: RunConfig, root) -> dict:
     return summary
 
 
-def _ablation_header() -> str:
-    deltas = ",".join(f"delta_{t:.12g}" for t in DELTA_THRESHOLDS)
-    return f"weight_mode,iterations,n_evaluated,abs_rel,sq_rel,log_rmse,irmse,rmse,{deltas}"
-
-
-def _ablation_row(mode: str, iterations: int, report: MetricReport) -> str:
-    return f"{mode},{iterations}," + ",".join(value for _, value in report.entries())
-
-
 def cmd_ablate(cfg: RunConfig, root) -> dict:
     """Sweep iteration counts and confidence-input variants on one bundle.
 
@@ -578,7 +570,7 @@ def cmd_ablate(cfg: RunConfig, root) -> dict:
     out = root / cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     initial_report = scorer.report(init.depth)
-    rows = [_ablation_header()]
+    rows = []
     reports: dict[tuple[str, int], MetricReport] = {}
     for mode in WEIGHT_MODES:
         rc = cfg.refine_config(weight_mode=mode, iterations=max_iterations)
@@ -587,8 +579,8 @@ def cmd_ablate(cfg: RunConfig, root) -> dict:
         for iterations in iteration_grid:
             report = scorer.report(result.iterates[iterations])
             reports[(mode, iterations)] = report
-            rows.append(_ablation_row(mode, iterations, report))
-    _write_lines(out / ABLATION_FILE, rows)
+            rows.append(((mode, f"{iterations}"), report))
+    _write_lines(out / ABLATION_FILE, csv_lines(("weight_mode", "iterations"), rows))
     return {
         "keyframe": keyframe,
         "selection": selection,

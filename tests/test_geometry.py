@@ -37,6 +37,7 @@ class TestIntrinsics:
         [
             dict(fx=0, fy=500, cx=320, cy=240, width=640, height=480),
             dict(fx=500, fy=-1, cx=320, cy=240, width=640, height=480),
+            dict(fx=math.inf, fy=500, cx=320, cy=240, width=640, height=480),
             dict(fx=500, fy=500, cx=0, cy=240, width=640, height=480),
             dict(fx=500, fy=500, cx=640, cy=240, width=640, height=480),
             dict(fx=500, fy=500, cx=320, cy=500, width=640, height=480),

@@ -130,6 +130,17 @@ class TestSynthBundle:
         for line in file_lines:
             assert (tmp_path / line.removeprefix("file = ")).is_file()
 
+    def test_non_ascii_flow_dir(self, tmp_path):
+        opts = synth_opts(flow_dir="flöw")
+        assert run_cli("synth", "--root", str(tmp_path), *opts) == 0
+        lines = (tmp_path / "manifest.txt").read_text(encoding="utf-8").splitlines()
+        assert lines[:2] == ["seed = 7", "noise_seed = 8"]
+        files = [line.removeprefix("file = ") for line in lines if line.startswith("file = ")]
+        assert len(files) == 4 + 2 * 4
+        assert sum(name.startswith("flöw/") for name in files) == 2 * 4
+        assert all((tmp_path / name).is_file() for name in files)
+        assert run_cli("estimate", "--root", str(tmp_path), *opts) == 0
+
     def test_synth_over_longer_files_writes_the_same_bytes(self, tmp_path):
         # each output replaces a longer file of the same name completely
         fresh, reused = tmp_path / "fresh", tmp_path / "reused"
@@ -417,7 +428,8 @@ class TestExitCodes:
         "bad",
         ["omega=2", "iterations=-1", "selection_mode=bogus", "fixed_step=0", "sweep_thresholds=-1"]
         + [f"{key}=nan" for key in ("mu", "kappa", "tau", "w_max", "sigma_min", "beta", "sigma_cap")]
-        + ["mu=inf", "sweep_thresholds=nan", "sweep_thresholds=0.5 nan", "h_eps=nan", "d_max=nan", "d_max=-1"],
+        + ["mu=inf", "sweep_thresholds=nan", "sweep_thresholds=0.5 nan", "h_eps=nan", "d_max=nan", "d_max=-1"]
+        + ["workers=0", "workers=-3", "fx=inf", "cx=1000"],
     )
     def test_bad_derived_setting_is_one_before_any_output(self, tmp_path, bad):
         root = tmp_path / "bad"
@@ -437,7 +449,8 @@ class TestExitCodes:
         + ["seed=-1"]
         + ["vx=inf", "vy=nan", "vz=-inf", "yaw_rate=nan", "yaw_rate=inf", "dt=nan", "dt=0", "dt=inf", "n_frames=0"]
         + ["trajectory_kind=orbit orbit_radius=nan", "trajectory_kind=stop_and_go move=0", "trajectory_kind=foo"]
-        + ["keyframe=5"],
+        + ["keyframe=5"]
+        + ["width=0", "height=-5", "fx=-1", "fy=nan", "cx=1000", "fx=inf", "workers=0", "workers=-3"],
     )
     def test_bad_synth_setting_is_one_before_any_output(self, tmp_path, capsys, bad):
         root = tmp_path / "bad"
