@@ -6,6 +6,9 @@ Every subcommand shares the same configuration surface: an optional
 --opt KEY=VALUE overrides (later sources win). All paths in the config are
 resolved against --root.
 
+Each subcommand prints its result lines to stdout and its warnings to stderr
+as "warning: ..."; every one that selects frames warns of a shortfall.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 data or format
 error, 3 numerical failure.
 """
@@ -19,16 +22,7 @@ import os
 import sys
 
 from .errors import ConfigError, EmptyEvaluation, FormatError, InputError, NumericalError
-from .pipeline import (
-    cmd_ablate,
-    cmd_estimate,
-    cmd_eval,
-    cmd_refine,
-    cmd_select,
-    cmd_synth,
-    cmd_triangulate,
-    load_run_config,
-)
+from .pipeline import COMMANDS, load_run_config
 
 
 # glibc mallopt parameters, from <malloc.h>.
@@ -73,17 +67,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_COMMANDS = {
-    "synth": (cmd_synth, "render a synthetic bundle (trajectory, flow, depth, texture)"),
-    "select": (cmd_select, "print the adjacent frames chosen for the keyframe"),
-    "triangulate": (cmd_triangulate, "triangulate the initial depth and confidence maps"),
-    "refine": (cmd_refine, "refine a triangulated depth map already in out_dir"),
-    "estimate": (cmd_estimate, "full chain: select, triangulate, refine, evaluate"),
-    "ablate": (cmd_ablate, "sweep iteration counts and confidence variants"),
-    "eval": (cmd_eval, "score a predicted depth map against ground truth"),
-}
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process.
@@ -94,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     """
     parser = _Parser(prog="triad", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--root", default=".", help="directory all config paths resolve against")
         p.add_argument("--config", default=None, help="key = value config file")
@@ -119,8 +102,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_run_config(args.config, args.opt, os.environ)
-        handler = _COMMANDS[args.command][0]
-        summary = handler(cfg, args.root)
+        summary = COMMANDS[args.command][0](cfg, args.root)
     except (ConfigError, _UsageError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
@@ -131,27 +113,10 @@ def main(argv=None) -> int:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
 
-    if args.command == "select":
-        selection = summary["selection"]
-        for index in selection.indices:
-            print(index)
-        if selection.shortfall:
-            print("warning: selection shortfall", file=sys.stderr)
-    elif args.command == "synth":
-        print(f"wrote bundle under {args.root} ({len(summary['files'])} files, keyframe {summary['keyframe']})")
-    elif args.command == "eval":
-        for line in summary["text"]:
-            print(line)
-    elif args.command == "estimate":
-        for warning in summary["warnings"]:
-            print(f"warning: {warning}", file=sys.stderr)
-        if "refined_report" in summary:
-            print(f"initial rmse = {summary['initial_report'].rmse:.6g}")
-            print(f"refined rmse = {summary['refined_report'].rmse:.6g}")
-        else:
-            print("estimate complete (no ground truth found, metrics skipped)")
-    elif args.command == "ablate":
-        print(f"wrote {summary['csv_path']}")
+    for warning in summary["warnings"]:
+        print(f"warning: {warning}", file=sys.stderr)
+    for line in summary["lines"]:
+        print(line)
     return 0
 
 

@@ -47,7 +47,7 @@ from .metrics import (
 from .metrics import error_uncertainty_correlation, evaluate, uncertainty_sweep  # noqa: F401
 # cmd_synth renders through render_flows, so the render_flow span reads 0 calls
 from .synth import render_flow  # noqa: F401
-from .refine import WEIGHT_MODES, RefineConfig, build_weights, refine
+from .refine import WEIGHT_MODES, RefineConfig, RefineResult, build_weights, refine
 from .select import Selection, SelectionPolicy, select_frames
 from .synth import (
     NoiseModel,
@@ -217,6 +217,8 @@ class RunConfig:
             raise ConfigError(f"bad ablate_iterations: {e}") from e
         if not values or any(v < 0 for v in values):
             raise ConfigError("ablate_iterations must be nonnegative integers")
+        if len(set(values)) != len(values):
+            raise ConfigError("ablate_iterations must not repeat a value")
         return values
 
 
@@ -345,7 +347,7 @@ def _frames(cfg: RunConfig, k: Intrinsics, traj: Trajectory, scene: SyntheticSce
 def cmd_synth(cfg: RunConfig, root) -> dict:
     """Write a fully self-describing synthetic bundle for one keyframe."""
     k, traj, scene, keyframe, frames = synthesize(cfg)
-    root = Path(root)
+    shown, root = root, Path(root)
     root.mkdir(parents=True, exist_ok=True)
     (root / cfg.flow_dir).mkdir(parents=True, exist_ok=True)
     fileio.write_intrinsics(k, root / cfg.intrinsics)
@@ -367,7 +369,8 @@ def cmd_synth(cfg: RunConfig, root) -> dict:
     # frame 0's noise seed is the base every frame's seed is offset from
     header = [f"seed = {cfg.seed}", f"noise_seed = {cfg.noise_model(0).seed}", f"keyframe = {keyframe}"]
     _write_lines(manifest, header + [f"file = {name}" for name in files])
-    return {"keyframe": keyframe, "files": files, "manifest": manifest}
+    line = f"wrote bundle under {shown} ({len(files)} files, keyframe {keyframe})"
+    return {"keyframe": keyframe, "files": files, "manifest": manifest, "lines": [line], "warnings": []}
 
 
 def _load_selected_flows(
@@ -381,17 +384,19 @@ def _load_selected_flows(
     return observations
 
 
-def _triangulate_stage(cfg: RunConfig, root: Path):
-    """Shared front half of estimate/triangulate/ablate: select and triangulate."""
+def _select(cfg: RunConfig, root: Path):
+    """(trajectory, keyframe, selection, warnings): the selection step of every command that selects."""
     traj = fileio.read_trajectory(root / cfg.trajectory)
-    k = fileio.read_intrinsics(root / cfg.intrinsics)
     keyframe = resolve_keyframe(cfg, len(traj))
     selection = select_frames(traj, keyframe, cfg.selection_policy())
-    warnings = []
-    if selection.shortfall:
-        warnings.append(
-            f"selection shortfall: wanted {cfg.sel_n_frames - 1} frames, got {len(selection.indices)}"
-        )
+    shortfall = f"selection shortfall: wanted {cfg.sel_n_frames - 1} frames, got {len(selection.indices)}"
+    return traj, keyframe, selection, [shortfall] if selection.shortfall else []
+
+
+def _triangulate_stage(cfg: RunConfig, root: Path):
+    """Shared front half of estimate/triangulate/ablate: select and triangulate."""
+    traj, keyframe, selection, warnings = _select(cfg, root)
+    k = fileio.read_intrinsics(root / cfg.intrinsics)
     if not selection.indices:
         raise NumericalError("frame selection produced no usable frames")
     observations = _load_selected_flows(cfg, root, traj, keyframe, selection)
@@ -415,7 +420,7 @@ def cmd_triangulate(cfg: RunConfig, root) -> dict:
     root = Path(root)
     _, _, keyframe, selection, init, warnings = _triangulate_stage(cfg, root)
     _write_initial(init, root / cfg.out_dir)
-    return {"keyframe": keyframe, "selection": selection, "init": init, "warnings": warnings}
+    return {"keyframe": keyframe, "selection": selection, "init": init, "warnings": warnings, "lines": []}
 
 
 def _load_initial(out: Path) -> InitialDepth:
@@ -426,17 +431,17 @@ def _load_initial(out: Path) -> InitialDepth:
     return InitialDepth(depth=depth, conf_h=conf_h, conf_r=conf_r, valid=valid)
 
 
-def _run_refinement(cfg: RunConfig, root: Path, init: InitialDepth, out: Path):
+def _run_refinement(cfg: RunConfig, root: Path, init: InitialDepth) -> RefineResult:
     intensity = fileio.read_image(root / cfg.image)
     rc = cfg.refine_config()
     weights = build_weights(init, intensity, rc)
-    result = refine(init, weights, rc)
+    return refine(init, weights, rc)
+
+
+def _write_refined(result: RefineResult, out: Path) -> None:
     fileio.write_pfm(result.depth, out / REFINED_DEPTH_FILE)
     fileio.write_pfm(result.uncertainty, out / SIGMA_FILE)
-    with open(out / OBJECTIVE_FILE, "w", encoding="ascii") as f:
-        for step, value in enumerate(result.objective):
-            f.write(f"{step} {value:.17g}\n")
-    return result
+    _write_lines(out / OBJECTIVE_FILE, [f"{step} {value:.17g}" for step, value in enumerate(result.objective)])
 
 
 def cmd_refine(cfg: RunConfig, root) -> dict:
@@ -444,8 +449,9 @@ def cmd_refine(cfg: RunConfig, root) -> dict:
     root = Path(root)
     out = root / cfg.out_dir
     init = _load_initial(out)
-    result = _run_refinement(cfg, root, init, out)
-    return {"init": init, "result": result}
+    result = _run_refinement(cfg, root, init)
+    _write_refined(result, out)
+    return {"init": init, "result": result, "warnings": [], "lines": []}
 
 
 def _run_entries(keyframe: int, selection: Selection, warnings: list[str]) -> list[tuple[str, str, str]]:
@@ -516,20 +522,12 @@ def _score_maps(scorer: Scorer, initial, refined, sigma, thresholds, pool):
 
 
 def cmd_estimate(cfg: RunConfig, root) -> dict:
-    """Full chain: select, triangulate, refine, and (with ground truth) evaluate."""
+    """Full chain: select, triangulate, refine, and (with ground truth) evaluate; then write every file."""
     root = Path(root)
     _, _, keyframe, selection, init, warnings = _triangulate_stage(cfg, root)
-    out = root / cfg.out_dir
-    _write_initial(init, out)
-    result = _run_refinement(cfg, root, init, out)
+    result = _run_refinement(cfg, root, init)
 
-    summary = {
-        "keyframe": keyframe,
-        "selection": selection,
-        "warnings": warnings,
-        "init": init,
-        "result": result,
-    }
+    summary = {"keyframe": keyframe, "selection": selection, "warnings": warnings, "init": init, "result": result}
     gt_path = root / cfg.gt_depth
     entries = _run_entries(keyframe, selection, warnings)
     if gt_path.is_file():
@@ -542,12 +540,21 @@ def cmd_estimate(cfg: RunConfig, root) -> dict:
             initial_report, (refined_report, corr, sweep) = _score_maps(
                 scorer, init.depth, result.depth, result.uncertainty, cfg.sweep_threshold_list(), pool
             )
-        _write_lines(out / SWEEP_FILE, sweep_csv_lines(sweep))
         entries += _metric_entries("initial", initial_report) + _metric_entries("refined", refined_report)
         entries += _uncertainty_entries(corr)
         summary.update(
             {"initial_report": initial_report, "refined_report": refined_report, "corr": corr, "sweep": sweep}
         )
+        summary["lines"] = [f"initial rmse = {initial_report.rmse:.6g}", f"refined rmse = {refined_report.rmse:.6g}"]
+    else:
+        summary["lines"] = ["estimate complete (no ground truth found, metrics skipped)"]
+
+    # written only now, so a run that fails leaves out_dir as it found it
+    out = root / cfg.out_dir
+    _write_initial(init, out)
+    _write_refined(result, out)
+    if "sweep" in summary:
+        _write_lines(out / SWEEP_FILE, sweep_csv_lines(summary["sweep"]))
     _write_reports(out, entries)
     return summary
 
@@ -580,14 +587,15 @@ def cmd_ablate(cfg: RunConfig, root) -> dict:
             report = scorer.report(result.iterates[iterations])
             reports[(mode, iterations)] = report
             rows.append(((mode, f"{iterations}"), report))
-    _write_lines(out / ABLATION_FILE, csv_lines(("weight_mode", "iterations"), rows))
+    csv_path = out / ABLATION_FILE
+    _write_lines(csv_path, csv_lines(("weight_mode", "iterations"), rows))
     return {
         "keyframe": keyframe,
         "selection": selection,
         "warnings": warnings,
         "initial_report": initial_report,
         "reports": reports,
-        "csv_path": out / ABLATION_FILE,
+        "lines": [f"wrote {csv_path}"],
     }
 
 
@@ -600,7 +608,7 @@ def cmd_eval(cfg: RunConfig, root) -> dict:
     del gt
     out = root / cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    summary: dict = {}
+    summary: dict = {"warnings": []}
     sigma_path = root / cfg.sigma_map
     if sigma_path.is_file():
         sigma = fileio.read_pfm(sigma_path).astype(np.float64)
@@ -613,14 +621,26 @@ def cmd_eval(cfg: RunConfig, root) -> dict:
         report = prediction.report()
         entries = _metric_entries("eval", report)
     summary["report"] = report
-    summary["text"] = _write_reports(out, entries)
+    summary["lines"] = _write_reports(out, entries)
     return summary
 
 
 def cmd_select(cfg: RunConfig, root) -> dict:
-    """Run frame selection only; the CLI prints the indices one per line."""
-    root = Path(root)
-    traj = fileio.read_trajectory(root / cfg.trajectory)
-    keyframe = resolve_keyframe(cfg, len(traj))
-    selection = select_frames(traj, keyframe, cfg.selection_policy())
-    return {"keyframe": keyframe, "selection": selection}
+    """Run frame selection only; its lines are the selected indices, one per line."""
+    _, keyframe, selection, warnings = _select(cfg, Path(root))
+    lines = [str(index) for index in selection.indices]
+    return {"keyframe": keyframe, "selection": selection, "warnings": warnings, "lines": lines}
+
+
+# Every subcommand: its command and its help text. Each command takes
+# (cfg, root) and returns a summary whose "lines" the CLI prints to stdout
+# and whose "warnings" it prints to stderr.
+COMMANDS = {
+    "synth": (cmd_synth, "render a synthetic bundle (trajectory, flow, depth, texture)"),
+    "select": (cmd_select, "print the adjacent frames chosen for the keyframe"),
+    "triangulate": (cmd_triangulate, "triangulate the initial depth and confidence maps"),
+    "refine": (cmd_refine, "refine a triangulated depth map already in out_dir"),
+    "estimate": (cmd_estimate, "full chain: select, triangulate, refine, evaluate"),
+    "ablate": (cmd_ablate, "sweep iteration counts and confidence variants"),
+    "eval": (cmd_eval, "score a predicted depth map against ground truth"),
+}

@@ -2,11 +2,13 @@
 
 ``perfbench/spans.py`` imports only the standard library, so it is loaded by
 path. A name it patches that moved or was dropped would otherwise show only
-when a traced benchmark run fails.
+when a traced benchmark run fails. The same holds for the functions
+``perfbench/harness.py`` calls directly, with the arguments it passes them.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from triad.flow import FlowField
@@ -29,3 +31,28 @@ def test_every_patch_target_resolves():
 def test_from_raster_is_a_classmethod():
     # the tracer rewraps the descriptor's function, so a plain function would break it
     assert isinstance(FlowField.__dict__["from_raster"], classmethod)
+
+
+# (module, name, the positional arguments perfbench/harness.py passes)
+HARNESS_CALLS = [
+    ("triad.pipeline", "cmd_synth", ("cfg", "root")),
+    ("triad.pipeline", "cmd_triangulate", ("cfg", "root")),
+    ("triad.pipeline", "load_run_config", ("run.cfg", (), {})),
+    ("triad.cli", "main", (["estimate", "--root", "bundle"],)),
+]
+
+
+def test_every_harness_call_binds():
+    for module_name, attr, args in HARNESS_CALLS:
+        function = getattr(importlib.import_module(module_name), attr, None)
+        assert callable(function), f"{module_name}.{attr}"
+        inspect.signature(function).bind(*args)
+
+
+def test_main_returns_an_int_exit_code(tmp_path, capsys):
+    from triad.cli import main
+
+    # a bundle with no trajectory is a data error
+    code = main(["select", "--root", str(tmp_path)])
+    assert type(code) is int and code == 2
+    assert capsys.readouterr().err.startswith("data error: ")

@@ -429,7 +429,7 @@ class TestExitCodes:
         ["omega=2", "iterations=-1", "selection_mode=bogus", "fixed_step=0", "sweep_thresholds=-1"]
         + [f"{key}=nan" for key in ("mu", "kappa", "tau", "w_max", "sigma_min", "beta", "sigma_cap")]
         + ["mu=inf", "sweep_thresholds=nan", "sweep_thresholds=0.5 nan", "h_eps=nan", "d_max=nan", "d_max=-1"]
-        + ["workers=0", "workers=-3", "fx=inf", "cx=1000"],
+        + ["workers=0", "workers=-3", "fx=inf", "cx=1000", "ablate_iterations=0 1 1"],
     )
     def test_bad_derived_setting_is_one_before_any_output(self, tmp_path, bad):
         root = tmp_path / "bad"
@@ -571,6 +571,42 @@ class TestScoringPool:
             assert run_cli("estimate", "--root", str(bundle), *synth_opts(), *argv) == code
             assert capsys.readouterr().err.strip() == message
             assert threading.active_count() == before
+
+
+class TestFailingEstimate:
+    """A failing estimate leaves its out_dir as it found it, for any worker count."""
+
+    CASES = [
+        ("image=small.pgm", 2, "data error: intensity shape must match the depth map"),
+        ("gt_depth=not_pfm.pfm", 2, "data error: {root}/not_pfm.pfm: bad PFM magic b'hello'"),
+        ("gt_depth=nan_gt.pfm", 3, "numerical failure: no pixels to evaluate"),
+    ]
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def bundle(tmp_path_factory):
+        root = tmp_path_factory.mktemp("failing")
+        opts = synth_opts(width=96, height=72, fx=120.0, fy=120.0)
+        assert run_cli("synth", "--root", str(root), *opts) == 0
+        write_image(np.zeros((10, 10)), root / "small.pgm")
+        (root / "not_pfm.pfm").write_bytes(b"hello\n")
+        write_pfm(np.full((72, 96), np.nan, dtype=np.float32), root / "nan_gt.pfm")
+        assert run_cli("estimate", "--root", str(root), *opts, "--opt=out_dir=earlier") == 0
+        return root, opts
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bad, code, message", CASES, ids=["small-image", "gt-not-pfm", "gt-all-nan"])
+    def test_writes_nothing(self, bundle, capsys, workers, bad, code, message):
+        root, opts = bundle
+        earlier = {path.name: path.read_bytes() for path in (root / "earlier").iterdir()}
+        assert len(earlier) == 9
+        for out_dir in (f"fresh_{workers}", "earlier"):
+            capsys.readouterr()
+            argv = [f"--opt={bad}", f"--opt=workers={workers}", f"--opt=out_dir={out_dir}"]
+            assert run_cli("estimate", "--root", str(root), *opts, *argv) == code
+            assert capsys.readouterr().err.strip() == message.format(root=root)
+        assert not (root / f"fresh_{workers}").exists()
+        assert {path.name: path.read_bytes() for path in (root / "earlier").iterdir()} == earlier
 
 
 class TestLibraryEstimate:
