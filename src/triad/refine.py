@@ -28,14 +28,35 @@ same quantities give the objective: C(d) = sum w (dbar - d)^2 + sum f (d_j - d_i
 The maps are handled as flat row-major arrays, with mu g for horizontal edges
 padded to the full map by a zero-weight last column, so every operation of an
 iteration is a contiguous 1-D pass over a row band of about BAND_PIXELS
-pixels. That band size keeps the dozen band-length operands of a pass inside
-a 2 MB L2 cache. One pass per band computes the band's rows of the next
-iterate (recomputing the fluxes on the edges into it from the row above) and
-the band's share of C for the current iterate; the three partial sums of each
+pixels. One pass per band computes the band's rows of the next iterate
+(recomputing the fluxes on the edges into it from the row above) and the
+band's share of C for the current iterate; the three partial sums of each
 band come from np.einsum (no BLAS, so no dependence on the thread count) and
-are added over the bands in a fixed order. C(d) therefore depends on the band
+are added over the bands in band order. C(d) therefore depends on the band
 split, which depends only on the map width, and objective_value runs the same
 pass without the step.
+
+With ``workers`` >= 2, refine splits the bands of every pass into that many
+contiguous groups (at most one per band), each with its own band buffers. The
+calling thread runs the first group and a pool thread each other one. Groups
+read the current iterate and write disjoint rows of the next, and their
+shares of C come back in band order, so every iterate, C(d) and sigma are the
+same for any worker count. That is why the band size is one for every worker
+count: C(d) depends on the band split. Milliseconds for 40 VGA iterations,
+median of 40 interleaved calls, 2-vCPU host with 4 MB of L2 per core:
+
+    band pixels      8k     16k     32k     64k
+    1 worker        265     237     245     299
+    2 workers       394     246     182     178
+
+On two threads a ufunc call on 16k doubles costs about as much as one
+hand-off of the interpreter lock between them, so 16k bands gain nothing
+from the second thread where 32k bands gain about a quarter. 64k bands
+double the band buffers for no further gain. One thread pays for it: paired
+call by call in one process, 32k bands took 11-26 ms (5-12 %) longer than
+16k ones in three runs of 30 pairs. Only the last digits of C(d) depend on
+the band size: 16k and 32k bands give bit-identical iterates and objective
+values within 6.7e-16 relative over 40 VGA iterations.
 
 Pixels with denom = 0 need no special case. There w = 0 and
 mu * sum_j g_ij = 0, so every incident mu g_ij, which rounds to no more than
@@ -45,8 +66,8 @@ d + 0 == d holds them exactly.
 
 Against the plain full-map update (the reference in the tests) the flux form
 reorders the rounding, so iterates and C(d) agree within 1e-12 relative
-(measured: 9.1e-16 and 3.7e-16 on a 640x480 suite map over 40 iterations),
-not bit for bit.
+(measured: 9.0e-16 and 4.6e-16 on the 640x480 suite map of seed 0 over 40
+iterations), not bit for bit.
 
 The per-pixel uncertainty is the inverse square root of the objective's
 diagonal curvature, scaled by beta and floored at sigma_min: exactly the
@@ -56,6 +77,8 @@ pixels the data and smoothness terms constrain weakly get a wide scale.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +87,9 @@ from .errors import InputError
 from .triangulate import InitialDepth
 
 WEIGHT_MODES = ("full", "hessian_only", "residual_only", "constant")
-# refine's row bands, not triangulation's: the dozen band-length operands of
-# one pass then fit a 2 MB L2 cache (40 VGA iterations, median of 25 calls:
-# 234, 225, 225 and 240 ms with bands of 8k, 16k, 32k and 64k pixels)
-BAND_PIXELS = 1 << 14
+# refine's row bands, not triangulation's; the module docstring tabulates
+# the band sizes measured for 1 and 2 workers
+BAND_PIXELS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -192,11 +214,14 @@ def _band_rows(width: int) -> int:
 class _BandPass:
     """C(d) and, when given a step map, the damped-Jacobi step from d, one row band at a time.
 
-    ``step`` is omega / denom with denom = 1 where it would be 0. The band
-    buffers are sized once for the widest band.
+    ``step`` is omega / denom with denom = 1 where it would be 0. The bands
+    are split into ``workers`` contiguous groups (fewer when there are fewer
+    bands), each with its own band buffers, sized once for the widest band.
     """
 
-    def __init__(self, dbar: np.ndarray, weights: WeightMaps, mu: float, step: np.ndarray | None = None):
+    def __init__(
+        self, dbar: np.ndarray, weights: WeightMaps, mu: float, step: np.ndarray | None = None, workers: int = 1
+    ):
         height, width = weights.w.shape
         mu_gh = np.empty((height, width))
         np.multiply(weights.g_h, mu, out=mu_gh[:, :-1])
@@ -208,29 +233,44 @@ class _BandPass:
         self.mu_gv = np.multiply(weights.g_v, mu).ravel()
         self.step = step if step is None else step.ravel()
         rows = _band_rows(width)
-        self.bands = [(y * width, min(y + rows, height) * width) for y in range(0, height, rows)]
-        self.buffers = np.empty((6, (min(rows, height) + 1) * width))
+        bands = [(y * width, min(y + rows, height) * width) for y in range(0, height, rows)]
+        count = max(1, min(int(workers), len(bands)))
+        self.groups = [bands[len(bands) * g // count : len(bands) * (g + 1) // count] for g in range(count)]
+        self.buffers = [np.empty((6, (min(rows, height) + 1) * width)) for _ in self.groups]
 
-    def run(self, d: np.ndarray, nxt: np.ndarray | None = None) -> float:
-        """C(d); with ``nxt``, also write the Jacobi step from d into it."""
+    def run(self, d: np.ndarray, nxt: np.ndarray | None = None, pool: ThreadPoolExecutor | None = None) -> float:
+        """C(d); with ``nxt``, also write the Jacobi step from d into it.
+
+        Every group but the first runs on ``pool`` (needed only when there
+        is more than one group) while this thread runs the first. Groups read
+        d and write disjoint pixels of nxt, and the bands' shares of C are
+        added in band order, so C does not depend on how the bands are grouped.
+        """
         d = np.ravel(d)
         out = None if nxt is None else nxt.reshape(-1)
+        futures = [pool.submit(self._group, d, out, g) for g in range(1, len(self.groups))]
+        shares = self._group(d, out, 0)
+        for future in futures:
+            shares += future.result()
         data = horiz = vert = 0.0
-        for p0, p1 in self.bands:
-            a, b, c = self._band(d, out, p0, p1)
+        for a, b, c in shares:
             data += a
             horiz += b
             vert += c
         return float(data + (horiz + vert))
 
-    def _band(self, d, out, p0: int, p1: int):
+    def _group(self, d, out, g: int) -> list:
+        """The shares of C(d) of group g's bands, in band order, using group g's buffers."""
+        return [self._band(d, out, p0, p1, self.buffers[g]) for p0, p1 in self.groups[g]]
+
+    def _band(self, d, out, p0: int, p1: int, buffers: np.ndarray):
         """The data, horizontal and vertical shares of C(d) owned by pixels [p0, p1).
 
         A pixel owns its data term and its edges to the right and below. With
         ``out``, the step for those pixels is written into it as well.
         """
         width, n = self.width, p1 - p0
-        dh, fh, dv, fv, r, acc = self.buffers
+        dh, fh, dv, fv, r, acc = buffers
         # horizontal edges p0 .. p1 - 1; the last one ends a row and weighs 0
         dh, fh = dh[:n], fh[:n]
         np.subtract(d[p0 + 1 : p1], d[p0 : p1 - 1], out=dh[:-1])
@@ -268,8 +308,22 @@ def objective_value(d: np.ndarray, dbar_filled: np.ndarray, weights: WeightMaps,
     return _BandPass(dbar_filled, weights, mu).run(d)
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of finite values, partitioning ``values`` in place.
+
+    For an even count it is the mean of the two middle values, (lower +
+    upper) / 2, which is exactly what np.median computes.
+    """
+    mid = values.size // 2
+    values.partition(mid)
+    upper = values[mid]
+    if values.size % 2:
+        return float(upper)
+    return float((values[:mid].max() + upper) / 2)
+
+
 def refine(
-    init: InitialDepth, weights: WeightMaps, cfg: RefineConfig, keep_iterates: bool = False
+    init: InitialDepth, weights: WeightMaps, cfg: RefineConfig, keep_iterates: bool = False, workers: int = 1
 ) -> RefineResult:
     """Run K damped-Jacobi iterations and compute the uncertainty map.
 
@@ -279,13 +333,15 @@ def refine(
     hold their initialization and are assigned sigma_cap. The result keeps
     every iterate d(0)..d(K) only when keep_iterates is set, and just the
     final map otherwise; the objective is recorded for every iterate either
-    way.
+    way. ``workers`` >= 2 splits every pass's row bands across that many
+    threads (at most one per band), from a pool that is joined before refine
+    returns; the result is the same for any worker count.
     """
     if weights.w.shape != init.depth.shape:
         raise InputError("weights were built for a different map size")
     valid = init.valid
     gathered = init.depth[valid]
-    fill = float(np.median(gathered, overwrite_input=True)) if gathered.size else 1.0
+    fill = _median(gathered) if gathered.size else 1.0
     del gathered
     d = np.where(valid, init.depth, fill)
     dbar = np.where(valid, init.depth, 0.0)
@@ -301,20 +357,22 @@ def refine(
     np.maximum(cfg.sigma_min, sigma, out=sigma)
     np.copyto(sigma, cfg.sigma_cap, where=unconstrained)
     del unconstrained
-    band_pass = _BandPass(dbar, weights, cfg.mu, np.divide(cfg.omega, denom, out=denom))
+    band_pass = _BandPass(dbar, weights, cfg.mu, np.divide(cfg.omega, denom, out=denom), workers)
 
     spare = None if keep_iterates else np.empty_like(d)
     iterates = [d] if keep_iterates else []
     objective = []
-    for _ in range(cfg.iterations):
-        nxt = np.empty_like(d) if keep_iterates else spare
-        objective.append(band_pass.run(d, nxt))
-        if keep_iterates:
-            iterates.append(nxt)
-        else:
-            spare = d
-        d = nxt
-    objective.append(band_pass.run(d))
+    extra = len(band_pass.groups) - 1
+    with ThreadPoolExecutor(max_workers=extra, thread_name_prefix="refine") if extra else nullcontext() as pool:
+        for _ in range(cfg.iterations):
+            nxt = np.empty_like(d) if keep_iterates else spare
+            objective.append(band_pass.run(d, nxt, pool))
+            if keep_iterates:
+                iterates.append(nxt)
+            else:
+                spare = d
+            d = nxt
+        objective.append(band_pass.run(d, pool=pool))
     return RefineResult(tuple(iterates) if keep_iterates else (d,), sigma, tuple(objective))
 
 

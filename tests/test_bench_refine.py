@@ -1,4 +1,4 @@
-"""pytest-benchmark timings of refine on a 640x480 map, at 7 and 40 iterations.
+"""pytest-benchmark timings of refine on a 640x480 map: 7 and 40 iterations, and 40 on two workers.
 
 A few rounds each, so the test run stays short; they give refinement's time
 per call next to the end-to-end perfbench workloads. For steadier numbers run
@@ -28,3 +28,11 @@ def test_refine_vga(benchmark, vga_maps, iterations):
     result = benchmark.pedantic(refine, args=(init, weights, cfg), rounds=3, warmup_rounds=1)
     assert len(result.objective) == iterations + 1
     assert result.objective[-1] < result.objective[0]
+
+
+def test_refine_vga_40_iterations_two_workers(benchmark, vga_maps):
+    # the threaded band pass, next to test_refine_vga[40] on one worker
+    init, weights = vga_maps
+    cfg = RefineConfig(iterations=40)
+    result = benchmark.pedantic(refine, args=(init, weights, cfg), kwargs={"workers": 2}, rounds=3, warmup_rounds=1)
+    assert result.objective == refine(init, weights, cfg).objective

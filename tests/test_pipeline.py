@@ -43,6 +43,30 @@ def synth_opts(**overrides):
     return [f"--opt={k}={v}" for k, v in base.items()]
 
 
+# at 320x240 refinement has three row bands, so two or more workers split them
+QVGA = {"width": 320, "height": 240, "fx": 400.0, "fy": 400.0}
+
+
+@pytest.fixture(scope="module")
+def qvga_bundle(tmp_path_factory):
+    root = tmp_path_factory.mktemp("qvga")
+    assert run_cli("synth", "--root", str(root), *synth_opts(**QVGA)) == 0
+    return root
+
+
+def record_thread_starts(monkeypatch) -> list:
+    """Every thread started from now on, appended as it starts."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
 class TestConfigLoading:
     def test_defaults(self):
         cfg = load_run_config()
@@ -233,16 +257,15 @@ class TestEstimate:
             assert (reused / f.name).read_bytes() == f.read_bytes(), f.name
 
     @staticmethod
-    def assert_workers_do_not_change(bundle, command):
+    def assert_workers_do_not_change(bundle, command, written="sweep.csv", **scene):
         outs = {workers: f"{command}_w{workers}" for workers in (1, 2, 8)}
         for workers, out in outs.items():
-            code = run_cli(
-                command, "--root", str(bundle), *synth_opts(), f"--opt=workers={workers}",
-                f"--opt=out_dir={out}",
-            )
-            assert code == 0
+            opts = [*synth_opts(**scene), f"--opt=workers={workers}", f"--opt=out_dir={out}"]
+            if command == "refine":  # refine reads the initial maps from its out_dir
+                assert run_cli("triangulate", "--root", str(bundle), *opts) == 0
+            assert run_cli(command, "--root", str(bundle), *opts) == 0
         files1 = sorted((bundle / outs[1]).iterdir())
-        assert "sweep.csv" in [f.name for f in files1]
+        assert written in [f.name for f in files1]
         for f1 in files1:
             for workers in (2, 8):
                 assert f1.read_bytes() == (bundle / outs[workers] / f1.name).read_bytes(), (f1.name, workers)
@@ -253,6 +276,12 @@ class TestEstimate:
     def test_workers_do_not_change_eval_outputs(self, bundle):
         # eval scores the estimate's refined map with its sigma from out/
         self.assert_workers_do_not_change(bundle, "eval")
+
+    def test_workers_do_not_change_refine_outputs(self, qvga_bundle):
+        self.assert_workers_do_not_change(qvga_bundle, "refine", "objective.txt", **QVGA)
+
+    def test_workers_do_not_change_ablate_outputs(self, qvga_bundle):
+        self.assert_workers_do_not_change(qvga_bundle, "ablate", "ablation.csv", **QVGA)
 
     def test_noise_free_chain_is_exact(self, tmp_path):
         # exactness degrades with pixel-space curvature, so run at full size
@@ -543,19 +572,25 @@ class TestScoringPool:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_started_thread_is_joined(self, bundle, monkeypatch, workers):
-        started = []
-        start = threading.Thread.start
-
-        def recording_start(thread):
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        started = record_thread_starts(monkeypatch)
         before = threading.active_count()
         assert run_cli("estimate", "--root", str(bundle), *synth_opts(), f"--opt=workers={workers}") == 0
         assert threading.active_count() == before
         assert not any(thread.is_alive() for thread in started)
         assert bool(started) == (workers > 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("command", ["refine", "ablate"])
+    def test_every_refine_thread_is_joined(self, qvga_bundle, monkeypatch, command, workers):
+        opts = [*synth_opts(**QVGA), f"--opt=workers={workers}", f"--opt=out_dir=joined_{command}_{workers}"]
+        if command == "refine":  # refine reads the initial maps from its out_dir
+            assert run_cli("triangulate", "--root", str(qvga_bundle), *opts) == 0
+        started = record_thread_starts(monkeypatch)
+        before = threading.active_count()
+        assert run_cli(command, "--root", str(qvga_bundle), *opts) == 0
+        assert threading.active_count() == before
+        assert not any(thread.is_alive() for thread in started)
+        assert any(thread.name.startswith("refine") for thread in started) == (workers > 1)
 
     @pytest.mark.parametrize(
         "gt_value, code, message",
@@ -574,7 +609,10 @@ class TestScoringPool:
 
 
 class TestFailingEstimate:
-    """A failing estimate leaves its out_dir as it found it, for any worker count."""
+    """A failing estimate leaves its out_dir as it found it, and a failing ablate or eval makes none.
+
+    Each for any worker count.
+    """
 
     CASES = [
         ("image=small.pgm", 2, "data error: intensity shape must match the depth map"),
@@ -607,6 +645,22 @@ class TestFailingEstimate:
             assert capsys.readouterr().err.strip() == message.format(root=root)
         assert not (root / f"fresh_{workers}").exists()
         assert {path.name: path.read_bytes() for path in (root / "earlier").iterdir()} == earlier
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "command, bad, message",
+        [("ablate", "image=small.pgm", "data error: intensity shape must match the depth map"),
+         ("eval", "sigma_map=not_pfm.pfm", "data error: {root}/not_pfm.pfm: bad PFM magic b'hello'")],
+        ids=["ablate-small-image", "eval-sigma-not-pfm"],
+    )
+    def test_ablate_and_eval_make_no_out_dir(self, bundle, capsys, workers, command, bad, message):
+        root, opts = bundle
+        out_dir = f"fresh_{command}_{workers}"
+        argv = [f"--opt={bad}", "--opt=pred_depth=earlier/depth_refined.pfm", f"--opt=workers={workers}"]
+        capsys.readouterr()
+        assert run_cli(command, "--root", str(root), *opts, *argv, f"--opt=out_dir={out_dir}") == 2
+        assert capsys.readouterr().err.strip() == message.format(root=root)
+        assert not (root / out_dir).exists()
 
 
 class TestLibraryEstimate:

@@ -249,6 +249,20 @@ class TestRefine:
         result = refine(init, weights, cfg)
         assert result.iterates[0][0, 2] == 1.5  # median of the valid depths
 
+    @pytest.mark.parametrize(
+        "values",
+        [[2.5], [3.0, 1.0], [1.0, 1.0], [4.0, 1.0, 3.0], [2.0, 2.0, 1.0, 2.0], [5.0, 1.0, 1.0, 5.0]]
+        + [list(np.random.default_rng(n).uniform(0.1, 9.0, n)) for n in (7, 8, 1000, 1001)]
+        + [list(np.random.default_rng(n).integers(1, 4, n) * 0.5) for n in (9, 10, 64)],
+        ids=lambda values: f"n{len(values)}",
+    )
+    def test_fill_median_equals_numpy_median(self, values):
+        # one partition at n // 2, plus the largest value below it for even n
+        values = np.asarray(values, dtype=np.float64)
+        want = np.median(values)
+        got = refine_module._median(values.copy())
+        assert got == want and np.signbit(got) == np.signbit(want), (got, want)
+
     def test_all_invalid_fill_is_one_meter(self):
         init = make_initial(np.full((2, 2), 5.0), np.zeros((2, 2), dtype=bool))
         cfg = RefineConfig(iterations=0)
@@ -340,6 +354,17 @@ def reference_jacobi(init, weights, cfg):
     return iterates, values, sigma
 
 
+def refine_on(init, weights, cfg, keep_iterates=False):
+    """refine with one worker, after checking that 2 and 3 workers give the same bytes."""
+    serial = refine(init, weights, cfg, keep_iterates)
+    for workers in (2, 3):
+        result = refine(init, weights, cfg, keep_iterates, workers=workers)
+        assert [d.tobytes() for d in result.iterates] == [d.tobytes() for d in serial.iterates], workers
+        assert result.objective == serial.objective, workers
+        assert result.uncertainty.tobytes() == serial.uncertainty.tobytes(), workers
+    return serial
+
+
 def assert_objective_close(got, want):
     assert len(got) == len(want)
     for g, v in zip(got, want):
@@ -356,6 +381,8 @@ def assert_matches_reference(result, iterates, values, sigma):
 
 
 class TestBufferedJacobi:
+    """refine against the reference; refine_on also checks 2 and 3 workers against 1 bit for bit."""
+
     @pytest.mark.parametrize(
         "seed, valid_fraction, mu, omega",
         [(0, 1.0, 1.0, 0.9), (1, 0.6, 2.5, 0.7), (2, 0.3, 0.4, 1.0), (3, 0.5, 0.0, 0.9), (4, 0.0, 1.0, 0.9)],
@@ -365,7 +392,7 @@ class TestBufferedJacobi:
         init = random_initial(rng, height=11, width=13, valid_fraction=valid_fraction)
         cfg = RefineConfig(mu=mu, omega=omega, iterations=9)
         weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
-        result = refine(init, weights, cfg, keep_iterates=True)
+        result = refine_on(init, weights, cfg, keep_iterates=True)
         iterates, values, sigma = reference_jacobi(init, weights, cfg)
         assert len(iterates) == 10
         # the name predates the flux form: sigma is bit for bit, the rest within REL
@@ -377,7 +404,7 @@ class TestBufferedJacobi:
     def test_matches_reference_on_suite_map(self):
         case = suite_case(0, width=160, height=120, fx=200.0, fy=200.0)
         cfg = RefineConfig(iterations=12)
-        result = refine(case["init"], case["weights"], cfg, keep_iterates=True)
+        result = refine_on(case["init"], case["weights"], cfg, keep_iterates=True)
         iterates, values, sigma = reference_jacobi(case["init"], case["weights"], cfg)
         assert_matches_reference(result, iterates, values, sigma)
 
@@ -395,8 +422,8 @@ class TestBufferedJacobi:
         init = random_initial(rng, valid_fraction=0.8)
         cfg = RefineConfig(iterations=6)
         weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
-        kept = refine(init, weights, cfg, keep_iterates=True)
-        final = refine(init, weights, cfg)
+        kept = refine_on(init, weights, cfg, keep_iterates=True)
+        final = refine_on(init, weights, cfg)
         assert len(final.iterates) == 1
         assert np.array_equal(final.depth, kept.depth)
         assert final.objective == kept.objective
@@ -411,7 +438,7 @@ class TestBufferedJacobi:
         init = random_initial(rng, *shape, valid_fraction=valid_fraction)
         cfg = RefineConfig(mu=mu, iterations=5)
         weights = build_weights(init, rng.uniform(0, 1, shape), cfg)
-        result = refine(init, weights, cfg, keep_iterates=True)
+        result = refine_on(init, weights, cfg, keep_iterates=True)
         iterates, values, sigma = reference_jacobi(init, weights, cfg)
         assert_matches_reference(result, iterates, values, sigma)
         # pixels with no diagonal (all invalid ones when mu = 0) hold d(0) exactly
@@ -425,10 +452,27 @@ class TestBufferedJacobi:
         weights = WeightMaps(w=np.array([[1.0, 1.0, 0.0, 1.0, 1.0]]), g_h=np.full((1, 4), 0.2), g_v=np.empty((0, 5)))
         cfg = RefineConfig(mu=5e-324, iterations=3)
         assert not np.any(weights.degree(cfg.mu))
-        result = refine(init, weights, cfg, keep_iterates=True)
+        result = refine_on(init, weights, cfg, keep_iterates=True)
         iterates, values, sigma = reference_jacobi(init, weights, cfg)
         assert_matches_reference(result, iterates, values, sigma)
         assert all(iterate[0, 2] == iterates[0][0, 2] for iterate in result.iterates)
+
+    def test_refine_spans_bands(self):
+        rng = np.random.default_rng(8)
+        init = random_initial(rng, height=300, width=400, valid_fraction=0.7)
+        cfg = RefineConfig(mu=0.8, iterations=2)
+        weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
+        result = refine_on(init, weights, cfg, keep_iterates=True)
+        assert_matches_reference(result, *reference_jacobi(init, weights, cfg))
+
+    def test_groups_split_the_bands_in_order(self):
+        shape = (300, 400)
+        weights = WeightMaps(w=np.ones(shape), g_h=np.full((300, 399), 0.5), g_v=np.full((299, 400), 0.5))
+        (serial,) = refine_module._BandPass(np.zeros(shape), weights, 1.0).groups
+        for workers in (2, 3):
+            groups = refine_module._BandPass(np.zeros(shape), weights, 1.0, workers=workers).groups
+            assert len(groups) == workers
+            assert [band for group in groups for band in group] == serial
 
     def test_objective_value_spans_bands(self):
         rng = np.random.default_rng(8)
@@ -449,23 +493,35 @@ class TestBufferedJacobiSmallBands(TestBufferedJacobi):
 
 
 class TestRefineMemory:
-    def test_vga_peak_is_bounded_and_independent_of_iterations(self):
+    @staticmethod
+    def vga_peaks(workers):
+        """Peak traced bytes of refine at 7 and 40 iterations, and the bytes of one map."""
         rng = np.random.default_rng(9)
         init = random_initial(rng, height=480, width=640, valid_fraction=0.8)
         weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), RefineConfig())
-        refine(init, weights, RefineConfig(iterations=1))  # lazy set-up outside the measurement
+        # lazy set-up outside the measurement
+        refine(init, weights, RefineConfig(iterations=1), workers=workers)
         peaks = {}
         for iterations in (7, 40):
             tracemalloc.start()
             try:
-                refine(init, weights, RefineConfig(iterations=iterations))
+                refine(init, weights, RefineConfig(iterations=iterations), workers=workers)
                 peaks[iterations] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        map_bytes = init.depth.nbytes
-        assert peaks[7] <= 8.0 * map_bytes  # 7.33 maps measured
         # only the objective list grows with the iteration count
         assert abs(peaks[40] - peaks[7]) < 4096
+        return peaks[7], init.depth.nbytes
+
+    def test_vga_peak_is_bounded_and_independent_of_iterations(self):
+        peak, map_bytes = self.vga_peaks(workers=1)
+        assert peak <= 8.0 * map_bytes  # 7.65 maps measured
+
+    def test_vga_peak_with_two_workers(self):
+        # each group of row bands has its own buffers: six rows of 32k
+        # pixels plus one row, 0.65 VGA maps
+        peak, map_bytes = self.vga_peaks(workers=2)
+        assert peak <= 8.5 * map_bytes  # 8.30 maps measured
 
 
 class TestLaplacianNll:
