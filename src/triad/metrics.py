@@ -8,9 +8,8 @@ since the relative/log/inverse metrics are undefined there.
 One scorer computes all of it. ``Scorer`` gathers the ground truth on its
 mask once, with the gt-side terms log g and 1/g, and scores any number of
 predictions against it; ``evaluate``, ``uncertainty_sweep`` and
-``error_uncertainty_correlation`` are thin wrappers over it (the last two
-only gather with it, and the sweep computes the terms on the pixels its
-widest threshold keeps). For one
+``error_uncertainty_correlation`` are thin wrappers over it (the sweep
+scores only the pixels its widest threshold keeps). For one
 prediction each per-pixel term (the ratio max(p/g, g/p), |d|/g, d², d²/g,
 (log p - log g)² and (1/p - 1/g)², with d = p - g) is computed once on the
 gathered pixels and reduced over every selection (all pixels, and each
@@ -30,13 +29,12 @@ Two shortcuts are exact, not approximations:
   0.5 * (2k) + 1, which is exactly k + 1.
 
 Scoring can use one more thread. ``_Prediction.score`` takes an executor
-and then ranks sigma on it while ranking |d| on the calling thread, and
-``run_pair`` runs any two independent tasks that way, such as the reports of
-two predictions on one scorer. The tasks share only arrays they read, and
-every array a scoring task reads exists before any thread starts: a scorer
-computes log g and 1/g when it is built. Every value comes from the same
-function on the same inputs, so results are bit-identical with and without
-the executor.
+and then, through ``workers.run``, ranks sigma on it while ranking |d| on the
+calling thread; the estimate command runs the reports of its two maps on one
+scorer the same way. The tasks share only arrays they read, and every array a
+scoring task reads exists before any thread starts: a scorer computes log g
+and 1/g when it is built. Every value comes from the same function on the
+same inputs, so results are bit-identical with and without the executor.
 
 Memory: besides the caller's maps, a scorer keeps three gathered arrays (g,
 log g and 1/g). Scoring one prediction adds the gathered prediction (which
@@ -53,13 +51,13 @@ rank passes, overlap: 9.3-11.1 maps, which a test holds to 12.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyEvaluation, InputError
+from .workers import run
 
 DELTA_THRESHOLDS = (1.05, 1.10, 1.25, 1.25**2, 1.25**3)
 SWEEP_THRESHOLDS = (0.5, 0.16, 0.10, 0.08)
@@ -112,17 +110,15 @@ class _Truth:
     """Ground truth on the evaluated pixels, with its gt-side terms log g and 1/g.
 
     The terms are computed here, so threads scoring against one truth only
-    read it. They are None without ``terms``, for callers that read only g,
-    and when some pixel is non-positive: every prediction scored against such
-    a truth raises before it reads them.
+    read it. They are None when some pixel is non-positive: every prediction
+    scored against such a truth raises before it reads them.
     """
 
-    def __init__(self, g: np.ndarray, terms: bool = True):
+    def __init__(self, g: np.ndarray):
         self.g = g
-        self.terms = terms
         self.nonpositive = bool(np.any(g <= 0))
         self.log_g = self.inv_g = None
-        if terms and not self.nonpositive:
+        if not self.nonpositive:
             self.log_g, self.inv_g = np.log(g), 1.0 / g
 
 
@@ -130,17 +126,16 @@ class Scorer:
     """Ground truth gathered once on a mask, scored against any number of predictions.
 
     A prediction is evaluated on the mask's pixels where both it and the
-    ground truth are finite, in row-major order. Without ``terms`` the
-    scorer only gathers: it holds g but not log g and 1/g, so it cannot report.
+    ground truth are finite, in row-major order.
     """
 
-    def __init__(self, gt: np.ndarray, mask=None, *, terms: bool = True):
+    def __init__(self, gt: np.ndarray, mask=None):
         gt = np.asarray(gt, dtype=np.float64)
         base = np.ones(gt.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
         if base.shape != gt.shape:
             raise InputError(_SHAPE_ERROR)
         self.mask = base & np.isfinite(gt)
-        self.truth = _Truth(gt[self.mask], terms)
+        self.truth = _Truth(gt[self.mask])
 
     def _gather(self, pred) -> _Prediction:
         pred = np.asarray(pred, dtype=np.float64)
@@ -150,7 +145,7 @@ class Scorer:
         finite = np.isfinite(p)
         if finite.all():
             return _Prediction(self.mask, None, p, self.truth)
-        return _Prediction(self.mask, finite, p[finite], _Truth(self.truth.g[finite], self.truth.terms))
+        return _Prediction(self.mask, finite, p[finite], _Truth(self.truth.g[finite]))
 
     def prediction(self, pred) -> _Prediction:
         """The prediction on the evaluated pixels, checked as ``evaluate`` checks it.
@@ -307,16 +302,15 @@ def uncertainty_sweep(
     """
     if any(t <= 0 for t in thresholds):
         raise InputError("thresholds must be positive")
-    scored = Scorer(gt, mask, terms=False)._gather(pred)
+    scored = Scorer(gt, mask)._gather(pred)
     _, sig = scored._sigma(sigma)
     n_base = sig.size
     # only pixels some threshold keeps are scored, so a non-positive pixel no
     # threshold keeps raises nothing
     widest = sig < max(thresholds, default=-np.inf)
-    p, g = scored.p, scored.truth.g
+    p, truth = scored.p, scored.truth
     if not widest.all():
-        p, g, sig = p[widest], g[widest], sig[widest]
-    truth = _Truth(g)
+        p, sig, truth = p[widest], sig[widest], _Truth(truth.g[widest])
     if p.size and (np.any(p <= 0) or truth.nonpositive):
         raise InputError("depth must be positive on evaluated pixels")
     return _sweep(p, truth, sig, thresholds, n_base, score_all=False)[1]
@@ -349,23 +343,6 @@ def _average_ranks(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return ranks
 
 
-def run_pair(executor: Executor | None, first: Callable, second: Callable) -> tuple:
-    """(first(), second()): first on the executor while second runs here, or both here in order.
-
-    first's error wins when both raise, as it does when they run in order,
-    and first has finished whenever this returns or raises.
-    """
-    if executor is None:
-        return first(), second()
-    pending = executor.submit(first)
-    try:
-        other = second()
-    except BaseException:
-        pending.result()
-        raise
-    return pending.result(), other
-
-
 def _rank_correlation(err: np.ndarray, sig: np.ndarray, executor: Executor | None = None) -> CorrelationResult:
     """Spearman rho of err and sig where sig is finite; both arrays are overwritten."""
     ranked = np.isfinite(sig)
@@ -374,7 +351,7 @@ def _rank_correlation(err: np.ndarray, sig: np.ndarray, executor: Executor | Non
         raise InputError(f"need at least {SPEARMAN_MIN_PIXELS} masked pixels, got {n}")
     if n < sig.size:
         err, sig = err[ranked], sig[ranked]
-    s, e = run_pair(executor, lambda: _average_ranks(sig, out=sig), lambda: _average_ranks(err, out=err))
+    s, e = run(executor, [lambda: _average_ranks(sig, out=sig), lambda: _average_ranks(err, out=err)])
     e -= e.mean()
     s -= s.mean()
     denom = math.sqrt(float(e @ e) * float(s @ s))
@@ -394,7 +371,7 @@ def error_uncertainty_correlation(
     Ties receive average ranks. A constant input makes the correlation
     undefined; that is reported as rho = 0 with the flag cleared.
     """
-    scored = Scorer(gt, mask, terms=False)._gather(pred)
+    scored = Scorer(gt, mask)._gather(pred)
     _, sig = scored._sigma(sigma)
     return _rank_correlation(np.abs(scored.p - scored.truth.g), sig)
 

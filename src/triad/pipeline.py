@@ -11,29 +11,24 @@ thread so outputs are byte-stable for any worker count.
 and noisy flow): ``cmd_synth`` writes it, the tests and scripts use it in memory.
 
 ``workers`` >= 2 runs triangulation's row bands and every refinement pass's
-row bands on that many threads (refinement's pool lives for one ``refine``
-call), and ``estimate`` with ground truth and ``eval`` with a sigma map open
-one more thread while they score: it scores the initial map while the
-refined map is scored, and then ranks sigma while the error is ranked.
-Every array a scoring task reads exists before the thread starts (a
-``Scorer`` computes its ground-truth terms when it is built). The thread is
-closed before the command returns or raises. With one worker no thread
-starts.
+row bands on up to that many threads, the calling thread included (see
+``triad.workers``), and ``estimate`` with ground truth and ``eval`` with a
+sigma map score on one more thread: it scores the initial map while the
+refined map is scored, and then ranks sigma while the error is ranked. Every
+array a scoring task reads exists before the thread starts (a ``Scorer``
+computes its ground-truth terms when it is built). Each pool is closed
+before its stage returns or raises, a stage starts at most one thread per
+row band but one, and with one worker no thread starts.
 
-Every output file is byte-identical for any worker count. Refinement's row
-bands hold 32k pixels whatever the worker count, so 40 VGA iterations take
-about 245 ms on one worker and about 180 ms on two (2-vCPU host, see the
-``refine`` module for the band-size table). The band split moves only the
-last digits of ``objective.txt``: 16k- and 32k-pixel bands agree within
-6.7e-16 relative over 40 VGA iterations, inside refine's 1e-12 bound.
+Every output file is byte-identical for any worker count: the row bands
+depend only on the map size, and their split moves only the last digits of
+``objective.txt``, within refine's 1e-12 bound.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,7 +44,6 @@ from .metrics import (
     MetricReport,
     Scorer,
     csv_lines,
-    run_pair,
     sweep_csv_lines,
 )
 # not called here; perfbench's --trace spans patch these names in this module
@@ -68,6 +62,7 @@ from .synth import (
     render_flows,
 )
 from .triangulate import DEFAULT_D_MAX, DEFAULT_H_EPS, InitialDepth, TriangulationInput, triangulate_map
+from .workers import pool, run
 
 ENV_PREFIX = "TRIAD_"
 
@@ -506,28 +501,20 @@ def _write_lines(path: Path, lines: list[str]) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _scoring_pool(cfg: RunConfig):
-    """One extra thread for scoring when the run has more than one worker, else no pool.
+def _score_maps(scorer: Scorer, initial, refined, sigma, thresholds, executor):
+    """(initial report, (refined report, rho, sweep rows)), the same with or without an executor.
 
     Scoring runs big-array sorts and ufuncs, which release the interpreter
-    lock, so two independent scoring tasks overlap on two cores.
+    lock, so with an executor the initial map is scored on it while the
+    refined map is scored here, and then sigma is ranked on it while
+    |refined - gt| is ranked here: the refined map's task starts that rank
+    pair, so it must not run on the executor. Without one, all of it runs
+    here in that order. Either way the initial map's error wins when both
+    maps would raise.
     """
-    return ThreadPoolExecutor(max_workers=1) if cfg.workers >= 2 else nullcontext()
-
-
-def _score_maps(scorer: Scorer, initial, refined, sigma, thresholds, pool):
-    """(initial report, (refined report, rho, sweep rows)), the same with or without a pool.
-
-    With a pool the initial map is scored on it while the refined map is
-    scored here, and then sigma is ranked on it while |refined - gt| is
-    ranked here. Without one, all of it runs here in that order. Either way
-    the initial map's error wins when both maps would raise.
-    """
-    return run_pair(
-        pool,
-        lambda: scorer.report(initial),
-        lambda: scorer.prediction(refined).score(sigma, thresholds, pool),
-    )
+    tasks = [lambda: scorer.report(initial), lambda: scorer.prediction(refined).score(sigma, thresholds, executor)]
+    initial_report, refined_scores = run(executor, tasks)
+    return initial_report, refined_scores
 
 
 def cmd_estimate(cfg: RunConfig, root) -> dict:
@@ -545,9 +532,9 @@ def cmd_estimate(cfg: RunConfig, root) -> dict:
         # map also covers inpainted pixels, but one mask keeps them comparable
         scorer = Scorer(gt, init.valid & np.isfinite(gt))
         del gt
-        with _scoring_pool(cfg) as pool:
+        with pool(min(cfg.workers, 2), "score") as executor:
             initial_report, (refined_report, corr, sweep) = _score_maps(
-                scorer, init.depth, result.depth, result.uncertainty, cfg.sweep_threshold_list(), pool
+                scorer, init.depth, result.depth, result.uncertainty, cfg.sweep_threshold_list(), executor
             )
         entries += _metric_entries("initial", initial_report) + _metric_entries("refined", refined_report)
         entries += _uncertainty_entries(corr)
@@ -620,8 +607,8 @@ def cmd_eval(cfg: RunConfig, root) -> dict:
     sigma_path = root / cfg.sigma_map
     if sigma_path.is_file():
         sigma = fileio.read_pfm(sigma_path).astype(np.float64)
-        with _scoring_pool(cfg) as pool:
-            report, corr, sweep = prediction.score(sigma, cfg.sweep_threshold_list(), pool)
+        with pool(min(cfg.workers, 2), "score") as executor:
+            report, corr, sweep = prediction.score(sigma, cfg.sweep_threshold_list(), executor)
         entries = _metric_entries("eval", report) + _uncertainty_entries(corr)
         summary.update({"corr": corr, "sweep": sweep})
     else:

@@ -27,36 +27,32 @@ same quantities give the objective: C(d) = sum w (dbar - d)^2 + sum f (d_j - d_i
 
 The maps are handled as flat row-major arrays, with mu g for horizontal edges
 padded to the full map by a zero-weight last column, so every operation of an
-iteration is a contiguous 1-D pass over a row band of about BAND_PIXELS
-pixels. One pass per band computes the band's rows of the next iterate
-(recomputing the fluxes on the edges into it from the row above) and the
-band's share of C for the current iterate; the three partial sums of each
+iteration is a contiguous 1-D pass over one of the row bands of
+workers.row_bands. One pass per band computes the band's rows of the next
+iterate (recomputing the fluxes on the edges into it from the row above) and
+the band's share of C for the current iterate; the three partial sums of each
 band come from np.einsum (no BLAS, so no dependence on the thread count) and
 are added over the bands in band order. C(d) therefore depends on the band
-split, which depends only on the map width, and objective_value runs the same
+split, which depends only on the map size, and objective_value runs the same
 pass without the step.
 
-With ``workers`` >= 2, refine splits the bands of every pass into that many
-contiguous groups (at most one per band), each with its own band buffers. The
-calling thread runs the first group and a pool thread each other one. Groups
-read the current iterate and write disjoint rows of the next, and their
-shares of C come back in band order, so every iterate, C(d) and sigma are the
-same for any worker count. That is why the band size is one for every worker
-count: C(d) depends on the band split. Milliseconds for 40 VGA iterations,
-median of 40 interleaved calls, 2-vCPU host with 4 MB of L2 per core:
+With ``workers`` >= 2, refine splits the bands of every pass into at most that
+many contiguous groups, each with its own band buffers, and runs them on
+workers.run, one group per thread. Groups read the current iterate and write
+disjoint rows of the next, and their shares of C come back in band order, so
+every iterate, C(d) and sigma are the same for any worker count. Milliseconds
+for 40 VGA iterations by workers.BAND_PIXELS, median of 40 interleaved calls,
+2-vCPU host with 4 MB of L2 per core (repeat runs moved single cells by up to
+10 %):
 
     band pixels      8k     16k     32k     64k
-    1 worker        265     237     245     299
-    2 workers       394     246     182     178
+    1 worker        261     240     246     260
+    2 workers       411     266     215     227
 
-On two threads a ufunc call on 16k doubles costs about as much as one
-hand-off of the interpreter lock between them, so 16k bands gain nothing
-from the second thread where 32k bands gain about a quarter. 64k bands
-double the band buffers for no further gain. One thread pays for it: paired
-call by call in one process, 32k bands took 11-26 ms (5-12 %) longer than
-16k ones in three runs of 30 pairs. Only the last digits of C(d) depend on
-the band size: 16k and 32k bands give bit-identical iterates and objective
-values within 6.7e-16 relative over 40 VGA iterations.
+32k bands are the smallest that gain from a second thread; one thread pays
+2-10 % for them over 16k ones. Only the last digits of C(d) depend on the
+band size: 8k to 64k bands give bit-identical iterates and objective values
+within 5.8e-16 relative of each other over 40 VGA iterations.
 
 Pixels with denom = 0 need no special case. There w = 0 and
 mu * sum_j g_ij = 0, so every incident mu g_ij, which rounds to no more than
@@ -77,19 +73,17 @@ pixels the data and smoothness terms constrain weakly get a wide scale.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import Executor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import InputError
 from .triangulate import InitialDepth
+from .workers import pool, row_bands, run, split
 
 WEIGHT_MODES = ("full", "hessian_only", "residual_only", "constant")
-# refine's row bands, not triangulation's; the module docstring tabulates
-# the band sizes measured for 1 and 2 workers
-BAND_PIXELS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -206,17 +200,13 @@ def build_weights(init: InitialDepth, intensity: np.ndarray, cfg: RefineConfig) 
     return WeightMaps(w=w, g_h=g_h, g_v=g_v)
 
 
-def _band_rows(width: int) -> int:
-    """Rows per refine band: about BAND_PIXELS pixels, and at least one row."""
-    return max(1, BAND_PIXELS // width)
-
-
 class _BandPass:
     """C(d) and, when given a step map, the damped-Jacobi step from d, one row band at a time.
 
     ``step`` is omega / denom with denom = 1 where it would be 0. The bands
-    are split into ``workers`` contiguous groups (fewer when there are fewer
-    bands), each with its own band buffers, sized once for the widest band.
+    of workers.row_bands are split into ``workers`` contiguous groups (fewer
+    when there are fewer bands), each with its own band buffers, sized once
+    for the widest band.
     """
 
     def __init__(
@@ -232,31 +222,27 @@ class _BandPass:
         self.mu_gh = mu_gh.ravel()
         self.mu_gv = np.multiply(weights.g_v, mu).ravel()
         self.step = step if step is None else step.ravel()
-        rows = _band_rows(width)
-        bands = [(y * width, min(y + rows, height) * width) for y in range(0, height, rows)]
-        count = max(1, min(int(workers), len(bands)))
-        self.groups = [bands[len(bands) * g // count : len(bands) * (g + 1) // count] for g in range(count)]
-        self.buffers = [np.empty((6, (min(rows, height) + 1) * width)) for _ in self.groups]
+        bands = [(rows.start * width, rows.stop * width) for rows in row_bands(height, width)]
+        self.groups = split(bands, workers)
+        size = max((p1 - p0 for p0, p1 in bands), default=0) + width
+        self.buffers = [np.empty((6, size)) for _ in self.groups]
 
-    def run(self, d: np.ndarray, nxt: np.ndarray | None = None, pool: ThreadPoolExecutor | None = None) -> float:
+    def __call__(self, d: np.ndarray, nxt: np.ndarray | None = None, executor: Executor | None = None) -> float:
         """C(d); with ``nxt``, also write the Jacobi step from d into it.
 
-        Every group but the first runs on ``pool`` (needed only when there
-        is more than one group) while this thread runs the first. Groups read
-        d and write disjoint pixels of nxt, and the bands' shares of C are
-        added in band order, so C does not depend on how the bands are grouped.
+        The groups run on workers.run with ``executor`` (needed only when
+        there is more than one group). Groups read d and write disjoint pixels
+        of nxt, and the bands' shares of C are added in band order, so C does
+        not depend on how the bands are grouped.
         """
         d = np.ravel(d)
         out = None if nxt is None else nxt.reshape(-1)
-        futures = [pool.submit(self._group, d, out, g) for g in range(1, len(self.groups))]
-        shares = self._group(d, out, 0)
-        for future in futures:
-            shares += future.result()
         data = horiz = vert = 0.0
-        for a, b, c in shares:
-            data += a
-            horiz += b
-            vert += c
+        for shares in run(executor, [partial(self._group, d, out, g) for g in range(len(self.groups))]):
+            for a, b, c in shares:
+                data += a
+                horiz += b
+                vert += c
         return float(data + (horiz + vert))
 
     def _group(self, d, out, g: int) -> list:
@@ -305,7 +291,7 @@ class _BandPass:
 
 def objective_value(d: np.ndarray, dbar_filled: np.ndarray, weights: WeightMaps, mu: float) -> float:
     """C(d); dbar_filled must be finite everywhere (its value is ignored where w = 0)."""
-    return _BandPass(dbar_filled, weights, mu).run(d)
+    return _BandPass(dbar_filled, weights, mu)(d)
 
 
 def _median(values: np.ndarray) -> float:
@@ -362,17 +348,16 @@ def refine(
     spare = None if keep_iterates else np.empty_like(d)
     iterates = [d] if keep_iterates else []
     objective = []
-    extra = len(band_pass.groups) - 1
-    with ThreadPoolExecutor(max_workers=extra, thread_name_prefix="refine") if extra else nullcontext() as pool:
+    with pool(len(band_pass.groups), "refine") as executor:
         for _ in range(cfg.iterations):
             nxt = np.empty_like(d) if keep_iterates else spare
-            objective.append(band_pass.run(d, nxt, pool))
+            objective.append(band_pass(d, nxt, executor))
             if keep_iterates:
                 iterates.append(nxt)
             else:
                 spare = d
             d = nxt
-        objective.append(band_pass.run(d, pool=pool))
+        objective.append(band_pass(d, executor=executor))
     return RefineResult(tuple(iterates) if keep_iterates else (d,), sigma, tuple(objective))
 
 

@@ -32,13 +32,16 @@ arithmetic, comes out below 1e-7.
 Pixels with H below h_eps (no baseline) or a minimizer outside (0, d_max]
 (cheirality violation) are degenerate and must be masked invalid, never
 clamped. Per-pixel reductions always run in the given observation order, so
-results are bit-identical however the pixels are partitioned across workers.
+results are bit-identical however the rows are split: triangulate_map walks
+them in the bands of workers.row_bands and, with ``workers`` >= 2, runs
+contiguous groups of bands on workers.run, one group per thread.
 
 Each call for a row band allocates its three sums and eight band-sized work
-buffers once and evaluates every frame's terms into them in place (ufuncs
-with out=). Every value is rounded from the same operands in the same order
-as the formulas in _accumulate_rows's comments, read left to right, so the
-results are bit for bit those of evaluating each formula into fresh arrays.
+buffers (256 KiB each at 32k pixels) once and evaluates every frame's terms
+into them in place (ufuncs with out=). Every value is rounded from the same
+operands in the same order as the formulas in _accumulate_rows's comments,
+read left to right, so the results are bit for bit those of evaluating each
+formula into fresh arrays.
 The steps that read differently are exact rewrites:
   - R m and (R m).p are formed as row term plus column term; IEEE addition
     gives the same bits with its operands swapped.
@@ -57,7 +60,6 @@ thread, so pool threads share no buffer and write disjoint rows of the output.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,12 +67,10 @@ import numpy as np
 from .errors import InputError
 from .flow import FlowField
 from .geometry import Intrinsics, RelativePose, normalized_grid
+from .workers import pool, row_bands, run, split
 
 DEFAULT_H_EPS = 1e-12
 DEFAULT_D_MAX = 100.0
-# Rows are processed in bands of about this many pixels, so that a band's
-# work buffers (0.5 MB each) stay in cache.
-BAND_PIXELS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -260,14 +260,6 @@ def _accumulate_rows(inp: TriangulationInput, xm: np.ndarray, ym: np.ndarray, ro
     return h_acc, beta, gamma, any_obs
 
 
-def _row_bands(height: int, width: int, workers: int) -> list[slice]:
-    """Split the rows into bands of about BAND_PIXELS pixels, a multiple of ``workers`` of them."""
-    workers = max(1, min(int(workers), height))
-    per_worker = -(-height * width // (workers * BAND_PIXELS))
-    edges = np.linspace(0, height, min(height, workers * per_worker) + 1, dtype=int)
-    return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-
-
 def triangulate_map(
     inp: TriangulationInput,
     h_eps: float = DEFAULT_H_EPS,
@@ -279,7 +271,9 @@ def triangulate_map(
     Observations with invalid flow are dropped per pixel; pixels with no
     usable observation or a degenerate solve come back invalid (NaN), never
     clamped. The per-pixel math is identical in every row band, so output is
-    bit-identical for any worker count.
+    bit-identical for any worker count; ``workers`` >= 2 runs the row bands
+    on at most that many threads, the calling thread included, and never on
+    more threads than there are bands.
     """
     k = inp.intrinsics
     h, w = k.height, k.width
@@ -312,14 +306,10 @@ def triangulate_map(
         for channel in (depth, conf_h, conf_r):
             channel[rows].reshape(-1)[unsolved] = np.nan
 
-    bands = _row_bands(h, w, workers)
-    if workers <= 1:
-        for rows in bands:
-            solve(rows)
-    else:
-        # Bands are disjoint rows of the outputs, so the threads share no element.
-        with ThreadPoolExecutor(max_workers=min(int(workers), len(bands))) as pool:
-            list(pool.map(solve, bands))
+    # Bands are disjoint rows of the outputs, so the threads share no element.
+    groups = split(row_bands(h, w), workers)
+    with pool(len(groups), "triangulate") as executor:
+        run(executor, [lambda group=group: [solve(rows) for rows in group] for group in groups])
     return InitialDepth(depth=depth, conf_h=conf_h, conf_r=conf_r, valid=valid)
 
 

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import triad.triangulate as triangulate_module
+import triad.workers as workers_module
 from triad import FlowField, RelativePose, TriangulationInput, triangulate_map
 from triad.flow import INVALID_FLOW
 from triad.pipeline import ROOM_SUITE, RunConfig, synthesize
@@ -134,11 +134,11 @@ class TestBandPassMatchesReference:
         assert np.array_equal(any_obs, want[3] >= 1)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("band_pixels", [1, 3, triangulate_module.BAND_PIXELS])
+    @pytest.mark.parametrize("band_pixels", [1, 3, workers_module.BAND_PIXELS, 1 << 16])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_map_bit_identical(self, seed, band_pixels, workers, monkeypatch):
         inp = _invalid_flow_case(seed)
-        monkeypatch.setattr(triangulate_module, "BAND_PIXELS", band_pixels)
+        monkeypatch.setattr(workers_module, "BAND_PIXELS", band_pixels)
         got = triangulate_map(inp, workers=workers)
         depth, conf_h, conf_r, valid = _reference_map(inp)
         assert got.depth.tobytes() == depth.tobytes()

@@ -2,8 +2,9 @@
 
 Each bundle is a 5-frame sideways pass over the default synthetic scene,
 estimated from the 4 frames next to the middle one. The 640x480 bundle runs
-with 1 and 2 workers, so the timings show what the triangulation pool and
-the scoring thread give. A few rounds each, so the test run stays short; for
+with 1 and 2 workers, so the timings show what the second thread gives to
+triangulation's and refinement's row bands and to scoring (one pool of one
+thread per stage, see ``triad.workers``). A few rounds each, so the test run stays short; for
 steadier numbers run ``pytest tests/test_bench_estimate.py --benchmark-only``
 with more rounds, or the end-to-end workloads in ``perfbench/``.
 """

@@ -6,7 +6,19 @@ import threading
 import numpy as np
 import pytest
 
-from triad import ConfigError, RefineConfig, SelectionPolicy, evaluate
+from triad import (
+    ConfigError,
+    FlowField,
+    Intrinsics,
+    RefineConfig,
+    RelativePose,
+    SelectionPolicy,
+    TriangulationInput,
+    build_weights,
+    evaluate,
+    refine,
+    triangulate_map,
+)
 from triad import cli
 from triad.cli import MMAP_THRESHOLD, build_parser, fix_heap_thresholds, main
 from triad.fileio import read_flow, read_image, read_pfm, write_flow, write_image, write_pfm
@@ -606,6 +618,26 @@ class TestScoringPool:
             assert run_cli("estimate", "--root", str(bundle), *synth_opts(), *argv) == code
             assert capsys.readouterr().err.strip() == message
             assert threading.active_count() == before
+
+
+class TestThreadCount:
+    """Triangulation and refinement start at most one thread per row band but one, whatever ``workers`` asks."""
+
+    @pytest.mark.parametrize("width, height, workers, most", [(160, 120, 2, 0), (160, 120, 32, 0), (640, 480, 32, 9)])
+    def test_threads_follow_the_bands(self, monkeypatch, width, height, workers, most):
+        k = Intrinsics(fx=float(width), fy=float(width), cx=width / 2, cy=height / 2, width=width, height=height)
+        flow = FlowField(np.zeros((height, width, 2)), np.ones((height, width), dtype=bool))
+        inp = TriangulationInput(k, ((flow, RelativePose(np.eye(3), np.array([0.1, 0.0, 0.0]))),))
+        cfg = RefineConfig(iterations=2)
+        started = record_thread_starts(monkeypatch)
+        init = triangulate_map(inp, workers=workers)
+        assert len(started) <= most
+        if most:
+            assert all(thread.name.startswith("triangulate") for thread in started)
+        triangulated = len(started)
+        refine(init, build_weights(init, np.zeros((height, width)), cfg), cfg, workers=workers)
+        assert len(started) - triangulated <= most
+        assert not any(thread.is_alive() for thread in started)
 
 
 class TestFailingEstimate:
