@@ -14,8 +14,11 @@ Formats:
            strictly increasing timestamps.
   intrinsics -- single text line "fx fy cx cy width height".
 
-Everything here is a pure function; concurrent reads of distinct files are
-safe. Internal rasters are row-major, top-to-bottom, everywhere.
+Every binary payload's size is checked against the file before its raster
+is allocated, so a header that promises more than the file holds is a
+FormatError. Everything here is a pure function; concurrent reads of
+distinct files are safe. Internal rasters are row-major, top-to-bottom,
+everywhere.
 """
 
 from __future__ import annotations
@@ -38,12 +41,24 @@ from .geometry import (
 FLO_MAGIC = b"PIEH"
 
 
-def read_flow(path) -> np.ndarray:
-    """Read a .flo file into a (H, W, 2) float32 raster (sentinels preserved).
+def _payload(f: io.BufferedReader, path, shape: tuple[int, ...], dtype, what: str) -> np.ndarray:
+    """The rest of an open file read straight into a new array, so it is copied once on its way out of the kernel."""
+    dtype = np.dtype(dtype)
+    start = f.tell()
+    expected = start + dtype.itemsize * math.prod(shape)
+    # the file size is checked before the array is allocated, so a corrupt
+    # header cannot ask for more memory than the file could fill
+    size = os.fstat(f.fileno()).st_size
+    if size >= expected:
+        values = np.empty(shape, dtype=dtype)
+        size = start + f.readinto(values)
+    if size < expected:
+        raise FormatError(f"{path}: truncated {what} payload ({size} < {expected} bytes)")
+    return values
 
-    The payload is read straight into the returned array, so it is copied
-    once on its way out of the kernel.
-    """
+
+def read_flow(path) -> np.ndarray:
+    """Read a .flo file into a (H, W, 2) float32 raster (sentinels preserved)."""
     with open(path, "rb") as f:
         header = f.read(12)
         if header[:4] != FLO_MAGIC:
@@ -53,15 +68,7 @@ def read_flow(path) -> np.ndarray:
         w, h = (int(v) for v in np.frombuffer(header, dtype="<i4", count=2, offset=4))
         if w <= 0 or h <= 0:
             raise FormatError(f"{path}: invalid flow dimensions {w}x{h}")
-        expected = 12 + 8 * w * h
-        # the file size is checked before the raster is allocated, so a
-        # corrupt header cannot ask for more memory than the file could fill
-        size = os.fstat(f.fileno()).st_size
-        if size >= expected:
-            flow = np.empty((h, w, 2), dtype="<f4")
-            size = 12 + f.readinto(flow)
-    if size < expected:
-        raise FormatError(f"{path}: truncated flow payload ({size} < {expected} bytes)")
+        flow = _payload(f, path, (h, w, 2), "<f4", "flow")
     return flow.astype(np.float32, copy=False)
 
 
@@ -94,30 +101,28 @@ def _read_pnm_token(f: io.BufferedReader, path) -> bytes:
         tok += c
 
 
+def _read_pnm_header(f: io.BufferedReader, path, kind: str, magics, parse, accept):
+    """(magic, width, height, fourth token through ``parse``) of a PFM or PGM header, each checked."""
+    magic = _read_pnm_token(f, path)
+    if magic not in magics:
+        raise FormatError(f"{path}: bad {kind} magic {magic!r}")
+    try:
+        w = int(_read_pnm_token(f, path))
+        h = int(_read_pnm_token(f, path))
+        value = parse(_read_pnm_token(f, path))
+    except ValueError as e:
+        raise FormatError(f"{path}: malformed {kind} header ({e})") from e
+    if w <= 0 or h <= 0 or not accept(value):
+        raise FormatError(f"{path}: malformed {kind} header values")
+    return magic, w, h, value
+
+
 def read_pfm(path) -> np.ndarray:
     """Read a PFM file into a (H, W) or (H, W, 3) float32 raster, top-to-bottom."""
     with open(path, "rb") as f:
-        magic = _read_pnm_token(f, path)
-        if magic == b"Pf":
-            channels = 1
-        elif magic == b"PF":
-            channels = 3
-        else:
-            raise FormatError(f"{path}: bad PFM magic {magic!r}")
-        try:
-            w = int(_read_pnm_token(f, path))
-            h = int(_read_pnm_token(f, path))
-            scale = float(_read_pnm_token(f, path))
-        except ValueError as e:
-            raise FormatError(f"{path}: malformed PFM header ({e})") from e
-        if w <= 0 or h <= 0 or scale == 0.0:
-            raise FormatError(f"{path}: malformed PFM header values")
-        payload = f.read(4 * w * h * channels)
-    if len(payload) < 4 * w * h * channels:
-        raise FormatError(f"{path}: truncated PFM payload")
-    dtype = "<f4" if scale < 0 else ">f4"
-    values = np.frombuffer(payload, dtype=dtype, count=w * h * channels)
-    arr = values.reshape((h, w) if channels == 1 else (h, w, channels))
+        magic, w, h, scale = _read_pnm_header(f, path, "PFM", (b"Pf", b"PF"), float, lambda s: 0 < abs(s) < math.inf)
+        shape = (h, w) if magic == b"Pf" else (h, w, 3)
+        arr = _payload(f, path, shape, "<f4" if scale < 0 else ">f4", "PFM")
     # PFM scanlines run bottom-to-top; flip to the internal convention.
     return np.flipud(arr).astype(np.float32)
 
@@ -147,22 +152,8 @@ def write_pfm(img: np.ndarray, path) -> None:
 def read_image(path) -> np.ndarray:
     """Read a binary PGM (P5) into a (H, W) float64 raster scaled to [0, 1]."""
     with open(path, "rb") as f:
-        magic = _read_pnm_token(f, path)
-        if magic != b"P5":
-            raise FormatError(f"{path}: bad PGM magic {magic!r}")
-        try:
-            w = int(_read_pnm_token(f, path))
-            h = int(_read_pnm_token(f, path))
-            maxval = int(_read_pnm_token(f, path))
-        except ValueError as e:
-            raise FormatError(f"{path}: malformed PGM header ({e})") from e
-        if w <= 0 or h <= 0 or not (0 < maxval < 65536):
-            raise FormatError(f"{path}: malformed PGM header values")
-        dtype = np.dtype("u1") if maxval < 256 else np.dtype(">u2")
-        payload = f.read(w * h * dtype.itemsize)
-    if len(payload) < w * h * dtype.itemsize:
-        raise FormatError(f"{path}: truncated PGM payload")
-    values = np.frombuffer(payload, dtype=dtype, count=w * h).reshape(h, w)
+        _, w, h, maxval = _read_pnm_header(f, path, "PGM", (b"P5",), int, lambda m: 0 < m < 65536)
+        values = _payload(f, path, (h, w), "u1" if maxval < 256 else ">u2", "PGM")
     return values.astype(np.float64) / maxval
 
 

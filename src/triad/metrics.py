@@ -70,7 +70,10 @@ RATIO_BLOCK = 1 << 14
 METRIC_NAMES = ("n_evaluated", "abs_rel", "sq_rel", "log_rmse", "irmse", "rmse")
 CSV_COLUMNS = METRIC_NAMES + tuple(f"delta_{t:.12g}" for t in DELTA_THRESHOLDS)
 
-_SHAPE_ERROR = "pred, gt, and mask must share one shape"
+
+def _shape_error(**shapes: tuple[int, ...]) -> InputError:
+    named = ", ".join(f"{name} {'x'.join(str(n) for n in shape)}" for name, shape in shapes.items())
+    return InputError(f"pred, gt, and mask must share one shape: {named}")
 
 
 @dataclass(frozen=True)
@@ -133,14 +136,14 @@ class Scorer:
         gt = np.asarray(gt, dtype=np.float64)
         base = np.ones(gt.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
         if base.shape != gt.shape:
-            raise InputError(_SHAPE_ERROR)
+            raise _shape_error(gt=gt.shape, mask=base.shape)
         self.mask = base & np.isfinite(gt)
         self.truth = _Truth(gt[self.mask])
 
     def _gather(self, pred) -> _Prediction:
         pred = np.asarray(pred, dtype=np.float64)
         if pred.shape != self.mask.shape:
-            raise InputError(_SHAPE_ERROR)
+            raise _shape_error(pred=pred.shape, gt=self.mask.shape)
         p = pred[self.mask]
         finite = np.isfinite(p)
         if finite.all():

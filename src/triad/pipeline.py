@@ -409,7 +409,7 @@ def _triangulate_stage(cfg: RunConfig, root: Path):
     init = triangulate_map(inp, h_eps=h_eps, d_max=d_max, workers=cfg.workers)
     if not np.any(init.valid):
         raise NumericalError("triangulation left no valid pixels")
-    return traj, k, keyframe, selection, init, warnings
+    return keyframe, selection, init, warnings
 
 
 def _write_initial(init: InitialDepth, out: Path) -> None:
@@ -422,7 +422,7 @@ def _write_initial(init: InitialDepth, out: Path) -> None:
 def cmd_triangulate(cfg: RunConfig, root) -> dict:
     """Selection plus triangulation; writes the initial depth and confidences."""
     root = Path(root)
-    _, _, keyframe, selection, init, warnings = _triangulate_stage(cfg, root)
+    keyframe, selection, init, warnings = _triangulate_stage(cfg, root)
     _write_initial(init, root / cfg.out_dir)
     return {"keyframe": keyframe, "selection": selection, "init": init, "warnings": warnings, "lines": []}
 
@@ -520,18 +520,16 @@ def _score_maps(scorer: Scorer, initial, refined, sigma, thresholds, executor):
 def cmd_estimate(cfg: RunConfig, root) -> dict:
     """Full chain: select, triangulate, refine, and (with ground truth) evaluate; then write every file."""
     root = Path(root)
-    _, _, keyframe, selection, init, warnings = _triangulate_stage(cfg, root)
+    keyframe, selection, init, warnings = _triangulate_stage(cfg, root)
     result = _run_refinement(cfg, root, init)
 
     summary = {"keyframe": keyframe, "selection": selection, "warnings": warnings, "init": init, "result": result}
     gt_path = root / cfg.gt_depth
     entries = _run_entries(keyframe, selection, warnings)
     if gt_path.is_file():
-        gt = fileio.read_pfm(gt_path).astype(np.float64)
         # both maps are scored where the triangulation is valid: the refined
         # map also covers inpainted pixels, but one mask keeps them comparable
-        scorer = Scorer(gt, init.valid & np.isfinite(gt))
-        del gt
+        scorer = Scorer(fileio.read_pfm(gt_path), init.valid)
         with pool(min(cfg.workers, 2), "score") as executor:
             initial_report, (refined_report, corr, sweep) = _score_maps(
                 scorer, init.depth, result.depth, result.uncertainty, cfg.sweep_threshold_list(), executor
@@ -563,10 +561,9 @@ def cmd_ablate(cfg: RunConfig, root) -> dict:
     on the total iteration count.
     """
     root = Path(root)
-    _, _, keyframe, selection, init, warnings = _triangulate_stage(cfg, root)
-    gt = fileio.read_pfm(root / cfg.gt_depth).astype(np.float64)
+    keyframe, selection, init, warnings = _triangulate_stage(cfg, root)
+    scorer = Scorer(fileio.read_pfm(root / cfg.gt_depth), init.valid)
     intensity = fileio.read_image(root / cfg.image)
-    scorer = Scorer(gt, init.valid & np.isfinite(gt))
     iteration_grid = cfg.ablate_iteration_list()
     max_iterations = max(iteration_grid)
 
@@ -599,14 +596,12 @@ def cmd_ablate(cfg: RunConfig, root) -> dict:
 def cmd_eval(cfg: RunConfig, root) -> dict:
     """Score an existing predicted depth map against ground truth."""
     root = Path(root)
-    pred = fileio.read_pfm(root / cfg.pred_depth).astype(np.float64)
-    gt = fileio.read_pfm(root / cfg.gt_depth).astype(np.float64)
-    prediction = Scorer(gt, np.isfinite(pred) & np.isfinite(gt)).prediction(pred)
-    del gt
+    pred = fileio.read_pfm(root / cfg.pred_depth)
+    prediction = Scorer(fileio.read_pfm(root / cfg.gt_depth), np.isfinite(pred)).prediction(pred)
     summary: dict = {"warnings": []}
     sigma_path = root / cfg.sigma_map
     if sigma_path.is_file():
-        sigma = fileio.read_pfm(sigma_path).astype(np.float64)
+        sigma = fileio.read_pfm(sigma_path)
         with pool(min(cfg.workers, 2), "score") as executor:
             report, corr, sweep = prediction.score(sigma, cfg.sweep_threshold_list(), executor)
         entries = _metric_entries("eval", report) + _uncertainty_entries(corr)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,7 +80,11 @@ class TestFlo:
 
 
 class TestFloReadInPlace:
-    """read_flow reads the payload straight into its result, with the same checks and messages."""
+    """read_flow reads the payload straight into its result, with the same checks and messages.
+
+    The PFM and PGM readers share its payload read, so each of them checks
+    the file size before it allocates too.
+    """
 
     @staticmethod
     def _message(path, data):
@@ -107,6 +112,26 @@ class TestFloReadInPlace:
         expected = 12 + 8 * (2**31 - 1) ** 2
         message = self._message(path, header + b"\0" * 8)
         assert message == f"{path}: truncated flow payload (20 < {expected} bytes)"
+
+    @pytest.mark.parametrize(
+        "reader, data, message",
+        [(read_pfm, b"Pf\n1000000 1000000\n-1.0\n" + b"\0" * 4, "truncated PFM payload (28 < 4000000000024 bytes)"),
+         (read_image, b"P5\n1000000 1000000\n65535\n" + b"\0" * 2, "truncated PGM payload (27 < 2000000000025 bytes)")],
+        ids=["pfm", "pgm"],
+    )
+    def test_huge_raster_header_on_short_file_is_truncated_payload(self, tmp_path, reader, data, message):
+        # the traced peak catches an allocation the host would grant lazily
+        path = tmp_path / "huge"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as caught:
+                reader(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == f"{path}: {message}"
+        assert peak < 1 << 20
 
     def test_result_is_writable_native_float32(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -219,6 +244,10 @@ class TestPfm:
         path.write_bytes(b"Pf\ntwo 2\n-1.0\n" + b"\0" * 16)
         with pytest.raises(FormatError):
             read_pfm(path)
+        for scale in (b"nan", b"inf", b"-inf"):
+            path.write_bytes(b"Pf\n2 2\n" + scale + b"\n" + b"\0" * 16)
+            with pytest.raises(FormatError, match="malformed PFM header values$"):
+                read_pfm(path)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "trunc.pfm"

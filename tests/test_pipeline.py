@@ -646,10 +646,14 @@ class TestFailingEstimate:
     Each for any worker count.
     """
 
+    OTHER_SIZE = "data error: pred, gt, and mask must share one shape: gt 10x10, mask 72x96"
+    HUGE_HEADER = "data error: {root}/huge.pfm: truncated PFM payload (28 < 4000000000024 bytes)"
     CASES = [
         ("image=small.pgm", 2, "data error: intensity shape must match the depth map"),
         ("gt_depth=not_pfm.pfm", 2, "data error: {root}/not_pfm.pfm: bad PFM magic b'hello'"),
         ("gt_depth=nan_gt.pfm", 3, "numerical failure: no pixels to evaluate"),
+        ("gt_depth=small_gt.pfm", 2, OTHER_SIZE),
+        ("gt_depth=huge.pfm", 2, HUGE_HEADER),
     ]
 
     @pytest.fixture(scope="class")
@@ -661,11 +665,15 @@ class TestFailingEstimate:
         write_image(np.zeros((10, 10)), root / "small.pgm")
         (root / "not_pfm.pfm").write_bytes(b"hello\n")
         write_pfm(np.full((72, 96), np.nan, dtype=np.float32), root / "nan_gt.pfm")
+        write_pfm(np.full((10, 10), 2.0, dtype=np.float32), root / "small_gt.pfm")
+        (root / "huge.pfm").write_bytes(b"Pf\n1000000 1000000\n-1.0\n" + b"\0" * 4)
         assert run_cli("estimate", "--root", str(root), *opts, "--opt=out_dir=earlier") == 0
         return root, opts
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("bad, code, message", CASES, ids=["small-image", "gt-not-pfm", "gt-all-nan"])
+    @pytest.mark.parametrize(
+        "bad, code, message", CASES, ids=["small-image", "gt-not-pfm", "gt-all-nan", "gt-other-size", "gt-huge-header"]
+    )
     def test_writes_nothing(self, bundle, capsys, workers, bad, code, message):
         root, opts = bundle
         earlier = {path.name: path.read_bytes() for path in (root / "earlier").iterdir()}
@@ -682,8 +690,13 @@ class TestFailingEstimate:
     @pytest.mark.parametrize(
         "command, bad, message",
         [("ablate", "image=small.pgm", "data error: intensity shape must match the depth map"),
-         ("eval", "sigma_map=not_pfm.pfm", "data error: {root}/not_pfm.pfm: bad PFM magic b'hello'")],
-        ids=["ablate-small-image", "eval-sigma-not-pfm"],
+         ("eval", "sigma_map=not_pfm.pfm", "data error: {root}/not_pfm.pfm: bad PFM magic b'hello'"),
+         ("ablate", "gt_depth=small_gt.pfm", OTHER_SIZE),
+         ("eval", "gt_depth=small_gt.pfm", OTHER_SIZE),
+         ("ablate", "gt_depth=huge.pfm", HUGE_HEADER),
+         ("eval", "gt_depth=huge.pfm", HUGE_HEADER)],
+        ids=["ablate-small-image", "eval-sigma-not-pfm", "ablate-gt-other-size", "eval-gt-other-size",
+             "ablate-gt-huge-header", "eval-gt-huge-header"],
     )
     def test_ablate_and_eval_make_no_out_dir(self, bundle, capsys, workers, command, bad, message):
         root, opts = bundle

@@ -288,9 +288,13 @@ class TestScorerProperty:
         assert outcome(score) == want
 
     def test_shape_mismatch_message(self):
-        for args in ((np.ones(3), np.ones(4), None), (np.ones(3), np.ones(3), np.ones(4, dtype=bool))):
-            assert outcome(evaluate, *args) == outcome(ref_evaluate, *args)
-            assert outcome(evaluate, *args)[0] is InputError
+        # the reference's message, followed by the two shapes that differ
+        cases = [((np.ones(3), np.ones(4), None), ": pred 3, gt 4"),
+                 ((np.ones(3), np.ones(3), np.ones(4, dtype=bool)), ": gt 3, mask 4")]
+        for args, shapes in cases:
+            kind, message = outcome(ref_evaluate, *args)
+            assert outcome(evaluate, *args) == (kind, message + shapes)
+            assert kind is InputError
 
 
 class TestAverageRanksExact:
@@ -316,7 +320,7 @@ class TestAblateRows:
         cfg = load_run_config(overrides=[f"{k}={v}" for k, v in opts.items()])
         cmd_synth(cfg, tmp_path)
         summary = cmd_ablate(cfg, tmp_path)
-        init = _triangulate_stage(cfg, tmp_path)[4]
+        init = _triangulate_stage(cfg, tmp_path)[2]
         gt = read_pfm(tmp_path / cfg.gt_depth).astype(np.float64)
         intensity = read_image(tmp_path / cfg.image)
         mask = init.valid & np.isfinite(gt)
