@@ -23,6 +23,7 @@ from triad import (
     refine,
     triangulate_map,
 )
+from triad.fileio import write_lines
 from triad.pipeline import ROOM_SUITE, RunConfig, synthesize
 
 
@@ -67,10 +68,8 @@ def main(argv=None):
             print(f"{sigma:6.2f} {rate:8.2f} {init:10.4f} {refined:10.4f} {improvement:7.1%} {rho:6.3f}")
 
     if args.csv:
-        with open(args.csv, "w", encoding="ascii") as f:
-            f.write("sigma_flow,outlier_rate,initial_rmse,refined_rmse,improvement,spearman_rho\n")
-            for row in rows:
-                f.write(",".join(f"{v:.6g}" for v in row) + "\n")
+        header = "sigma_flow,outlier_rate,initial_rmse,refined_rmse,improvement,spearman_rho"
+        write_lines(args.csv, [header] + [",".join(f"{v:.6g}" for v in row) for row in rows])
         print(f"wrote {args.csv}")
     return 0
 

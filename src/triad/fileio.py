@@ -16,9 +16,10 @@ Formats:
 
 Every binary payload's size is checked against the file before its raster
 is allocated, so a header that promises more than the file holds is a
-FormatError. Everything here is a pure function; concurrent reads of
-distinct files are safe. Internal rasters are row-major, top-to-bottom,
-everywhere.
+FormatError. Every file triad writes goes through one writer, ``write_file``,
+which makes the file's directory on the first write into it. Everything here
+is a pure function; concurrent reads of distinct files are safe. Internal
+rasters are row-major, top-to-bottom, everywhere.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import io
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -57,6 +59,23 @@ def _payload(f: io.BufferedReader, path, shape: tuple[int, ...], dtype, what: st
     return values
 
 
+def write_file(path, header: bytes, payload=None, dtype=None) -> None:
+    """Replace path with header and then the payload, making its directory if it is missing.
+
+    A dtype or layout conversion is the only copy made of the payload.
+    """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as f:
+        f.write(header)
+        if payload is not None:
+            f.write(np.ascontiguousarray(payload, dtype=dtype))
+
+
+def write_lines(path, lines) -> None:
+    """Write text lines as UTF-8, each ended by "\n" on every platform."""
+    write_file(path, "".join(f"{line}\n" for line in lines).encode("utf-8"))
+
+
 def read_flow(path) -> np.ndarray:
     """Read a .flo file into a (H, W, 2) float32 raster (sentinels preserved)."""
     with open(path, "rb") as f:
@@ -77,10 +96,7 @@ def write_flow(flow: np.ndarray, path) -> None:
     if flow.ndim != 3 or flow.shape[2] != 2:
         raise FormatError(f"flow raster must have shape (H, W, 2), got {flow.shape}")
     h, w = flow.shape[:2]
-    with open(path, "wb") as f:
-        f.write(FLO_MAGIC)
-        f.write(np.array([w, h], dtype="<i4").tobytes())
-        f.write(np.ascontiguousarray(flow, dtype="<f4").tobytes())
+    write_file(path, FLO_MAGIC + np.array([w, h], dtype="<i4").tobytes(), flow, "<f4")
 
 
 def _read_pnm_token(f: io.BufferedReader, path) -> bytes:
@@ -118,13 +134,17 @@ def _read_pnm_header(f: io.BufferedReader, path, kind: str, magics, parse, accep
 
 
 def read_pfm(path) -> np.ndarray:
-    """Read a PFM file into a (H, W) or (H, W, 3) float32 raster, top-to-bottom."""
+    """Read a PFM file into a (H, W) or (H, W, 3) float32 raster, top-to-bottom.
+
+    The result may be a row-flipped view of the payload as read; only a
+    big-endian file's payload is converted.
+    """
     with open(path, "rb") as f:
         magic, w, h, scale = _read_pnm_header(f, path, "PFM", (b"Pf", b"PF"), float, lambda s: 0 < abs(s) < math.inf)
         shape = (h, w) if magic == b"Pf" else (h, w, 3)
         arr = _payload(f, path, shape, "<f4" if scale < 0 else ">f4", "PFM")
     # PFM scanlines run bottom-to-top; flip to the internal convention.
-    return np.flipud(arr).astype(np.float32)
+    return np.flipud(arr).astype(np.float32, copy=False)
 
 
 def write_pfm(img: np.ndarray, path) -> None:
@@ -134,19 +154,11 @@ def write_pfm(img: np.ndarray, path) -> None:
     from that array directly, so float64 maps need no conversion beforehand.
     """
     img = np.asarray(img)
-    if img.ndim == 2:
-        magic = b"Pf"
-    elif img.ndim == 3 and img.shape[2] == 3:
-        magic = b"PF"
-    else:
+    if img.ndim != 2 and img.shape[2:] != (3,):
         raise FormatError(f"PFM rasters must be (H, W) or (H, W, 3), got {img.shape}")
     h, w = img.shape[:2]
-    scanlines = np.ascontiguousarray(np.flipud(img), dtype="<f4")
-    with open(path, "wb") as f:
-        f.write(magic + b"\n")
-        f.write(f"{w} {h}\n".encode("ascii"))
-        f.write(b"-1.0\n")
-        f.write(scanlines)
+    magic = "Pf" if img.ndim == 2 else "PF"
+    write_file(path, f"{magic}\n{w} {h}\n-1.0\n".encode("ascii"), np.flipud(img), "<f4")
 
 
 def read_image(path) -> np.ndarray:
@@ -164,11 +176,8 @@ def write_image(img: np.ndarray, path, maxval: int = 65535) -> None:
     if img.ndim != 2:
         raise FormatError(f"PGM rasters must be (H, W), got {img.shape}")
     quantized = np.rint(np.clip(img, 0.0, 1.0) * maxval)
-    dtype = "u1" if maxval < 256 else ">u2"
     h, w = img.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
-        f.write(quantized.astype(dtype).tobytes())
+    write_file(path, f"P5\n{w} {h}\n{maxval}\n".encode("ascii"), quantized, "u1" if maxval < 256 else ">u2")
 
 
 def read_intrinsics(path) -> Intrinsics:
@@ -185,8 +194,7 @@ def read_intrinsics(path) -> Intrinsics:
 
 
 def write_intrinsics(k: Intrinsics, path) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write(f"{k.fx:.17g} {k.fy:.17g} {k.cx:.17g} {k.cy:.17g} {k.width} {k.height}\n")
+    write_lines(path, [f"{k.fx:.17g} {k.fy:.17g} {k.cx:.17g} {k.cy:.17g} {k.width} {k.height}"])
 
 
 def read_trajectory(path) -> Trajectory:
@@ -216,11 +224,6 @@ def read_trajectory(path) -> Trajectory:
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        for t, pose in zip(traj.timestamps, traj.poses):
-            qx, qy, qz, qw = rotation_to_quaternion(pose.rotation)
-            tx, ty, tz = pose.translation
-            f.write(
-                f"{t:.17g} {tx:.17g} {ty:.17g} {tz:.17g} "
-                f"{qx:.17g} {qy:.17g} {qz:.17g} {qw:.17g}\n"
-            )
+    poses = zip(traj.timestamps, traj.poses)
+    rows = ((t, *pose.translation, *rotation_to_quaternion(pose.rotation)) for t, pose in poses)
+    write_lines(path, [" ".join(f"{v:.17g}" for v in row) for row in rows])

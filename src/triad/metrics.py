@@ -7,9 +7,9 @@ since the relative/log/inverse metrics are undefined there.
 
 One scorer computes all of it. ``Scorer`` gathers the ground truth on its
 mask once, with the gt-side terms log g and 1/g, and scores any number of
-predictions against it; ``evaluate``, ``uncertainty_sweep`` and
-``error_uncertainty_correlation`` are thin wrappers over it (the sweep
-scores only the pixels its widest threshold keeps). For one
+predictions against it; ``evaluate`` wraps it. ``uncertainty_sweep`` and
+``error_uncertainty_correlation`` share its gathers, but only the sweep builds
+log g and 1/g, on the pixels its widest threshold keeps. For one
 prediction each per-pixel term (the ratio max(p/g, g/p), |d|/g, d², d²/g,
 (log p - log g)² and (1/p - 1/g)², with d = p - g) is computed once on the
 gathered pixels and reduced over every selection (all pixels, and each
@@ -125,6 +125,40 @@ class _Truth:
             self.log_g, self.inv_g = np.log(g), 1.0 / g
 
 
+def _ground_truth(gt, mask) -> tuple[np.ndarray, np.ndarray]:
+    """(evaluated mask, gt on it): the mask's pixels where gt is finite, and their gt values."""
+    gt = np.asarray(gt, dtype=np.float64)
+    base = np.ones(gt.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if base.shape != gt.shape:
+        raise _shape_error(gt=gt.shape, mask=base.shape)
+    mask = base & np.isfinite(gt)
+    return mask, gt[mask]
+
+
+def _gather(mask: np.ndarray, g: np.ndarray, pred):
+    """(finite, p, g) on the evaluated pixels: the mask's pixels where pred is finite.
+
+    ``finite`` selects them among the mask's pixels (None: all of them).
+    """
+    pred = np.asarray(pred, dtype=np.float64)
+    if pred.shape != mask.shape:
+        raise _shape_error(pred=pred.shape, gt=mask.shape)
+    p = pred[mask]
+    finite = np.isfinite(p)
+    if finite.all():
+        return None, p, g
+    return finite, p[finite], g[finite]
+
+
+def _gather_sigma(mask: np.ndarray, finite, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """Sigma on the mask, and on the evaluated pixels that ``finite`` selects."""
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if sigma.shape != mask.shape:
+        raise InputError(f"sigma shape {sigma.shape} != depth shape {mask.shape}")
+    on_mask = sigma[mask]
+    return on_mask, on_mask if finite is None else on_mask[finite]
+
+
 class Scorer:
     """Ground truth gathered once on a mask, scored against any number of predictions.
 
@@ -133,22 +167,8 @@ class Scorer:
     """
 
     def __init__(self, gt: np.ndarray, mask=None):
-        gt = np.asarray(gt, dtype=np.float64)
-        base = np.ones(gt.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-        if base.shape != gt.shape:
-            raise _shape_error(gt=gt.shape, mask=base.shape)
-        self.mask = base & np.isfinite(gt)
-        self.truth = _Truth(gt[self.mask])
-
-    def _gather(self, pred) -> _Prediction:
-        pred = np.asarray(pred, dtype=np.float64)
-        if pred.shape != self.mask.shape:
-            raise _shape_error(pred=pred.shape, gt=self.mask.shape)
-        p = pred[self.mask]
-        finite = np.isfinite(p)
-        if finite.all():
-            return _Prediction(self.mask, None, p, self.truth)
-        return _Prediction(self.mask, finite, p[finite], _Truth(self.truth.g[finite]))
+        self.mask, g = _ground_truth(gt, mask)
+        self.truth = _Truth(g)
 
     def prediction(self, pred) -> _Prediction:
         """The prediction on the evaluated pixels, checked as ``evaluate`` checks it.
@@ -156,7 +176,8 @@ class Scorer:
         Raises EmptyEvaluation when no pixel survives masking, InputError when
         a surviving pixel is non-positive.
         """
-        scored = self._gather(pred)
+        finite, p, g = _gather(self.mask, self.truth.g, pred)
+        scored = _Prediction(self.mask, finite, p, self.truth if finite is None else _Truth(g))
         if scored.p.size == 0:
             raise EmptyEvaluation("no pixels to evaluate")
         if np.any(scored.p <= 0) or scored.truth.nonpositive:
@@ -168,11 +189,10 @@ class Scorer:
 
 
 class _Prediction:
-    """One prediction on a scorer's evaluated pixels.
+    """One prediction on a scorer's evaluated pixels (see ``_gather``).
 
-    ``finite`` selects, among the scorer's gathered pixels, those where the
-    prediction is finite (None: all of them); ``p`` and ``truth`` hold those
-    pixels. Reducing overwrites ``p``, so each prediction is scored once.
+    ``p`` and ``truth`` hold those pixels. Reducing overwrites ``p``, so each
+    prediction is scored once.
     """
 
     def __init__(self, mask: np.ndarray, finite, p: np.ndarray, truth: _Truth):
@@ -180,14 +200,6 @@ class _Prediction:
         self.finite = finite
         self.p = p
         self.truth = truth
-
-    def _sigma(self, sigma) -> tuple[np.ndarray, np.ndarray]:
-        """Sigma on the scorer's mask, and on the evaluated pixels."""
-        sigma = np.asarray(sigma, dtype=np.float64)
-        if sigma.shape != self.mask.shape:
-            raise InputError(f"sigma shape {sigma.shape} != depth shape {self.mask.shape}")
-        on_mask = sigma[self.mask]
-        return on_mask, on_mask if self.finite is None else on_mask[self.finite]
 
     def report(self) -> MetricReport:
         return _reports(self.p, self.truth, [None])[0]
@@ -202,7 +214,7 @@ class _Prediction:
         too few of them have a finite prediction. Thresholds must be positive.
         With an executor, sigma is ranked on it while |p - g| is ranked here.
         """
-        on_mask, sig = self._sigma(sigma)
+        on_mask, sig = _gather_sigma(self.mask, self.finite, sigma)
         report, rows = _sweep(self.p, self.truth, sig, thresholds, self.p.size, score_all=True)
         if np.count_nonzero(np.isfinite(on_mask)) < SPEARMAN_MIN_PIXELS:
             return report, CorrelationResult(rho=0.0, defined=False), rows
@@ -305,15 +317,16 @@ def uncertainty_sweep(
     """
     if any(t <= 0 for t in thresholds):
         raise InputError("thresholds must be positive")
-    scored = Scorer(gt, mask)._gather(pred)
-    _, sig = scored._sigma(sigma)
+    mask, g = _ground_truth(gt, mask)
+    finite, p, g = _gather(mask, g, pred)
+    _, sig = _gather_sigma(mask, finite, sigma)
     n_base = sig.size
     # only pixels some threshold keeps are scored, so a non-positive pixel no
-    # threshold keeps raises nothing
+    # threshold keeps raises nothing, and log g and 1/g are built on those alone
     widest = sig < max(thresholds, default=-np.inf)
-    p, truth = scored.p, scored.truth
     if not widest.all():
-        p, sig, truth = p[widest], sig[widest], _Truth(truth.g[widest])
+        p, sig, g = p[widest], sig[widest], g[widest]
+    truth = _Truth(g)
     if p.size and (np.any(p <= 0) or truth.nonpositive):
         raise InputError("depth must be positive on evaluated pixels")
     return _sweep(p, truth, sig, thresholds, n_base, score_all=False)[1]
@@ -374,9 +387,10 @@ def error_uncertainty_correlation(
     Ties receive average ranks. A constant input makes the correlation
     undefined; that is reported as rho = 0 with the flag cleared.
     """
-    scored = Scorer(gt, mask)._gather(pred)
-    _, sig = scored._sigma(sigma)
-    return _rank_correlation(np.abs(scored.p - scored.truth.g), sig)
+    mask, g = _ground_truth(gt, mask)
+    finite, p, g = _gather(mask, g, pred)
+    _, sig = _gather_sigma(mask, finite, sigma)
+    return _rank_correlation(np.abs(np.subtract(p, g, out=p), out=p), sig)
 
 
 def csv_lines(key_columns, rows) -> list[str]:

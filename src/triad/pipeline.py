@@ -3,9 +3,9 @@
 A run is described by a flat key = value config (file, TRIAD_* environment
 variables, then CLI overrides, later sources winning) with all paths resolved
 against an explicit root directory. The estimation flow is select ->
-triangulate -> build weights -> refine -> evaluate; every raster leaves
-through the writers in fileio, and all writes happen from the coordinating
-thread so outputs are byte-stable for any worker count.
+triangulate -> build weights -> refine -> evaluate; every file leaves
+through fileio's one writer from the coordinating thread, so outputs are
+byte-stable for any worker count.
 
 ``synthesize(cfg)`` is the one seeded synthetic chain (trajectory, scene, exact
 and noisy flow): ``cmd_synth`` writes it, the tests and scripts use it in memory.
@@ -69,6 +69,7 @@ ENV_PREFIX = "TRIAD_"
 INITIAL_DEPTH_FILE = "depth_initial.pfm"
 CONF_H_FILE = "conf_h.pfm"
 CONF_R_FILE = "conf_r.pfm"
+INITIAL_FILES = {"depth": INITIAL_DEPTH_FILE, "conf_h": CONF_H_FILE, "conf_r": CONF_R_FILE}
 REFINED_DEPTH_FILE = "depth_refined.pfm"
 SIGMA_FILE = "sigma.pfm"
 OBJECTIVE_FILE = "objective.txt"
@@ -89,8 +90,8 @@ class RunConfig:
     image: str = "texture.pgm"
     gt_depth: str = "depth_gt.pfm"
     out_dir: str = "out"
-    pred_depth: str = "out/depth_refined.pfm"
-    sigma_map: str = "out/sigma.pfm"
+    pred_depth: str = ""  # what eval scores; empty: the depth_refined.pfm estimate writes into out_dir
+    sigma_map: str = ""  # eval's sigma; empty: the sigma.pfm estimate writes into out_dir
     flow_prefix: str = "noisy"  # which rendered flow variant estimation consumes
     keyframe: int = -1  # -1 selects the middle frame
     workers: int = 1
@@ -352,8 +353,6 @@ def cmd_synth(cfg: RunConfig, root) -> dict:
     """Write a fully self-describing synthetic bundle for one keyframe."""
     k, traj, scene, keyframe, frames = synthesize(cfg)
     shown, root = root, Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    (root / cfg.flow_dir).mkdir(parents=True, exist_ok=True)
     fileio.write_intrinsics(k, root / cfg.intrinsics)
     fileio.write_trajectory(traj, root / cfg.trajectory)
     fileio.write_image(scene.texture, root / cfg.image)
@@ -372,7 +371,7 @@ def cmd_synth(cfg: RunConfig, root) -> dict:
     manifest = root / "manifest.txt"
     # frame 0's noise seed is the base every frame's seed is offset from
     header = [f"seed = {cfg.seed}", f"noise_seed = {cfg.noise_model(0).seed}", f"keyframe = {keyframe}"]
-    _write_lines(manifest, header + [f"file = {name}" for name in files])
+    fileio.write_lines(manifest, header + [f"file = {name}" for name in files])
     line = f"wrote bundle under {shown} ({len(files)} files, keyframe {keyframe})"
     return {"keyframe": keyframe, "files": files, "manifest": manifest, "lines": [line], "warnings": []}
 
@@ -413,10 +412,8 @@ def _triangulate_stage(cfg: RunConfig, root: Path):
 
 
 def _write_initial(init: InitialDepth, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    fileio.write_pfm(init.depth, out / INITIAL_DEPTH_FILE)
-    fileio.write_pfm(init.conf_h, out / CONF_H_FILE)
-    fileio.write_pfm(init.conf_r, out / CONF_R_FILE)
+    for field, name in INITIAL_FILES.items():
+        fileio.write_pfm(getattr(init, field), out / name)
 
 
 def cmd_triangulate(cfg: RunConfig, root) -> dict:
@@ -428,11 +425,8 @@ def cmd_triangulate(cfg: RunConfig, root) -> dict:
 
 
 def _load_initial(out: Path) -> InitialDepth:
-    depth = fileio.read_pfm(out / INITIAL_DEPTH_FILE).astype(np.float64)
-    conf_h = fileio.read_pfm(out / CONF_H_FILE).astype(np.float64)
-    conf_r = fileio.read_pfm(out / CONF_R_FILE).astype(np.float64)
-    valid = np.isfinite(depth)
-    return InitialDepth(depth=depth, conf_h=conf_h, conf_r=conf_r, valid=valid)
+    maps = {field: fileio.read_pfm(out / name).astype(np.float64) for field, name in INITIAL_FILES.items()}
+    return InitialDepth(**maps, valid=np.isfinite(maps["depth"]))
 
 
 def _run_refinement(cfg: RunConfig, root: Path, init: InitialDepth) -> RefineResult:
@@ -445,7 +439,7 @@ def _run_refinement(cfg: RunConfig, root: Path, init: InitialDepth) -> RefineRes
 def _write_refined(result: RefineResult, out: Path) -> None:
     fileio.write_pfm(result.depth, out / REFINED_DEPTH_FILE)
     fileio.write_pfm(result.uncertainty, out / SIGMA_FILE)
-    _write_lines(out / OBJECTIVE_FILE, [f"{step} {value:.17g}" for step, value in enumerate(result.objective)])
+    fileio.write_lines(out / OBJECTIVE_FILE, [f"{step} {value:.17g}" for step, value in enumerate(result.objective)])
 
 
 def cmd_refine(cfg: RunConfig, root) -> dict:
@@ -491,14 +485,9 @@ def _write_reports(out: Path, entries: list[tuple[str, str, str]]) -> list[str]:
             text.append(f"[{section}]")
         text.append(f"{key} = {value}")
         kv.append(f"{section}.{key} = {value}")
-    _write_lines(out / REPORT_FILE, text)
-    _write_lines(out / KEYVALUE_FILE, kv)
+    fileio.write_lines(out / REPORT_FILE, text)
+    fileio.write_lines(out / KEYVALUE_FILE, kv)
     return text
-
-
-def _write_lines(path: Path, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
 
 
 def _score_maps(scorer: Scorer, initial, refined, sigma, thresholds, executor):
@@ -548,7 +537,7 @@ def cmd_estimate(cfg: RunConfig, root) -> dict:
     _write_initial(init, out)
     _write_refined(result, out)
     if "sweep" in summary:
-        _write_lines(out / SWEEP_FILE, sweep_csv_lines(summary["sweep"]))
+        fileio.write_lines(out / SWEEP_FILE, sweep_csv_lines(summary["sweep"]))
     _write_reports(out, entries)
     return summary
 
@@ -578,11 +567,8 @@ def cmd_ablate(cfg: RunConfig, root) -> dict:
             report = scorer.report(result.iterates[iterations])
             reports[(mode, iterations)] = report
             rows.append(((mode, f"{iterations}"), report))
-    # created only now, so a run that fails leaves no new out_dir
-    out = root / cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / ABLATION_FILE
-    _write_lines(csv_path, csv_lines(("weight_mode", "iterations"), rows))
+    csv_path = root / cfg.out_dir / ABLATION_FILE
+    fileio.write_lines(csv_path, csv_lines(("weight_mode", "iterations"), rows))
     return {
         "keyframe": keyframe,
         "selection": selection,
@@ -596,24 +582,21 @@ def cmd_ablate(cfg: RunConfig, root) -> dict:
 def cmd_eval(cfg: RunConfig, root) -> dict:
     """Score an existing predicted depth map against ground truth."""
     root = Path(root)
-    pred = fileio.read_pfm(root / cfg.pred_depth)
+    out = root / cfg.out_dir
+    pred = fileio.read_pfm(root / cfg.pred_depth if cfg.pred_depth else out / REFINED_DEPTH_FILE)
     prediction = Scorer(fileio.read_pfm(root / cfg.gt_depth), np.isfinite(pred)).prediction(pred)
     summary: dict = {"warnings": []}
-    sigma_path = root / cfg.sigma_map
+    sigma_path = root / cfg.sigma_map if cfg.sigma_map else out / SIGMA_FILE
     if sigma_path.is_file():
         sigma = fileio.read_pfm(sigma_path)
         with pool(min(cfg.workers, 2), "score") as executor:
             report, corr, sweep = prediction.score(sigma, cfg.sweep_threshold_list(), executor)
         entries = _metric_entries("eval", report) + _uncertainty_entries(corr)
         summary.update({"corr": corr, "sweep": sweep})
+        fileio.write_lines(out / SWEEP_FILE, sweep_csv_lines(sweep))
     else:
         report = prediction.report()
         entries = _metric_entries("eval", report)
-    # created only now, so a run that fails leaves no new out_dir
-    out = root / cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    if "sweep" in summary:
-        _write_lines(out / SWEEP_FILE, sweep_csv_lines(summary["sweep"]))
     summary["report"] = report
     summary["lines"] = _write_reports(out, entries)
     return summary

@@ -177,14 +177,13 @@ def build_weights(init: InitialDepth, intensity: np.ndarray, cfg: RefineConfig) 
     variance of the triangulated depth under unit correspondence noise, and
     the observed residual deflates it. The ablation modes drop one or both
     ingredients (hessian_only, residual_only, constant). All modes clip at
-    w_max and force w = 0 on invalid pixels. Edge weights are
-    g = exp(-|dI| / kappa), weaker across intensity edges.
+    w_max and force w = 0 on invalid pixels, where both confidences are NaN.
+    Edge weights are g = exp(-|dI| / kappa), weaker across intensity edges.
     """
     intensity = np.asarray(intensity, dtype=np.float64)
     if intensity.shape != init.depth.shape:
         raise InputError("intensity shape must match the depth map")
-    hess = np.square(np.where(init.valid, init.conf_h, 0.0))
-    res_sq = np.square(np.where(init.valid, init.conf_r, 0.0))
+    hess, res_sq = np.square(init.conf_h), np.square(init.conf_r)
     tau_sq = cfg.tau * cfg.tau
     if cfg.weight_mode == "full":
         w = hess / (res_sq + tau_sq)

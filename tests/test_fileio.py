@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from triad.fileio import (
     write_flow,
     write_image,
     write_intrinsics,
+    write_lines,
     write_pfm,
     write_trajectory,
 )
@@ -177,21 +180,26 @@ class TestPfmWriteBytes:
         assert path.read_bytes() == magic + f"\n{w} {h}\n-1.0\n".encode("ascii") + payload
 
 
+def every_writer() -> dict:
+    """A small file for every writer: {file name: write(path)}."""
+    rng = np.random.default_rng(3)
+    flow = rng.uniform(-1, 1, (3, 4, 2)).astype(np.float32)
+    depth, image = rng.uniform(1, 2, (3, 4)), rng.uniform(0, 1, (3, 4))
+    k = Intrinsics(100, 100, 16, 12, 32, 24)
+    traj = Trajectory(np.array([0.0, 1.0]), (random_pose(rng), random_pose(rng)))
+    return {
+        "f.flo": lambda p: write_flow(flow, p),
+        "d.pfm": lambda p: write_pfm(depth, p),
+        "t.pgm": lambda p: write_image(image, p),
+        "k.txt": lambda p: write_intrinsics(k, p),
+        "t.txt": lambda p: write_trajectory(traj, p),
+        "r.txt": lambda p: write_lines(p, ["[run]", "keyframe = 2", "ünïcode"]),
+    }
+
+
 class TestRewrite:
     def test_every_writer_shrinks_a_longer_file(self, tmp_path):
-        rng = np.random.default_rng(3)
-        flow = rng.uniform(-1, 1, (3, 4, 2)).astype(np.float32)
-        depth, image = rng.uniform(1, 2, (3, 4)), rng.uniform(0, 1, (3, 4))
-        k = Intrinsics(100, 100, 16, 12, 32, 24)
-        traj = Trajectory(np.array([0.0, 1.0]), (random_pose(rng), random_pose(rng)))
-        writers = {
-            "f.flo": lambda p: write_flow(flow, p),
-            "d.pfm": lambda p: write_pfm(depth, p),
-            "t.pgm": lambda p: write_image(image, p),
-            "k.txt": lambda p: write_intrinsics(k, p),
-            "t.txt": lambda p: write_trajectory(traj, p),
-        }
-        for name, write in writers.items():
+        for name, write in every_writer().items():
             fresh, reused = tmp_path / ("fresh_" + name), tmp_path / name
             reused.write_bytes(b"\xff" * 10_000)
             write(fresh)
@@ -199,7 +207,51 @@ class TestRewrite:
             assert reused.read_bytes() == fresh.read_bytes(), name
 
 
+class TestOneWriter:
+    def test_every_writer_makes_a_missing_directory(self, tmp_path):
+        for name, write in every_writer().items():
+            flat, nested = tmp_path / name, tmp_path / "new" / name / "deeper" / name
+            write(flat)
+            write(nested)
+            assert nested.read_bytes() == flat.read_bytes(), name
+
+    def test_text_is_utf8_with_newline_ends(self, tmp_path):
+        write_lines(tmp_path / "r.txt", ["a = 1", "ü"])
+        assert (tmp_path / "r.txt").read_bytes() == b"a = 1\n\xc3\xbc\n"
+
+    def test_only_fileio_opens_a_file_for_writing(self):
+        package = Path(__file__).resolve().parents[1] / "src" / "triad"
+        writers = []
+        for source in sorted(package.glob("*.py")):
+            tree = ast.parse(source.read_text(encoding="utf-8"))
+            parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+            for call in ast.walk(tree):
+                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "open"):
+                    continue
+                modes = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+                mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
+                if not set(mode) & set("wax+"):
+                    continue
+                scope = parents.get(call)
+                while scope is not None and not isinstance(scope, ast.FunctionDef):
+                    scope = parents.get(scope)
+                writers.append((source.name, scope and scope.name))
+        assert writers == [("fileio.py", "write_file")]
+
+
 class TestPfm:
+    def test_vga_read_holds_one_copy(self, tmp_path):
+        path = tmp_path / "vga.pfm"
+        write_pfm(np.random.default_rng(8).uniform(1, 4, (480, 640)), path)
+        tracemalloc.start()
+        try:
+            depth = read_pfm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert depth.dtype == np.float32 and depth.shape == (480, 640)
+        assert peak <= 1.1 * depth.nbytes
+
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(1)
         depth = rng.uniform(0.1, 10, (9, 7)).astype(np.float32)

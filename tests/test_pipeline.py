@@ -275,6 +275,8 @@ class TestEstimate:
             opts = [*synth_opts(**scene), f"--opt=workers={workers}", f"--opt=out_dir={out}"]
             if command == "refine":  # refine reads the initial maps from its out_dir
                 assert run_cli("triangulate", "--root", str(bundle), *opts) == 0
+            if command == "eval":  # eval scores the maps the bundle's estimate wrote into out/
+                opts += ["--opt=pred_depth=out/depth_refined.pfm", "--opt=sigma_map=out/sigma.pfm"]
             assert run_cli(command, "--root", str(bundle), *opts) == 0
         files1 = sorted((bundle / outs[1]).iterdir())
         assert written in [f.name for f in files1]
@@ -286,7 +288,6 @@ class TestEstimate:
         self.assert_workers_do_not_change(bundle, "estimate")
 
     def test_workers_do_not_change_eval_outputs(self, bundle):
-        # eval scores the estimate's refined map with its sigma from out/
         self.assert_workers_do_not_change(bundle, "eval")
 
     def test_workers_do_not_change_refine_outputs(self, qvga_bundle):
@@ -362,6 +363,21 @@ class TestEvalCommand:
         kv = read_keyvalues(root / "out" / "report.kv")
         assert "eval.rmse" in kv
         assert "uncertainty.spearman_rho" in kv  # sigma map was present
+
+    def test_eval_follows_out_dir(self, tmp_path):
+        # a stale map in the default out/ must not be what eval scores for out_dir=o2
+        root = tmp_path / "o"
+        opts = synth_opts(width=96, height=72, fx=120.0, fy=120.0)
+        assert run_cli("synth", "--root", str(root), *opts) == 0
+        assert run_cli("estimate", "--root", str(root), *opts, "--opt=iterations=0") == 0
+        assert run_cli("estimate", "--root", str(root), *opts, "--opt=out_dir=o2") == 0
+        named = ["--opt=pred_depth=o2/depth_refined.pfm", "--opt=sigma_map=o2/sigma.pfm", "--opt=out_dir=o3"]
+        assert run_cli("eval", "--root", str(root), *opts, *named) == 0
+        assert run_cli("eval", "--root", str(root), *opts, "--opt=out_dir=stale") == 2
+        assert run_cli("eval", "--root", str(root), *opts, "--opt=out_dir=o2") == 0
+        for name in ("report.txt", "report.kv", "sweep.csv"):
+            assert (root / "o2" / name).read_bytes() == (root / "o3" / name).read_bytes(), name
+        assert not (root / "stale").exists()
 
     def test_eval_reports_full_coverage_metrics(self, tmp_path):
         root = tmp_path / "e2"

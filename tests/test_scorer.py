@@ -367,3 +367,24 @@ class TestScoringMemory:
     @pytest.mark.parametrize("rounding", [np.float64, np.float32])
     def test_vga_stage_with_pool_peaks_within_twelve_maps(self, rounding):
         assert vga_scoring_peak(rounding, pooled=True) <= 12
+
+
+class TestCorrelationMemory:
+    # measured: 4.85 float64 maps; building log g and 1/g it never reads took 7.55
+    def test_vga_correlation_peaks_within_six_and_a_half_maps(self):
+        h, w = 480, 640
+        rng = np.random.default_rng(4)
+        tracemalloc.start()
+        try:
+            gt = rng.uniform(1.0, 4.0, (h, w))
+            pred = gt * rng.uniform(0.9, 1.1, (h, w))
+            sigma = rng.uniform(0.1, 0.5, (h, w))
+            mask = rng.random((h, w)) < 0.9
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            corr = error_uncertainty_correlation(pred, sigma, gt, mask)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert corr.defined
+        assert peak / (8 * h * w) <= 6.5
