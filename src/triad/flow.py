@@ -5,6 +5,13 @@ corresponding pixel in an adjacent frame. On disk (see fileio.read_flow)
 invalid pixels carry components with magnitude above INVALID_FLOW_THRESHOLD;
 in memory they are tracked with an explicit boolean mask.
 
+The vectors are float32 or float64, and all arithmetic on them is float64.
+A float32 array stays float32 and any other dtype becomes float64, so a
+field decoded from a .flo raster keeps the file's float32 precision and
+holds half the bytes of a float64 copy, while the synthetic fields are
+float64. Widening float32 to float64 is exact, so either kind of field
+gives the same results bit for bit.
+
 Constructing a FlowField checks the shapes and that every valid vector is
 finite. Fields whose invariants hold by construction skip that check
 through ``FlowField._unchecked``: ``from_raster``, whose validity rule
@@ -24,15 +31,25 @@ INVALID_FLOW = 1e10
 INVALID_FLOW_THRESHOLD = 1e9
 
 
+def _vector_dtype(dtype: np.dtype) -> type:
+    """The dtype vectors of ``dtype`` are stored in: float32 stays, anything else is float64."""
+    return np.float32 if dtype == np.float32 else np.float64
+
+
 @dataclass(frozen=True)
 class FlowField:
-    """Per-pixel displacement (H, W, 2) plus validity mask (H, W)."""
+    """Per-pixel displacement (H, W, 2) plus validity mask (H, W).
+
+    ``vectors`` is float32 or float64: float32 input is kept as given and
+    any other dtype is converted to float64.
+    """
 
     vectors: np.ndarray
     valid: np.ndarray
 
     def __post_init__(self):
-        vec = np.asarray(self.vectors, dtype=np.float64)
+        vec = np.asarray(self.vectors)
+        vec = np.asarray(vec, dtype=_vector_dtype(vec.dtype))
         val = np.asarray(self.valid, dtype=bool)
         if vec.ndim != 3 or vec.shape[2] != 2:
             raise InputError(f"flow vectors must have shape (H, W, 2), got {vec.shape}")
@@ -56,8 +73,8 @@ class FlowField:
         """A field stored as given, without the constructor's checks.
 
         The caller guarantees what the constructor would check: ``vectors``
-        is float64 of shape (H, W, 2), ``valid`` is bool of shape (H, W),
-        and every valid vector is finite.
+        is float32 or float64 of shape (H, W, 2), ``valid`` is bool of shape
+        (H, W), and every valid vector is finite.
         """
         field = object.__new__(cls)
         object.__setattr__(field, "vectors", vectors)
@@ -70,11 +87,13 @@ class FlowField:
 
         A pixel is valid when both components are at most INVALID_FLOW_THRESHOLD
         in magnitude; the comparison is false for NaN and infinities, so one
-        pass finds every invalid pixel. The vectors are a float64 copy that
-        shares no memory with the raster, and the invalid pixels are zeroed
-        in it through their flat indices, which touches only those pixels.
-        Valid vectors are finite by that rule and invalid ones are zero, so
-        the result skips the constructor's re-validation.
+        pass finds every invalid pixel. The vectors are a copy that shares no
+        memory with the raster, at the raster's precision by the class's
+        dtype rule: a float32 raster (as ``fileio.read_flow`` returns) gives
+        float32 vectors. The invalid pixels are zeroed in the copy through
+        their flat indices, which touches only those pixels. Valid vectors
+        are finite by that rule and invalid ones are zero, so the result
+        skips the constructor's re-validation.
         """
         raw = np.asarray(raster)
         if raw.ndim != 3 or raw.shape[2] != 2:
@@ -83,16 +102,16 @@ class FlowField:
         # a pixel's two flags, read as one uint16, are 0x0101 when both hold
         # (a 1 in each byte, so in either byte order)
         valid = within.view(np.uint16)[..., 0] == 0x0101
-        vectors = raw.astype(np.float64, order="C")
+        vectors = raw.astype(_vector_dtype(raw.dtype), order="C")
         vectors.reshape(-1, 2)[np.flatnonzero(~valid)] = 0.0
         return cls._unchecked(vectors, valid)
 
     def to_raster(self) -> np.ndarray:
         """Raw float32 raster with the invalid-pixel sentinel filled in.
 
-        One cast to float32, then the sentinel written over the invalid
+        One copy cast to float32, then the sentinel written over the invalid
         pixels through their flat indices; both round the same values as
-        casting the filled float64 field would.
+        casting the filled field would.
         """
         raster = self.vectors.astype(np.float32, order="C")
         raster.reshape(-1, 2)[np.flatnonzero(~self.valid)] = INVALID_FLOW

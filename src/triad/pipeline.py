@@ -91,7 +91,7 @@ class RunConfig:
     gt_depth: str = "depth_gt.pfm"
     out_dir: str = "out"
     pred_depth: str = ""  # what eval scores; empty: the depth_refined.pfm estimate writes into out_dir
-    sigma_map: str = ""  # eval's sigma; empty: the sigma.pfm estimate writes into out_dir
+    sigma_map: str = ""  # eval's sigma, which must exist when set; empty: out_dir's sigma.pfm, if estimate wrote one
     flow_prefix: str = "noisy"  # which rendered flow variant estimation consumes
     keyframe: int = -1  # -1 selects the middle frame
     workers: int = 1
@@ -587,7 +587,8 @@ def cmd_eval(cfg: RunConfig, root) -> dict:
     prediction = Scorer(fileio.read_pfm(root / cfg.gt_depth), np.isfinite(pred)).prediction(pred)
     summary: dict = {"warnings": []}
     sigma_path = root / cfg.sigma_map if cfg.sigma_map else out / SIGMA_FILE
-    if sigma_path.is_file():
+    # a sigma_map that is set must be read; the default is scored when estimate wrote it
+    if cfg.sigma_map or sigma_path.is_file():
         sigma = fileio.read_pfm(sigma_path)
         with pool(min(cfg.workers, 2), "score") as executor:
             report, corr, sweep = prediction.score(sigma, cfg.sweep_threshold_list(), executor)

@@ -261,7 +261,9 @@ def corrupt_flow(flow: FlowField, model: NoiseModel) -> FlowField:
     stay below 14), and a finite float64 plus anything smaller than 2**970
     (half the float spacing at the float64 maximum, about 1e292) cannot
     round to infinity, even at the float64 maximum. Either vector is finite,
-    so the field skips FlowField's re-validation.
+    so the field skips FlowField's re-validation. The output is float64
+    for a float32 field too (widened exactly), so no noise or replacement
+    is rounded to the input's precision.
     """
     rng = np.random.default_rng(model.seed)
     shape = flow.vectors.shape
@@ -269,7 +271,7 @@ def corrupt_flow(flow: FlowField, model: NoiseModel) -> FlowField:
         out = rng.normal(0.0, model.sigma_flow, size=shape)
         out += flow.vectors
     else:
-        out = flow.vectors.copy()
+        out = flow.vectors.astype(np.float64)
     pairs = out.reshape(-1, 2)
     if model.outlier_rate > 0:
         outliers = np.flatnonzero(rng.random(shape[:2]) < model.outlier_rate)

@@ -168,9 +168,11 @@ def triangulate_pixel(
 def _observation_rays(flow_field: FlowField, k: Intrinsics, rows: slice, x: np.ndarray, y: np.ndarray):
     """Unnormalized observation rays [x, y, 1] of a band of rows: pixel plus flow, through K^-1.
 
-    Writes the x and y components into ``x`` and ``y`` (band-shaped float64)
-    and returns the flat indices of the band's invalid pixels. Those get the
-    ray of zero flow, so every value is finite whatever their vectors hold.
+    Writes the x and y components into ``x`` and ``y``, band-shaped float64
+    buffers whatever the field's dtype is (a float32 field is widened
+    exactly as it is copied in), and returns the flat indices of the band's
+    invalid pixels. Those get the ray of zero flow, so every value is finite
+    whatever their vectors hold.
     """
     bad = np.flatnonzero(~flow_field.valid[rows])
     np.copyto(x, flow_field.vectors[rows, :, 0])

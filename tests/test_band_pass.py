@@ -15,7 +15,7 @@ import pytest
 import triad.workers as workers_module
 from triad import FlowField, RelativePose, TriangulationInput, triangulate_map
 from triad.flow import INVALID_FLOW
-from triad.pipeline import ROOM_SUITE, RunConfig, synthesize
+from triad.pipeline import ROOM_SUITE, RunConfig, _triangulate_stage, cmd_synth, synthesize
 from triad.triangulate import DEFAULT_D_MAX, DEFAULT_H_EPS, _accumulate_rows
 
 from helpers import suite_case
@@ -23,11 +23,11 @@ from helpers import suite_case
 
 def _reference_observation_rays(flow_field, k, rows):
     valid = flow_field.valid[rows]
-    x = np.where(valid, flow_field.vectors[rows, :, 0], 0.0)
+    x = np.where(valid, flow_field.vectors[rows, :, 0].astype(np.float64), 0.0)
     x += np.arange(k.width, dtype=np.float64)[None, :]
     x -= k.cx
     x /= k.fx
-    y = np.where(valid, flow_field.vectors[rows, :, 1], 0.0)
+    y = np.where(valid, flow_field.vectors[rows, :, 1].astype(np.float64), 0.0)
     y += np.arange(k.height, dtype=np.float64)[rows, None]
     y -= k.cy
     y /= k.fy
@@ -165,18 +165,38 @@ class TestBandPassMatchesReference:
 VGA_TRIANGULATION_PEAK_BYTES = 14_500_000
 
 
+def _traced_peak(call):
+    """Peak traced bytes of ``call()`` above what was traced when it started."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestBandPassMemory:
     def test_vga_peak_within_bound(self):
         cfg = RunConfig(**ROOM_SUITE, width=640, height=480, fx=800.0, fy=800.0, noise_seed=0)
         k, _, _, _, frames = synthesize(cfg)
         inp = TriangulationInput(k, tuple((noisy, pose) for _, pose, _, noisy in frames))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            init = triangulate_map(inp, workers=1)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        init, peak = _traced_peak(lambda: triangulate_map(inp, workers=1))
         assert init.valid.mean() > 0.5
         assert peak <= VGA_TRIANGULATION_PEAK_BYTES, peak / 1e6
+
+    def test_qvga_view_holds_its_float32_raster_and_mask(self, tmp_path):
+        # select, decode and triangulate 8 and then 4 views of one 9-frame
+        # QVGA bundle: the 4 extra views may cost at most 10 % more than
+        # their float32 flow and masks (8 + 1 bytes per pixel). Measured at
+        # 1.02 times that (numpy 2.4, Python 3.11); float64 vectors took 1.91.
+        settings = dict(width=320, height=240, fx=400.0, fy=400.0, n_frames=9, fixed_step=1, workers=1)
+        cmd_synth(RunConfig(**settings), tmp_path)
+        peaks = {}
+        for views in (8, 4):
+            cfg = RunConfig(**settings, sel_n_frames=views + 1)
+            (_, selection, _, _), peaks[views] = _traced_peak(lambda: _triangulate_stage(cfg, tmp_path))
+            assert len(selection.indices) == views
+        per_view = 320 * 240 * (2 * np.dtype(np.float32).itemsize + 1)
+        assert peaks[8] - peaks[4] <= 4 * 1.1 * per_view, (peaks[8] - peaks[4]) / (4 * per_view)

@@ -89,6 +89,19 @@ def test_refine(bundle, capsys):
 def test_eval(bundle, capsys, sigma):
     out_dir = f"out_eval_{sigma}"
     assert run(capsys, "estimate", bundle, f"--opt=out_dir={out_dir}")[0] == 0
-    sigma_map = f"{out_dir}/sigma.pfm" if sigma else "missing.pfm"
-    opts = [f"--opt=out_dir={out_dir}", f"--opt=pred_depth={out_dir}/depth_refined.pfm", f"--opt=sigma_map={sigma_map}"]
+    opts = [f"--opt=pred_depth={out_dir}/depth_refined.pfm"]
+    if sigma:
+        opts += [f"--opt=out_dir={out_dir}", f"--opt=sigma_map={out_dir}/sigma.pfm"]
+    else:  # sigma_map unset and an out_dir that holds no sigma.pfm
+        opts += [f"--opt=out_dir={out_dir}_scored"]
     assert run(capsys, "eval", bundle, *opts) == (0, EVAL + (UNCERTAINTY if sigma else ""), "")
+
+
+def test_eval_missing_sigma_map(bundle, capsys):
+    out = bundle / "out_eval_missing"
+    assert run(capsys, "estimate", bundle, "--opt=out_dir=out_eval_missing")[0] == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    missing = bundle / "missing.pfm"
+    err = f"data error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert run(capsys, "eval", bundle, "--opt=out_dir=out_eval_missing", "--opt=sigma_map=missing.pfm") == (2, "", err)
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before

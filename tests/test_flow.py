@@ -66,9 +66,9 @@ class TestFromRaster:
         assert np.array_equal(field.valid, valid)
         assert np.array_equal(field.vectors, vectors)
 
-    def test_vectors_float64_and_zero_where_invalid(self):
+    def test_vectors_float32_and_zero_where_invalid(self):
         field = FlowField.from_raster(self._mixed_raster())
-        assert field.vectors.dtype == np.float64
+        assert field.vectors.dtype == np.float32
         assert field.valid.dtype == bool
         assert (~field.valid).any()
         assert np.all(field.vectors[~field.valid] == 0.0)
@@ -78,13 +78,36 @@ class TestFromRaster:
         field = FlowField.from_raster(self._mixed_raster())
         built = FlowField(field.vectors, field.valid)
         assert type(field) is FlowField
+        assert field.vectors.dtype == np.float32
         assert np.array_equal(built.vectors, field.vectors)
         assert np.array_equal(built.valid, field.valid)
         assert built.vectors.dtype == field.vectors.dtype
         assert built.valid.dtype == field.valid.dtype
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float32, np.float64])
+    def test_keeps_the_raster_precision(self, dtype):
+        raster = np.full((2, 3, 2), 3.1, dtype=dtype)
+        field = FlowField.from_raster(raster)
+        assert field.vectors.dtype == (np.float32 if dtype == np.float32 else np.float64)
+        assert np.array_equal(field.vectors, raster)
 
     def test_does_not_alias_the_raster(self):
         raster = np.ones((2, 3, 2))
         field = FlowField.from_raster(raster)
         raster[0, 0] = 7.0
         assert field.vectors[0, 0, 0] == 1.0
+
+
+class TestVectorDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float32_and_float64_kept_as_given(self, dtype):
+        vectors = np.zeros((3, 4, 2), dtype=dtype)
+        field = FlowField(vectors, np.ones((3, 4), dtype=bool))
+        assert field.vectors is vectors
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.int64, np.uint8])
+    def test_other_dtypes_become_float64(self, dtype):
+        vectors = np.arange(24, dtype=dtype).reshape(3, 4, 2)
+        field = FlowField(vectors, np.ones((3, 4), dtype=bool))
+        assert field.vectors.dtype == np.float64
+        assert np.array_equal(field.vectors, vectors)

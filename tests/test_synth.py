@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from triad import (
+    FlowField,
     InputError,
     Intrinsics,
     NoiseModel,
@@ -19,6 +20,7 @@ from triad import (
     render_flow,
     triangulate_map,
 )
+from triad.flow import INVALID_FLOW
 from triad.pipeline import RunConfig, synthesize
 from triad.synth import (
     constant_velocity_trajectory,
@@ -133,17 +135,30 @@ class TestCorruptFlow:
         vectors = np.ones((10, 10, 2))
         valid = np.zeros((10, 10), dtype=bool)
         valid[2:8, 2:8] = True
-        from triad import FlowField
-
         field = FlowField(vectors, valid)
         out = corrupt_flow(field, NoiseModel(2.0, 0.5, 9.0, seed=4))
         assert np.array_equal(out.vectors[~valid], vectors[~valid])
 
+    @pytest.mark.parametrize("sigma_flow", [0.0, 0.7])
+    def test_float32_field_gives_float64_output(self, sigma_flow):
+        # a decoded field is float32; the noise and the outlier replacements
+        # must not be rounded to it, so the result equals corrupting the
+        # same field widened to float64
+        rng = np.random.default_rng(9)
+        raster = rng.uniform(-6, 6, (40, 50, 2)).astype(np.float32)
+        raster[rng.random((40, 50)) < 0.2] = INVALID_FLOW
+        field = FlowField.from_raster(raster)
+        wide = FlowField(field.vectors.astype(np.float64), field.valid)
+        model = NoiseModel(sigma_flow, 0.3, 5.0, seed=10)
+        out = corrupt_flow(field, model)
+        assert out.vectors.dtype == np.float64
+        assert out.vectors.tobytes() == corrupt_flow(wide, model).vectors.tobytes()
+        assert not np.shares_memory(out.vectors, field.vectors)
+        assert np.array_equal(out.valid, field.valid)
+
     def test_outlier_rate_and_span(self):
         vectors = np.zeros((300, 300, 2))
         valid = np.ones((300, 300), dtype=bool)
-        from triad import FlowField
-
         out = corrupt_flow(FlowField(vectors, valid), NoiseModel(0.0, 0.2, 5.0, seed=5))
         moved = np.any(out.vectors != 0.0, axis=2)
         rate = moved.mean()

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from triad import (
     triangulate_pixel,
 )
 from triad.geometry import normalized_grid
+from triad.pipeline import ROOM_SUITE, RunConfig, synthesize
 from triad.triangulate import InitialDepth
 
 from helpers import exact_flow_case, golden_section_argmin, random_rotation, suite_case
@@ -311,6 +314,46 @@ class TestEpipolarLoss:
         field = FlowField(np.zeros((24, 32, 2)), np.ones((24, 32), dtype=bool))
         with pytest.raises(InputError):
             epipolar_loss(field, RelativePose(np.eye(3), (0.1, 0, 0)), np.ones((5, 5)), k)
+
+
+@functools.cache
+def _decoded_and_widened(seed):
+    """(intrinsics, gt, float32 observations, the same observations widened to float64).
+
+    The float32 fields are the suite's noisy flow written to rasters, with
+    the invalid sentinel, and decoded as ``triad estimate`` decodes a .flo.
+    """
+    cfg = RunConfig(**ROOM_SUITE, seed=seed)
+    k, _, scene, _, frames = synthesize(cfg)
+    narrow = tuple((FlowField.from_raster(noisy.to_raster()), pose) for _, pose, _, noisy in frames)
+    wide = tuple((FlowField(field.vectors.astype(np.float64), field.valid), pose) for field, pose in narrow)
+    return k, scene.depth_map(), narrow, wide
+
+
+class TestFloat32Flow:
+    """A float32 field gives the same bytes as the same field widened to float64."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_triangulate_map_bit_identical(self, seed, workers):
+        k, _, narrow, wide = _decoded_and_widened(seed)
+        assert all(field.vectors.dtype == np.float32 for field, _ in narrow)
+        assert not all(field.valid.all() for field, _ in narrow)
+        got = triangulate_map(TriangulationInput(k, narrow), workers=workers)
+        want = triangulate_map(TriangulationInput(k, wide), workers=workers)
+        for channel in ("depth", "conf_h", "conf_r"):
+            assert getattr(got, channel).tobytes() == getattr(want, channel).tobytes()
+        assert np.array_equal(got.valid, want.valid)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_epipolar_loss_bit_identical(self, seed):
+        k, gt, narrow, wide = _decoded_and_widened(seed)
+        for (field, pose), (wide_field, _) in zip(narrow, wide):
+            assert field.vectors.dtype == np.float32
+            total, per_pixel = epipolar_loss(field, pose, gt, k)
+            want_total, want_per_pixel = epipolar_loss(wide_field, pose, gt, k)
+            assert total == want_total
+            assert per_pixel.tobytes() == want_per_pixel.tobytes()
 
 
 class TestInitialDepthChecks:
