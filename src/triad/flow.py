@@ -98,7 +98,10 @@ class FlowField:
         raw = np.asarray(raster)
         if raw.ndim != 3 or raw.shape[2] != 2:
             raise InputError(f"flow vectors must have shape (H, W, 2), got {raw.shape}")
-        within = np.ascontiguousarray(np.abs(raw) <= INVALID_FLOW_THRESHOLD)
+        # compared in float32 or wider: the threshold rounds to infinity in
+        # float16 and is exact in float32
+        wide = np.promote_types(raw.dtype, np.float32)
+        within = np.ascontiguousarray(np.abs(raw, dtype=wide) <= wide.type(INVALID_FLOW_THRESHOLD))
         # a pixel's two flags, read as one uint16, are 0x0101 when both hold
         # (a 1 in each byte, so in either byte order)
         valid = within.view(np.uint16)[..., 0] == 0x0101

@@ -68,6 +68,27 @@ iterations), not bit for bit.
 The per-pixel uncertainty is the inverse square root of the objective's
 diagonal curvature, scaled by beta and floored at sigma_min: exactly the
 pixels the data and smoothness terms constrain weakly get a wide scale.
+
+Memory. The initial maps may be float32, as ``triad refine`` reads them from
+PFM files; build_weights squares them in float64 and refine copies them into
+float64 d(0) and dbar, so they give the bytes of their float64 widening.
+RefineSetup turns the weights into what the iterations read: w, mu g_h
+padded, mu g_v, the step and sigma. The pipeline builds it from a WeightMaps
+it keeps no reference to, so g_h and g_v are freed before refine allocates
+d, dbar, the spare map and four band buffers per group. The iterations then
+hold those eight float64 maps (the initial maps and the mask aside), 25.7 MB
+traced at the peak of a 40-iteration VGA ``triad refine`` with two workers,
+where float64 initial maps, the kept edge maps and six buffers per group
+took 35.3 MB.
+
+The pass stays float64. With float32 iterates and operands, and einsum
+still accumulating the band shares in float64, C rose between iterations by
+up to 3.5e-10, 4.8e-10 and 5.2e-10 relative over 200 iterations on the
+320x240 suite maps of seeds 0-2 (the float64 pass: at most 1.1e-15), which
+breaks the 1e-12 descent bound the tests hold C to. Storing float32 and
+widening each band's operands into float64 buffers saves no time: 40 VGA
+iterations with two workers took a median 136 ms against 99 ms for the
+float64 pass (15 alternating runs, 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -183,7 +204,8 @@ def build_weights(init: InitialDepth, intensity: np.ndarray, cfg: RefineConfig) 
     intensity = np.asarray(intensity, dtype=np.float64)
     if intensity.shape != init.depth.shape:
         raise InputError("intensity shape must match the depth map")
-    hess, res_sq = np.square(init.conf_h), np.square(init.conf_r)
+    # squared in float64, so float32 maps give the bytes of their float64 widening
+    hess, res_sq = np.square(init.conf_h, dtype=np.float64), np.square(init.conf_r, dtype=np.float64)
     tau_sq = cfg.tau * cfg.tau
     if cfg.weight_mode == "full":
         w = hess / (res_sq + tau_sq)
@@ -199,32 +221,76 @@ def build_weights(init: InitialDepth, intensity: np.ndarray, cfg: RefineConfig) 
     return WeightMaps(w=w, g_h=g_h, g_v=g_v)
 
 
+def _scaled_edges(weights: WeightMaps, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """mu g_h padded to the full map by a zero last column, and mu g_v, both flat.
+
+    The padding is the edge from a row's end to the next row's start, which
+    weighs 0.
+    """
+    height, width = weights.w.shape
+    mu_gh = np.empty((height, width))
+    np.multiply(weights.g_h, mu, out=mu_gh[:, :-1])
+    mu_gh[:, -1] = 0.0
+    return mu_gh.ravel(), np.multiply(weights.g_v, mu).ravel()
+
+
+class RefineSetup:
+    """What the iterations read of a WeightMaps for one RefineConfig, built once.
+
+    ``w`` is the data weight map flattened (a view of the caller's when it is
+    contiguous), ``mu_gh`` and ``mu_gv`` are the flat scaled edge maps of
+    _scaled_edges, ``step`` is omega / denom flattened, with denom = 1 where
+    it would be 0, and ``sigma`` is the uncertainty map. The set-up holds no
+    reference to the WeightMaps, so once a caller drops that, g_h and g_v are
+    freed.
+    """
+
+    def __init__(self, weights: WeightMaps, cfg: RefineConfig):
+        self.cfg = cfg
+        self.shape = weights.w.shape
+        # one map holds denom, then safe_denom (1 where denom = 0), from which
+        # sigma is taken, then omega / safe_denom
+        denom = weights.degree(cfg.mu)
+        np.add(weights.w, denom, out=denom)
+        unconstrained = ~(denom > 0.0)
+        np.copyto(denom, 1.0, where=unconstrained)
+        sigma = np.sqrt(denom)
+        np.divide(cfg.beta, sigma, out=sigma)
+        np.maximum(cfg.sigma_min, sigma, out=sigma)
+        np.copyto(sigma, cfg.sigma_cap, where=unconstrained)
+        del unconstrained
+        self.sigma = sigma
+        self.step = np.divide(cfg.omega, denom, out=denom).ravel()
+        self.w = np.ravel(weights.w)
+        self.mu_gh, self.mu_gv = _scaled_edges(weights, cfg.mu)
+
+
 class _BandPass:
     """C(d) and, when given a step map, the damped-Jacobi step from d, one row band at a time.
 
-    ``step`` is omega / denom with denom = 1 where it would be 0. The bands
-    of workers.row_bands are split into ``workers`` contiguous groups (fewer
-    when there are fewer bands), each with its own band buffers, sized once
-    for the widest band.
+    ``w``, ``mu_gh``, ``mu_gv`` and ``step`` are flat, as RefineSetup holds
+    them. The bands of workers.row_bands are split into ``workers``
+    contiguous groups (fewer when there are fewer bands), each with its own
+    four band buffers, sized once for the widest band.
     """
 
     def __init__(
-        self, dbar: np.ndarray, weights: WeightMaps, mu: float, step: np.ndarray | None = None, workers: int = 1
+        self,
+        dbar: np.ndarray,
+        w: np.ndarray,
+        mu_gh: np.ndarray,
+        mu_gv: np.ndarray,
+        step: np.ndarray | None = None,
+        workers: int = 1,
     ):
-        height, width = weights.w.shape
-        mu_gh = np.empty((height, width))
-        np.multiply(weights.g_h, mu, out=mu_gh[:, :-1])
-        mu_gh[:, -1] = 0.0  # the edge from a row's end to the next row's start
+        height, width = dbar.shape
         self.width = width
         self.dbar = np.ravel(dbar)
-        self.w = np.ravel(weights.w)
-        self.mu_gh = mu_gh.ravel()
-        self.mu_gv = np.multiply(weights.g_v, mu).ravel()
-        self.step = step if step is None else step.ravel()
+        self.w, self.mu_gh, self.mu_gv, self.step = w, mu_gh, mu_gv, step
         bands = [(rows.start * width, rows.stop * width) for rows in row_bands(height, width)]
         self.groups = split(bands, workers)
         size = max((p1 - p0 for p0, p1 in bands), default=0) + width
-        self.buffers = [np.empty((6, size)) for _ in self.groups]
+        self.buffers = [np.empty((4, size)) for _ in self.groups]
 
     def __call__(self, d: np.ndarray, nxt: np.ndarray | None = None, executor: Executor | None = None) -> float:
         """C(d); with ``nxt``, also write the Jacobi step from d into it.
@@ -252,29 +318,29 @@ class _BandPass:
         """The data, horizontal and vertical shares of C(d) owned by pixels [p0, p1).
 
         A pixel owns its data term and its edges to the right and below. With
-        ``out``, the step for those pixels is written into it as well.
+        ``out``, the step for those pixels is written into it as well. The
+        edge shares come first, so the data term's r and w r reuse the
+        buffers of the differences dh and dv, which only those shares read.
         """
         width, n = self.width, p1 - p0
-        dh, fh, dv, fv, r, acc = buffers
+        dh, fh, dv, fv = buffers
         # horizontal edges p0 .. p1 - 1; the last one ends a row and weighs 0
         dh, fh = dh[:n], fh[:n]
         np.subtract(d[p0 + 1 : p1], d[p0 : p1 - 1], out=dh[:-1])
         dh[-1] = 0.0
         np.multiply(self.mu_gh[p0:p1], dh, out=fh)
+        horiz = np.einsum("i,i->", fh, dh)
         # vertical edges from the row above the band to its last row with a row below
         e0, e1 = max(p0 - width, 0), min(p1, len(d) - width)
         dv, fv = dv[: e1 - e0], fv[: e1 - e0]
         np.subtract(d[e0 + width : e1 + width], d[e0:e1], out=dv)
         np.multiply(self.mu_gv[e0:e1], dv, out=fv)
-        r, acc = r[:n], acc[:n]
+        own = p0 - e0  # the band's own vertical edges start here
+        vert = np.einsum("i,i->", fv[own:], dv[own:])
+        r, acc = buffers[0, :n], buffers[2, :n]
         np.subtract(self.dbar[p0:p1], d[p0:p1], out=r)
         np.multiply(self.w[p0:p1], r, out=acc)
-        own = p0 - e0  # the band's own vertical edges start here
-        terms = (
-            np.einsum("i,i->", acc, r),
-            np.einsum("i,i->", fh, dh),
-            np.einsum("i,i->", fv[own:], dv[own:]),
-        )
+        data = np.einsum("i,i->", acc, r)
         if out is not None:
             # w (dbar - d) + the fluxes of the edges to the right and below
             # - those of the edges from the left and above
@@ -285,32 +351,44 @@ class _BandPass:
             acc[top:] -= fv[: n - top]
             np.multiply(acc, self.step[p0:p1], out=acc)
             np.add(d[p0:p1], acc, out=out[p0:p1])
-        return terms
+        return data, horiz, vert
 
 
 def objective_value(d: np.ndarray, dbar_filled: np.ndarray, weights: WeightMaps, mu: float) -> float:
     """C(d); dbar_filled must be finite everywhere (its value is ignored where w = 0)."""
-    return _BandPass(dbar_filled, weights, mu)(d)
+    return _BandPass(dbar_filled, np.ravel(weights.w), *_scaled_edges(weights, mu))(d)
 
 
 def _median(values: np.ndarray) -> float:
     """np.median of finite values, partitioning ``values`` in place.
 
     For an even count it is the mean of the two middle values, (lower +
-    upper) / 2, which is exactly what np.median computes.
+    upper) / 2, which is exactly what np.median computes. The two are added
+    as Python floats, so float32 values give the median of their float64
+    widening.
     """
     mid = values.size // 2
     values.partition(mid)
-    upper = values[mid]
+    upper = float(values[mid])
     if values.size % 2:
-        return float(upper)
-    return float((values[:mid].max() + upper) / 2)
+        return upper
+    return (float(values[:mid].max()) + upper) / 2
 
 
 def refine(
-    init: InitialDepth, weights: WeightMaps, cfg: RefineConfig, keep_iterates: bool = False, workers: int = 1
+    init: InitialDepth,
+    weights: WeightMaps | RefineSetup,
+    cfg: RefineConfig,
+    keep_iterates: bool = False,
+    workers: int = 1,
 ) -> RefineResult:
     """Run K damped-Jacobi iterations and compute the uncertainty map.
+
+    ``weights`` is a WeightMaps, or the RefineSetup built from one for this
+    same cfg. A caller that builds the set-up from a WeightMaps it keeps no
+    reference to frees the unscaled edge maps before the iterations allocate
+    theirs, as the pipeline does; given a WeightMaps, refine builds the
+    set-up itself.
 
     d(0) is the triangulated depth with invalid pixels filled by the median of
     the valid ones (1.0 m if nothing is valid). Pixels with zero diagonal
@@ -322,27 +400,21 @@ def refine(
     threads (at most one per band), from a pool that is joined before refine
     returns; the result is the same for any worker count.
     """
-    if weights.w.shape != init.depth.shape:
+    setup = weights if isinstance(weights, RefineSetup) else RefineSetup(weights, cfg)
+    if setup.shape != init.depth.shape:
         raise InputError("weights were built for a different map size")
+    if setup.cfg != cfg:
+        raise InputError("the refinement set-up was built for a different config")
     valid = init.valid
     gathered = init.depth[valid]
     fill = _median(gathered) if gathered.size else 1.0
     del gathered
-    d = np.where(valid, init.depth, fill)
-    dbar = np.where(valid, init.depth, 0.0)
-
-    # one map holds denom, then safe_denom (1 where denom = 0), from which sigma
-    # is taken, then omega / safe_denom
-    denom = weights.degree(cfg.mu)
-    np.add(weights.w, denom, out=denom)
-    unconstrained = ~(denom > 0.0)
-    np.copyto(denom, 1.0, where=unconstrained)
-    sigma = np.sqrt(denom)
-    np.divide(cfg.beta, sigma, out=sigma)
-    np.maximum(cfg.sigma_min, sigma, out=sigma)
-    np.copyto(sigma, cfg.sigma_cap, where=unconstrained)
-    del unconstrained
-    band_pass = _BandPass(dbar, weights, cfg.mu, np.divide(cfg.omega, denom, out=denom), workers)
+    # float64 maps whatever the depth's precision; float32 widens exactly
+    d = np.full(valid.shape, fill)
+    np.copyto(d, init.depth, where=valid)
+    dbar = np.zeros(valid.shape)
+    np.copyto(dbar, init.depth, where=valid)
+    band_pass = _BandPass(dbar, setup.w, setup.mu_gh, setup.mu_gv, setup.step, workers)
 
     spare = None if keep_iterates else np.empty_like(d)
     iterates = [d] if keep_iterates else []
@@ -357,7 +429,7 @@ def refine(
                 spare = d
             d = nxt
         objective.append(band_pass(d, executor=executor))
-    return RefineResult(tuple(iterates) if keep_iterates else (d,), sigma, tuple(objective))
+    return RefineResult(tuple(iterates) if keep_iterates else (d,), setup.sigma, tuple(objective))
 
 
 def laplacian_nll(

@@ -99,7 +99,9 @@ class InitialDepth:
     conf_h is the square root of the per-pixel cost curvature (large when the
     baseline-to-depth ratio conditions the problem well); conf_r is the norm
     of the residual at the minimizer (large when the observations disagree).
-    Invalid pixels are NaN in all three channels.
+    Invalid pixels are NaN in all three channels. triangulate_map gives
+    float64 channels; ``triad refine`` keeps the float32 ones it reads from
+    PFM files, which refinement widens exactly.
     """
 
     depth: np.ndarray

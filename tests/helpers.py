@@ -1,6 +1,7 @@
 """Shared test utilities: random geometry, oracles, and the synthetic suites."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -86,6 +87,18 @@ def exact_flow_case(seed: int, **settings):
     """Noise-free chain on the default desk-scale scene at 160x120, for exactness properties."""
     exact = dict(width=160, height=120, fx=200.0, fy=200.0, vx=0.05, sigma_flow=0.0, outlier_rate=0.0)
     return _chain_case(RunConfig(**dict(exact, seed=seed, **settings)))
+
+
+def traced_peak(call):
+    """(call(), the peak bytes traced during the call above what was traced when it started)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def read_keyvalues(path) -> dict[str, str]:

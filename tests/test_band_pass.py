@@ -7,7 +7,6 @@ flow of every kind, for any band size and worker count.
 """
 
 import functools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from triad.flow import INVALID_FLOW
 from triad.pipeline import ROOM_SUITE, RunConfig, _triangulate_stage, cmd_synth, synthesize
 from triad.triangulate import DEFAULT_D_MAX, DEFAULT_H_EPS, _accumulate_rows
 
-from helpers import suite_case
+from helpers import suite_case, traced_peak
 
 
 def _reference_observation_rays(flow_field, k, rows):
@@ -165,24 +164,12 @@ class TestBandPassMatchesReference:
 VGA_TRIANGULATION_PEAK_BYTES = 14_500_000
 
 
-def _traced_peak(call):
-    """Peak traced bytes of ``call()`` above what was traced when it started."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 class TestBandPassMemory:
     def test_vga_peak_within_bound(self):
         cfg = RunConfig(**ROOM_SUITE, width=640, height=480, fx=800.0, fy=800.0, noise_seed=0)
         k, _, _, _, frames = synthesize(cfg)
         inp = TriangulationInput(k, tuple((noisy, pose) for _, pose, _, noisy in frames))
-        init, peak = _traced_peak(lambda: triangulate_map(inp, workers=1))
+        init, peak = traced_peak(lambda: triangulate_map(inp, workers=1))
         assert init.valid.mean() > 0.5
         assert peak <= VGA_TRIANGULATION_PEAK_BYTES, peak / 1e6
 
@@ -196,7 +183,7 @@ class TestBandPassMemory:
         peaks = {}
         for views in (8, 4):
             cfg = RunConfig(**settings, sel_n_frames=views + 1)
-            (_, selection, _, _), peaks[views] = _traced_peak(lambda: _triangulate_stage(cfg, tmp_path))
+            (_, selection, _, _), peaks[views] = traced_peak(lambda: _triangulate_stage(cfg, tmp_path))
             assert len(selection.indices) == views
         per_view = 320 * 240 * (2 * np.dtype(np.float32).itemsize + 1)
         assert peaks[8] - peaks[4] <= 4 * 1.1 * per_view, (peaks[8] - peaks[4]) / (4 * per_view)

@@ -1,6 +1,5 @@
 import ast
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from triad.fileio import (
 )
 from triad.geometry import Intrinsics, RelativePose, Trajectory, quaternion_to_rotation
 
-from helpers import pose_matrix, random_pose
+from helpers import pose_matrix, random_pose, traced_peak
 
 
 class TestFlo:
@@ -126,13 +125,13 @@ class TestFloReadInPlace:
         # the traced peak catches an allocation the host would grant lazily
         path = tmp_path / "huge"
         path.write_bytes(data)
-        tracemalloc.start()
-        try:
+
+        def read():
             with pytest.raises(FormatError) as caught:
                 reader(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return caught
+
+        caught, peak = traced_peak(read)
         assert str(caught.value) == f"{path}: {message}"
         assert peak < 1 << 20
 
@@ -243,12 +242,7 @@ class TestPfm:
     def test_vga_read_holds_one_copy(self, tmp_path):
         path = tmp_path / "vga.pfm"
         write_pfm(np.random.default_rng(8).uniform(1, 4, (480, 640)), path)
-        tracemalloc.start()
-        try:
-            depth = read_pfm(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        depth, peak = traced_peak(lambda: read_pfm(path))
         assert depth.dtype == np.float32 and depth.shape == (480, 640)
         assert peak <= 1.1 * depth.nbytes
 

@@ -46,6 +46,22 @@ class TestFromRaster:
         want = np.float64(dtype(value)) if expect_valid else 0.0
         assert field.vectors[1, 2, component] == want
 
+    @pytest.mark.parametrize("component", [0, 1])
+    @pytest.mark.parametrize(
+        "value, expect_valid", [(np.nan, False), (np.inf, False), (-np.inf, False), (65504.0, True), (-65504.0, True)]
+    )
+    def test_float16_special_component_values(self, component, value, expect_valid):
+        # the threshold is infinite in float16, so an infinite component
+        # would pass a float16 comparison (with an overflow warning)
+        raster = np.full((3, 4, 2), 1.5, dtype=np.float16)
+        raster[1, 2, component] = value
+        field = FlowField.from_raster(raster)
+        assert field.valid[1, 2] == expect_valid
+        assert field.valid.sum() == 11 + expect_valid
+        assert field.vectors.dtype == np.float64
+        assert field.vectors[1, 2, component] == (value if expect_valid else 0.0)
+        assert np.all(np.isfinite(field.vectors))
+
     @pytest.mark.parametrize("shape", [(4, 5), (4, 5, 3), (4, 5, 1), (4, 5, 2, 1), (8,)])
     def test_wrong_shape_rejected(self, shape):
         with pytest.raises(InputError, match=r"shape \(H, W, 2\)"):
@@ -65,6 +81,12 @@ class TestFromRaster:
         vectors, valid = _reference_decode(raster)
         assert np.array_equal(field.valid, valid)
         assert np.array_equal(field.vectors, vectors)
+
+    def test_float32_and_its_float64_widening_decode_alike(self):
+        raster = self._mixed_raster()
+        narrow, wide = FlowField.from_raster(raster), FlowField.from_raster(raster.astype(np.float64))
+        assert np.array_equal(narrow.valid, wide.valid)
+        assert narrow.vectors.astype(np.float64).tobytes() == wide.vectors.tobytes()
 
     def test_vectors_float32_and_zero_where_invalid(self):
         field = FlowField.from_raster(self._mixed_raster())

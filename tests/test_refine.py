@@ -1,6 +1,6 @@
 import importlib
 import math
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,10 +15,12 @@ from triad import (
     laplacian_nll,
     refine,
 )
-from triad.refine import objective_value
+from triad import pipeline
+from triad.pipeline import ROOM_SUITE, RunConfig, cmd_estimate, cmd_refine, cmd_synth, cmd_triangulate
+from triad.refine import WEIGHT_MODES, objective_value
 from triad.triangulate import InitialDepth
 
-from helpers import suite_case
+from helpers import suite_case, traced_peak
 
 refine_module = importlib.import_module("triad.refine")  # triad.refine is also the function's name
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -262,6 +264,10 @@ class TestRefine:
         want = np.median(values)
         got = refine_module._median(values.copy())
         assert got == want and np.signbit(got) == np.signbit(want), (got, want)
+        # float32 values give the median of their float64 widening
+        narrow = values.astype(np.float32)
+        got = refine_module._median(narrow.copy())
+        assert type(got) is float and got == np.median(narrow.astype(np.float64))
 
     def test_all_invalid_fill_is_one_meter(self):
         init = make_initial(np.full((2, 2), 5.0), np.zeros((2, 2), dtype=bool))
@@ -468,9 +474,11 @@ class TestBufferedJacobi:
     def test_groups_split_the_bands_in_order(self):
         shape = (300, 400)
         weights = WeightMaps(w=np.ones(shape), g_h=np.full((300, 399), 0.5), g_v=np.full((299, 400), 0.5))
-        (serial,) = refine_module._BandPass(np.zeros(shape), weights, 1.0).groups
+        setup = refine_module.RefineSetup(weights, RefineConfig())
+        maps = (np.zeros(shape), setup.w, setup.mu_gh, setup.mu_gv, setup.step)
+        (serial,) = refine_module._BandPass(*maps).groups
         for workers in (2, 3):
-            groups = refine_module._BandPass(np.zeros(shape), weights, 1.0, workers=workers).groups
+            groups = refine_module._BandPass(*maps, workers=workers).groups
             assert len(groups) == workers
             assert [band for group in groups for band in group] == serial
 
@@ -506,25 +514,116 @@ class TestRefineMemory:
         refine(init, weights, RefineConfig(iterations=1), workers=workers)
         peaks = {}
         for iterations in (7, 40):
-            tracemalloc.start()
-            try:
-                refine(init, weights, RefineConfig(iterations=iterations), workers=workers)
-                peaks[iterations] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            cfg = RefineConfig(iterations=iterations)
+            _, peaks[iterations] = traced_peak(lambda: refine(init, weights, cfg, workers=workers))
         # only the objective list grows with the iteration count
         assert abs(peaks[40] - peaks[7]) < 4096
         return peaks[7], init.depth.nbytes
 
     def test_vga_peak_is_bounded_and_independent_of_iterations(self):
         peak, map_bytes = self.vga_peaks(workers=1)
-        assert peak <= 8.0 * map_bytes  # 7.61 maps measured
+        assert peak <= 7.6 * map_bytes  # 7.41 maps measured; 7.61 with six band buffers
 
     def test_vga_peak_with_two_workers(self):
-        # each group of row bands has its own buffers: six of a 48-row band
-        # plus one row, 0.61 VGA maps
+        # each group of row bands has its own buffers: four of a 48-row band
+        # plus one row, 0.41 VGA maps
         peak, map_bytes = self.vga_peaks(workers=2)
-        assert peak <= 8.5 * map_bytes  # 8.23 maps measured
+        assert peak <= 8.0 * map_bytes  # 7.82 maps measured; 8.23 with six band buffers
+
+
+VGA = {"width": 640, "height": 480, "fx": 800.0, "fy": 800.0}
+
+
+def triangulated_bundle(root, **settings) -> RunConfig:
+    """A synthetic 5-frame suite bundle under ``root``, triangulated into its out_dir; returns its config."""
+    cfg = RunConfig(**dict(ROOM_SUITE, n_frames=5, fixed_step=1, **settings))
+    cmd_synth(cfg, root)
+    cmd_triangulate(cfg, root)
+    return cfg
+
+
+class TestRefineCommandMemory:
+    def test_vga_peak(self, tmp_path):
+        # the perfbench refine_vga_40it call: float32 initial maps (1.5 maps),
+        # the set-up's w, mu g_h, mu g_v, step and sigma, then d, dbar and the
+        # spare map, and two groups' band buffers (0.82 maps). Measured at
+        # 10.45 maps (numpy 2.4, Python 3.11); float64 initial maps, edge
+        # maps kept through the iterations and six band buffers took 14.36.
+        cfg = triangulated_bundle(tmp_path, **VGA, workers=2, iterations=40)
+        cmd_refine(cfg, tmp_path)  # lazy set-up outside the measurement
+        summary, peak = traced_peak(lambda: cmd_refine(cfg, tmp_path))
+        assert summary["init"].depth.dtype == np.float32
+        assert peak <= 10.8 * 8 * 640 * 480, peak / (8 * 640 * 480)
+
+    @pytest.mark.parametrize("command", [cmd_refine, cmd_estimate])
+    def test_edge_maps_are_freed_before_the_first_pass(self, tmp_path, monkeypatch, command):
+        cfg = triangulated_bundle(tmp_path, width=160, height=120, fx=200.0, fy=200.0)
+        built = []
+
+        def recording_build_weights(*args):
+            weights = build_weights(*args)
+            built.extend(weakref.ref(obj) for obj in (weights, weights.g_h, weights.g_v))
+            return weights
+
+        alive = []
+        band_pass = refine_module._BandPass.__call__
+
+        def checking_band_pass(self, *args, **kwargs):
+            alive.append([ref() is not None for ref in built])
+            return band_pass(self, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_weights", recording_build_weights)
+        monkeypatch.setattr(refine_module._BandPass, "__call__", checking_band_pass)
+        command(cfg, tmp_path)
+        assert len(built) == 3
+        assert len(alive) == cfg.iterations + 1
+        assert alive[0] == [False, False, False]
+
+
+def loaded_and_widened(tmp_path, parity: int):
+    """(initial maps as ``triad refine`` loads them, the same widened to float64, the bundle's texture).
+
+    The suite map of seed 0, with one valid pixel made invalid where that
+    gives the valid-pixel count the wanted parity, so both branches of the
+    fill median are reached.
+    """
+    case = suite_case(0)
+    init = case["init"]
+    if int(init.valid.sum()) % 2 != parity:
+        y, x = np.argwhere(init.valid)[0]
+        maps = {name: getattr(init, name).copy() for name in pipeline.INITIAL_FILES}
+        for channel in maps.values():
+            channel[y, x] = np.nan
+        init = InitialDepth(**maps, valid=np.isfinite(maps["depth"]))
+    pipeline._write_initial(init, tmp_path)
+    narrow = pipeline._load_initial(tmp_path)
+    wide = {name: getattr(narrow, name).astype(np.float64) for name in pipeline.INITIAL_FILES}
+    return narrow, InitialDepth(**wide, valid=narrow.valid), case["scene"].texture
+
+
+class TestFloat32Initial:
+    """Float32 initial maps, as triad refine loads them, give the bytes of the same maps widened to float64."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
+    def test_refine_bit_identical(self, tmp_path, parity, workers):
+        narrow, wide, texture = loaded_and_widened(tmp_path, parity)
+        assert narrow.depth.dtype == np.float32 and wide.depth.dtype == np.float64
+        assert int(narrow.valid.sum()) % 2 == parity and not narrow.valid.all()
+        cfg = RefineConfig(iterations=12)
+        got, want = (refine(init, build_weights(init, texture, cfg), cfg, workers=workers) for init in (narrow, wide))
+        assert got.depth.tobytes() == want.depth.tobytes()
+        assert got.uncertainty.tobytes() == want.uncertainty.tobytes()
+        assert got.objective == want.objective
+
+    @pytest.mark.parametrize("mode", WEIGHT_MODES)
+    def test_weights_bit_identical(self, tmp_path, mode):
+        narrow, wide, texture = loaded_and_widened(tmp_path, 1)
+        cfg = RefineConfig(weight_mode=mode)
+        got, want = build_weights(narrow, texture, cfg), build_weights(wide, texture, cfg)
+        assert got.w.dtype == np.float64
+        for name in ("w", "g_h", "g_v"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestLaplacianNll:

@@ -7,7 +7,6 @@ rank pass per call. The scorer must match them exactly, errors included.
 """
 
 import math
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -33,7 +32,7 @@ from triad.fileio import read_image, read_pfm
 from triad.metrics import DELTA_THRESHOLDS, SPEARMAN_MIN_PIXELS, SWEEP_THRESHOLDS, _average_ranks
 from triad.pipeline import _score_maps, _triangulate_stage, cmd_ablate, cmd_synth, load_run_config
 
-from helpers import suite_case
+from helpers import suite_case, traced_peak
 
 
 def ref_evaluation_mask(pred, gt, mask):
@@ -337,22 +336,16 @@ def vga_scoring_peak(rounding, pooled: bool) -> float:
     """Peak traced memory of the estimate command's scoring on 640x480 maps, in float64 maps."""
     h, w = 480, 640
     rng = np.random.default_rng(3)
-    tracemalloc.start()
-    try:
-        gt = rng.uniform(1.0, 4.0, (h, w)).astype(rounding).astype(np.float64)
-        initial = gt * rng.uniform(0.9, 1.1, (h, w))
-        initial[rng.random((h, w)) < 0.01] = np.nan
-        refined = (gt * rng.uniform(0.97, 1.03, (h, w))).astype(rounding).astype(np.float64)
-        sigma = rng.uniform(0.39, 0.68, (h, w)).astype(rounding).astype(np.float64)
-        mask = np.isfinite(initial) & np.isfinite(gt)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            pool.submit(int).result()  # the thread's own start-up is not scoring
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            _score_maps(Scorer(gt, mask), initial, refined, sigma, [0.6, 0.5, 0.45, 0.3], pool if pooled else None)
-            peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    gt = rng.uniform(1.0, 4.0, (h, w)).astype(rounding).astype(np.float64)
+    initial = gt * rng.uniform(0.9, 1.1, (h, w))
+    initial[rng.random((h, w)) < 0.01] = np.nan
+    refined = (gt * rng.uniform(0.97, 1.03, (h, w))).astype(rounding).astype(np.float64)
+    sigma = rng.uniform(0.39, 0.68, (h, w)).astype(rounding).astype(np.float64)
+    mask = np.isfinite(initial) & np.isfinite(gt)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(int).result()  # the thread's own start-up is not scoring
+        thresholds, executor = [0.6, 0.5, 0.45, 0.3], pool if pooled else None
+        _, peak = traced_peak(lambda: _score_maps(Scorer(gt, mask), initial, refined, sigma, thresholds, executor))
     return peak / (8 * h * w)
 
 
@@ -374,17 +367,10 @@ class TestCorrelationMemory:
     def test_vga_correlation_peaks_within_six_and_a_half_maps(self):
         h, w = 480, 640
         rng = np.random.default_rng(4)
-        tracemalloc.start()
-        try:
-            gt = rng.uniform(1.0, 4.0, (h, w))
-            pred = gt * rng.uniform(0.9, 1.1, (h, w))
-            sigma = rng.uniform(0.1, 0.5, (h, w))
-            mask = rng.random((h, w)) < 0.9
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            corr = error_uncertainty_correlation(pred, sigma, gt, mask)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        gt = rng.uniform(1.0, 4.0, (h, w))
+        pred = gt * rng.uniform(0.9, 1.1, (h, w))
+        sigma = rng.uniform(0.1, 0.5, (h, w))
+        mask = rng.random((h, w)) < 0.9
+        corr, peak = traced_peak(lambda: error_uncertainty_correlation(pred, sigma, gt, mask))
         assert corr.defined
         assert peak / (8 * h * w) <= 6.5
