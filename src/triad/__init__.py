@@ -39,7 +39,7 @@ from .metrics import (
     evaluate,
     uncertainty_sweep,
 )
-from .refine import RefineConfig, RefineResult, RefineSetup, WeightMaps, build_weights, laplacian_nll, refine
+from .refine import RefineConfig, RefineResult, WeightMaps, build_weights, laplacian_nll, refine
 from .select import Selection, SelectionPolicy, select_frames
 from .synth import (
     NoiseModel,
@@ -76,7 +76,6 @@ __all__ = [
     "Ray",
     "RefineConfig",
     "RefineResult",
-    "RefineSetup",
     "RelativePose",
     "Selection",
     "Scorer",

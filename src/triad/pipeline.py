@@ -50,7 +50,7 @@ from .metrics import (
 from .metrics import error_uncertainty_correlation, evaluate, uncertainty_sweep  # noqa: F401
 # cmd_synth renders through render_flows, so the render_flow span reads 0 calls
 from .synth import render_flow  # noqa: F401
-from .refine import WEIGHT_MODES, RefineConfig, RefineResult, RefineSetup, build_weights, refine
+from .refine import WEIGHT_MODES, RefineConfig, RefineResult, build_weights, refine
 from .select import Selection, SelectionPolicy, select_frames
 from .synth import (
     NoiseModel,
@@ -432,10 +432,8 @@ def _load_initial(out: Path) -> InitialDepth:
 
 def _run_refinement(cfg: RunConfig, root: Path, init: InitialDepth) -> RefineResult:
     rc = cfg.refine_config()
-    # the image goes straight into build_weights and the weights straight into
-    # the set-up, so both, edge maps included, are freed before the iterations
-    setup = RefineSetup(build_weights(init, fileio.read_image(root / cfg.image), rc), rc)
-    return refine(init, setup, rc, workers=cfg.workers)
+    # the image goes straight into build_weights, so it is freed before the iterations
+    return refine(init, build_weights(init, fileio.read_image(root / cfg.image), rc), rc, workers=cfg.workers)
 
 
 def _write_refined(result: RefineResult, out: Path) -> None:

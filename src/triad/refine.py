@@ -55,10 +55,9 @@ band size: 8k to 64k bands give bit-identical iterates and objective values
 within 5.8e-16 relative of each other over 40 VGA iterations.
 
 Pixels with denom = 0 need no special case. There w = 0 and
-mu * sum_j g_ij = 0, so every incident mu g_ij, which rounds to no more than
-that, is 0 too, even where mu g underflowed while mu g d would not have. Their
-residual is then a sum of zero products of finite numbers, a signed zero, and
-d + 0 == d holds them exactly.
+sum_j mu g_ij = 0, a sum of nonnegative terms, so every incident mu g_ij is 0
+too, even where mu g underflowed. Their residual is then a sum of zero
+products of finite numbers, a signed zero, and d + 0 == d holds them exactly.
 
 Against the plain full-map update (the reference in the tests) the flux form
 reorders the rounding, so iterates and C(d) agree within 1e-12 relative
@@ -72,14 +71,14 @@ pixels the data and smoothness terms constrain weakly get a wide scale.
 Memory. The initial maps may be float32, as ``triad refine`` reads them from
 PFM files; build_weights squares them in float64 and refine copies them into
 float64 d(0) and dbar, so they give the bytes of their float64 widening.
-RefineSetup turns the weights into what the iterations read: w, mu g_h
-padded, mu g_v, the step and sigma. The pipeline builds it from a WeightMaps
-it keeps no reference to, so g_h and g_v are freed before refine allocates
-d, dbar, the spare map and four band buffers per group. The iterations then
-hold those eight float64 maps (the initial maps and the mask aside), 25.7 MB
-traced at the peak of a 40-iteration VGA ``triad refine`` with two workers,
-where float64 initial maps, the kept edge maps and six buffers per group
-took 35.3 MB.
+build_weights returns the weights in the form the iterations read them: w,
+mu g_h padded and mu g_v, with no unscaled edge map kept past its return.
+refine adds the step and sigma, then d, dbar, the spare map and four band
+buffers per group. The iterations then hold those eight float64 maps (the
+initial maps and the mask aside), 25.7 MB traced at the peak of a
+40-iteration VGA ``triad refine`` with two workers, where float64 initial
+maps, edge maps kept unscaled next to their scaled copies and six buffers
+per group took 35.3 MB.
 
 The pass stays float64. With float32 iterates and operands, and einsum
 still accumulating the band shares in float64, C rose between iterations by
@@ -109,7 +108,11 @@ WEIGHT_MODES = ("full", "hessian_only", "residual_only", "constant")
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """Iteration count, smoothness and weighting knobs, uncertainty calibration."""
+    """Iteration count, smoothness and weighting knobs, uncertainty calibration.
+
+    build_weights reads mu, kappa, tau, w_max and weight_mode; refine reads
+    iterations, omega, beta, sigma_min and sigma_cap.
+    """
 
     iterations: int = 7
     mu: float = 1.0  # smoothness strength
@@ -142,36 +145,31 @@ class RefineConfig:
 
 @dataclass(frozen=True)
 class WeightMaps:
-    """Data weights per pixel and smoothness weights per 4-neighbor edge.
+    """Data weights per pixel and mu-scaled smoothness weights per 4-neighbor edge.
 
-    g_h[y, x] weights the edge between (y, x) and (y, x+1); g_v[y, x] the edge
-    between (y, x) and (y+1, x). One value per undirected edge keeps the
-    weights symmetric by construction.
+    mu_gh[y, x] weights the edge between (y, x) and (y, x+1); its last
+    column is the edge from a row's end to the next row's start, which
+    weighs 0, so mu_gh flattens to one weight per pixel, as the band pass
+    reads it. mu_gv[y, x] weights the edge between (y, x) and (y+1, x). One
+    value per undirected edge keeps the weights symmetric by construction.
+    All three maps must be finite and nonnegative.
     """
 
-    w: np.ndarray  # (H, W), >= 0, exactly 0 on invalid pixels
-    g_h: np.ndarray  # (H, W-1), in (0, 1]
-    g_v: np.ndarray  # (H-1, W), in (0, 1]
+    w: np.ndarray  # (H, W), exactly 0 on invalid pixels
+    mu_gh: np.ndarray  # (H, W), last column 0
+    mu_gv: np.ndarray  # (H-1, W)
 
     def __post_init__(self):
         h, w = self.w.shape
-        if self.g_h.shape != (h, w - 1) or self.g_v.shape != (h - 1, w):
+        if self.mu_gh.shape != (h, w) or self.mu_gv.shape != (h - 1, w):
             raise InputError("edge weight shapes must match the pixel grid")
-        if np.any(self.w < 0):
-            raise InputError("data weights must be nonnegative")
-        for g in (self.g_h, self.g_v):
-            if np.any(g <= 0) or np.any(g > 1):
-                raise InputError("edge weights must lie in (0, 1]")
-
-    def degree(self, mu: float) -> np.ndarray:
-        """mu * sum of incident edge weights for every pixel."""
-        s = np.empty_like(self.w)
-        s[:, :-1] = self.g_h
-        s[:, -1] = 0.0
-        s[:, 1:] += self.g_h
-        s[:-1, :] += self.g_v
-        s[1:, :] += self.g_v
-        return np.multiply(s, mu, out=s)
+        for name in ("w", "mu_gh", "mu_gv"):
+            weights = getattr(self, name)
+            # NaN fails both comparisons
+            if not (np.all(weights >= 0) and np.all(weights < np.inf)):
+                raise InputError(f"{name} must be finite and nonnegative")
+        if np.any(self.mu_gh[:, -1:]):
+            raise InputError("the last column of mu_gh must be 0")
 
 
 @dataclass(frozen=True)
@@ -199,7 +197,8 @@ def build_weights(init: InitialDepth, intensity: np.ndarray, cfg: RefineConfig) 
     the observed residual deflates it. The ablation modes drop one or both
     ingredients (hessian_only, residual_only, constant). All modes clip at
     w_max and force w = 0 on invalid pixels, where both confidences are NaN.
-    Edge weights are g = exp(-|dI| / kappa), weaker across intensity edges.
+    Edge weights are g = exp(-|dI| / kappa), weaker across intensity edges,
+    returned scaled by mu.
     """
     intensity = np.asarray(intensity, dtype=np.float64)
     if intensity.shape != init.depth.shape:
@@ -216,77 +215,29 @@ def build_weights(init: InitialDepth, intensity: np.ndarray, cfg: RefineConfig) 
     else:  # constant
         w = np.ones_like(hess)
     w = np.where(init.valid, np.minimum(w, cfg.w_max), 0.0)
+    mu_gh = np.zeros(intensity.shape)
     g_h = np.exp(-np.abs(np.diff(intensity, axis=1)) / cfg.kappa)
-    g_v = np.exp(-np.abs(np.diff(intensity, axis=0)) / cfg.kappa)
-    return WeightMaps(w=w, g_h=g_h, g_v=g_v)
-
-
-def _scaled_edges(weights: WeightMaps, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """mu g_h padded to the full map by a zero last column, and mu g_v, both flat.
-
-    The padding is the edge from a row's end to the next row's start, which
-    weighs 0.
-    """
-    height, width = weights.w.shape
-    mu_gh = np.empty((height, width))
-    np.multiply(weights.g_h, mu, out=mu_gh[:, :-1])
-    mu_gh[:, -1] = 0.0
-    return mu_gh.ravel(), np.multiply(weights.g_v, mu).ravel()
-
-
-class RefineSetup:
-    """What the iterations read of a WeightMaps for one RefineConfig, built once.
-
-    ``w`` is the data weight map flattened (a view of the caller's when it is
-    contiguous), ``mu_gh`` and ``mu_gv`` are the flat scaled edge maps of
-    _scaled_edges, ``step`` is omega / denom flattened, with denom = 1 where
-    it would be 0, and ``sigma`` is the uncertainty map. The set-up holds no
-    reference to the WeightMaps, so once a caller drops that, g_h and g_v are
-    freed.
-    """
-
-    def __init__(self, weights: WeightMaps, cfg: RefineConfig):
-        self.cfg = cfg
-        self.shape = weights.w.shape
-        # one map holds denom, then safe_denom (1 where denom = 0), from which
-        # sigma is taken, then omega / safe_denom
-        denom = weights.degree(cfg.mu)
-        np.add(weights.w, denom, out=denom)
-        unconstrained = ~(denom > 0.0)
-        np.copyto(denom, 1.0, where=unconstrained)
-        sigma = np.sqrt(denom)
-        np.divide(cfg.beta, sigma, out=sigma)
-        np.maximum(cfg.sigma_min, sigma, out=sigma)
-        np.copyto(sigma, cfg.sigma_cap, where=unconstrained)
-        del unconstrained
-        self.sigma = sigma
-        self.step = np.divide(cfg.omega, denom, out=denom).ravel()
-        self.w = np.ravel(weights.w)
-        self.mu_gh, self.mu_gv = _scaled_edges(weights, cfg.mu)
+    np.multiply(g_h, cfg.mu, out=mu_gh[:, :-1])
+    del g_h
+    mu_gv = np.exp(-np.abs(np.diff(intensity, axis=0)) / cfg.kappa)
+    return WeightMaps(w=w, mu_gh=mu_gh, mu_gv=np.multiply(mu_gv, cfg.mu, out=mu_gv))
 
 
 class _BandPass:
     """C(d) and, when given a step map, the damped-Jacobi step from d, one row band at a time.
 
-    ``w``, ``mu_gh``, ``mu_gv`` and ``step`` are flat, as RefineSetup holds
-    them. The bands of workers.row_bands are split into ``workers``
-    contiguous groups (fewer when there are fewer bands), each with its own
-    four band buffers, sized once for the widest band.
+    The weight maps and the step are read flat. The bands of
+    workers.row_bands are split into ``workers`` contiguous groups (fewer
+    when there are fewer bands), each with its own four band buffers, sized
+    once for the widest band.
     """
 
-    def __init__(
-        self,
-        dbar: np.ndarray,
-        w: np.ndarray,
-        mu_gh: np.ndarray,
-        mu_gv: np.ndarray,
-        step: np.ndarray | None = None,
-        workers: int = 1,
-    ):
+    def __init__(self, dbar: np.ndarray, weights: WeightMaps, step: np.ndarray | None = None, workers: int = 1):
         height, width = dbar.shape
         self.width = width
         self.dbar = np.ravel(dbar)
-        self.w, self.mu_gh, self.mu_gv, self.step = w, mu_gh, mu_gv, step
+        self.w, self.mu_gh, self.mu_gv = np.ravel(weights.w), np.ravel(weights.mu_gh), np.ravel(weights.mu_gv)
+        self.step = None if step is None else np.ravel(step)
         bands = [(rows.start * width, rows.stop * width) for rows in row_bands(height, width)]
         self.groups = split(bands, workers)
         size = max((p1 - p0 for p0, p1 in bands), default=0) + width
@@ -354,9 +305,9 @@ class _BandPass:
         return data, horiz, vert
 
 
-def objective_value(d: np.ndarray, dbar_filled: np.ndarray, weights: WeightMaps, mu: float) -> float:
+def objective_value(d: np.ndarray, dbar_filled: np.ndarray, weights: WeightMaps) -> float:
     """C(d); dbar_filled must be finite everywhere (its value is ignored where w = 0)."""
-    return _BandPass(dbar_filled, np.ravel(weights.w), *_scaled_edges(weights, mu))(d)
+    return _BandPass(dbar_filled, weights)(d)
 
 
 def _median(values: np.ndarray) -> float:
@@ -377,18 +328,16 @@ def _median(values: np.ndarray) -> float:
 
 def refine(
     init: InitialDepth,
-    weights: WeightMaps | RefineSetup,
+    weights: WeightMaps,
     cfg: RefineConfig,
     keep_iterates: bool = False,
     workers: int = 1,
 ) -> RefineResult:
     """Run K damped-Jacobi iterations and compute the uncertainty map.
 
-    ``weights`` is a WeightMaps, or the RefineSetup built from one for this
-    same cfg. A caller that builds the set-up from a WeightMaps it keeps no
-    reference to frees the unscaled edge maps before the iterations allocate
-    theirs, as the pipeline does; given a WeightMaps, refine builds the
-    set-up itself.
+    ``weights`` carries mu (build_weights scales the edge maps by cfg.mu), so
+    refine reads only the iteration count, omega and the uncertainty fields
+    of cfg.
 
     d(0) is the triangulated depth with invalid pixels filled by the median of
     the valid ones (1.0 m if nothing is valid). Pixels with zero diagonal
@@ -400,11 +349,23 @@ def refine(
     threads (at most one per band), from a pool that is joined before refine
     returns; the result is the same for any worker count.
     """
-    setup = weights if isinstance(weights, RefineSetup) else RefineSetup(weights, cfg)
-    if setup.shape != init.depth.shape:
+    if weights.w.shape != init.depth.shape:
         raise InputError("weights were built for a different map size")
-    if setup.cfg != cfg:
-        raise InputError("the refinement set-up was built for a different config")
+    # one map holds the diagonal w + sum of incident mu g, then safe_denom (1
+    # where the diagonal is 0), from which sigma is taken, then omega / safe_denom
+    denom = np.array(weights.mu_gh, dtype=np.float64)
+    denom[:, 1:] += weights.mu_gh[:, :-1]
+    denom[:-1] += weights.mu_gv
+    denom[1:] += weights.mu_gv
+    np.add(weights.w, denom, out=denom)
+    unconstrained = ~(denom > 0.0)
+    np.copyto(denom, 1.0, where=unconstrained)
+    sigma = np.sqrt(denom)
+    np.divide(cfg.beta, sigma, out=sigma)
+    np.maximum(cfg.sigma_min, sigma, out=sigma)
+    np.copyto(sigma, cfg.sigma_cap, where=unconstrained)
+    del unconstrained
+    step = np.divide(cfg.omega, denom, out=denom)
     valid = init.valid
     gathered = init.depth[valid]
     fill = _median(gathered) if gathered.size else 1.0
@@ -414,7 +375,7 @@ def refine(
     np.copyto(d, init.depth, where=valid)
     dbar = np.zeros(valid.shape)
     np.copyto(dbar, init.depth, where=valid)
-    band_pass = _BandPass(dbar, setup.w, setup.mu_gh, setup.mu_gv, setup.step, workers)
+    band_pass = _BandPass(dbar, weights, step, workers)
 
     spare = None if keep_iterates else np.empty_like(d)
     iterates = [d] if keep_iterates else []
@@ -429,7 +390,7 @@ def refine(
                 spare = d
             d = nxt
         objective.append(band_pass(d, executor=executor))
-    return RefineResult(tuple(iterates) if keep_iterates else (d,), setup.sigma, tuple(objective))
+    return RefineResult(tuple(iterates) if keep_iterates else (d,), sigma, tuple(objective))
 
 
 def laplacian_nll(
@@ -458,8 +419,11 @@ def laplacian_nll(
     for k, (d, s) in enumerate(zip(depths, sigmas)):
         if d.shape != gt.shape or s.shape != gt.shape:
             raise InputError("all maps must share the ground-truth shape")
-        if np.any(s[mask] <= 0):
+        scale = np.where(mask, s, 1.0)
+        if not np.all(scale > 0):  # NaN fails too
             raise InputError("sigma must be positive on valid pixels")
-        inner = np.sum(np.where(mask, np.abs(d - gt) / np.where(mask, s, 1.0) + np.log(np.where(mask, s, 1.0)), 0.0))
+        if not np.all(np.isfinite(d[mask])):
+            raise InputError("depth must be finite on valid pixels")
+        inner = np.sum(np.where(mask, np.abs(d - gt) / scale + np.log(scale), 0.0))
         total += lam ** (last_k - k) * float(inner)
     return total

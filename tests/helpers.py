@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 
-from triad import RefineConfig, RelativePose, TriangulationInput, build_weights, refine, triangulate_map
+from triad import RefineConfig, RelativePose, TriangulationInput, WeightMaps, build_weights, refine, triangulate_map
 from triad.pipeline import ROOM_SUITE, RunConfig, synthesize
 
 
@@ -87,6 +87,14 @@ def exact_flow_case(seed: int, **settings):
     """Noise-free chain on the default desk-scale scene at 160x120, for exactness properties."""
     exact = dict(width=160, height=120, fx=200.0, fy=200.0, vx=0.05, sigma_flow=0.0, outlier_rate=0.0)
     return _chain_case(RunConfig(**dict(exact, seed=seed, **settings)))
+
+
+def weight_maps(w, g_h, g_v, mu: float = 1.0) -> WeightMaps:
+    """WeightMaps from unscaled edge weights g_h (H, W-1) and g_v (H-1, W), scaled and padded as build_weights does."""
+    w = np.asarray(w, dtype=np.float64)
+    mu_gh = np.zeros(w.shape)
+    np.multiply(g_h, mu, out=mu_gh[:, :-1])
+    return WeightMaps(w=w, mu_gh=mu_gh, mu_gv=np.multiply(g_v, mu, dtype=np.float64))
 
 
 def traced_peak(call):

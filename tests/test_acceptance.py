@@ -18,7 +18,6 @@ from triad import (
     RelativePose,
     SelectionPolicy,
     TriangulationInput,
-    WeightMaps,
     error_uncertainty_correlation,
     evaluate,
     laplacian_nll,
@@ -35,7 +34,7 @@ from triad.metrics import DELTA_THRESHOLDS
 from triad.pipeline import RunConfig, synthesize
 from triad.synth import constant_velocity_trajectory
 from triad.triangulate import InitialDepth
-from helpers import golden_section_argmin, random_rotation, read_keyvalues, suite_case
+from helpers import golden_section_argmin, random_rotation, read_keyvalues, suite_case, weight_maps
 
 
 @contextmanager
@@ -152,12 +151,12 @@ def test_criterion_05_jacobi_matches_direct_solve():
         h = w = 4
         depth = rng.uniform(1.0, 3.0, (h, w))
         data_w = rng.uniform(0.5, 2.0, (h, w))
-        weights = WeightMaps(w=data_w, g_h=np.ones((h, w - 1)), g_v=np.ones((h - 1, w)))
         init = InitialDepth(
             depth=depth, conf_h=np.ones((h, w)), conf_r=np.zeros((h, w)),
             valid=np.ones((h, w), dtype=bool),
         )
         mu, omega = 0.5, 0.9
+        weights = weight_maps(data_w, np.ones((h, w - 1)), np.ones((h - 1, w)), mu)
         result = refine(init, weights, RefineConfig(mu=mu, omega=omega, iterations=500))
         a = np.zeros((h * w, h * w))
         b = np.zeros(h * w)

@@ -20,7 +20,7 @@ from triad.pipeline import ROOM_SUITE, RunConfig, cmd_estimate, cmd_refine, cmd_
 from triad.refine import WEIGHT_MODES, objective_value
 from triad.triangulate import InitialDepth
 
-from helpers import suite_case, traced_peak
+from helpers import suite_case, traced_peak, weight_maps
 
 refine_module = importlib.import_module("triad.refine")  # triad.refine is also the function's name
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -95,16 +95,29 @@ class TestBuildWeights:
     def test_constant_intensity_gives_unit_edge_weights(self):
         init = random_initial(np.random.default_rng(0))
         weights = build_weights(init, np.full(init.depth.shape, 0.37), RefineConfig())
-        assert np.all(weights.g_h == 1.0)
-        assert np.all(weights.g_v == 1.0)
+        assert np.all(weights.mu_gh[:, :-1] == 1.0)
+        assert np.all(weights.mu_gh[:, -1] == 0.0)
+        assert np.all(weights.mu_gv == 1.0)
 
     def test_edge_weights_weaken_across_edges(self):
         init = random_initial(np.random.default_rng(1), height=2, width=2)
         intensity = np.array([[0.0, 1.0], [0.0, 0.0]])
         weights = build_weights(init, intensity, RefineConfig(kappa=0.5))
-        assert weights.g_h[0, 0] == pytest.approx(math.exp(-2.0))
-        assert weights.g_h[1, 0] == 1.0
-        assert weights.g_v[0, 1] == pytest.approx(math.exp(-2.0))
+        assert weights.mu_gh[0, 0] == pytest.approx(math.exp(-2.0))
+        assert weights.mu_gh[1, 0] == 1.0
+        assert weights.mu_gv[0, 1] == pytest.approx(math.exp(-2.0))
+
+    def test_edge_weights_lie_in_unit_interval_and_scale_by_mu(self):
+        rng = np.random.default_rng(3)
+        init = random_initial(rng)
+        intensity = rng.uniform(0, 1, init.depth.shape)
+        unit = build_weights(init, intensity, RefineConfig())
+        g_h, g_v = unit.mu_gh[:, :-1], unit.mu_gv
+        assert np.all((g_h > 0) & (g_h <= 1)) and np.all((g_v > 0) & (g_v <= 1))
+        scaled = build_weights(init, intensity, RefineConfig(mu=2.5))
+        assert scaled.mu_gh[:, :-1].tobytes() == (2.5 * g_h).tobytes()
+        assert scaled.mu_gv.tobytes() == (2.5 * g_v).tobytes()
+        assert scaled.w.tobytes() == unit.w.tobytes()
 
     def test_ablation_weight_modes(self):
         rng = np.random.default_rng(2)
@@ -126,7 +139,21 @@ class TestBuildWeights:
 
     def test_symmetric_edge_weights_by_construction(self):
         with pytest.raises(InputError):
-            WeightMaps(w=np.ones((3, 3)), g_h=np.ones((3, 3)), g_v=np.ones((2, 3)))
+            WeightMaps(w=np.ones((3, 3)), mu_gh=np.ones((3, 2)), mu_gv=np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("name", ["w", "mu_gh", "mu_gv"])
+    def test_rejects_non_finite_or_negative_weights(self, name, bad):
+        maps = {"w": np.ones((3, 3)), "mu_gh": np.zeros((3, 3)), "mu_gv": np.ones((2, 3))}
+        maps[name][1, 1] = bad
+        with pytest.raises(InputError, match=f"^{name} "):
+            WeightMaps(**maps)
+
+    def test_rejects_weight_on_the_row_end_padding(self):
+        mu_gh = np.zeros((3, 3))
+        mu_gh[1, -1] = 0.5
+        with pytest.raises(InputError):
+            WeightMaps(w=np.ones((3, 3)), mu_gh=mu_gh, mu_gv=np.ones((2, 3)))
 
 
 class TestRefine:
@@ -154,11 +181,9 @@ class TestRefine:
         rng = np.random.default_rng(4)
         h = w = 4
         depth = rng.uniform(1.0, 3.0, (h, w))
-        weights = WeightMaps(
-            w=rng.uniform(0.5, 2.0, (h, w)), g_h=np.ones((h, w - 1)), g_v=np.ones((h - 1, w))
-        )
         init = make_initial(depth, np.ones((h, w), dtype=bool))
         mu, omega = 0.5, 0.9
+        weights = weight_maps(rng.uniform(0.5, 2.0, (h, w)), np.ones((h, w - 1)), np.ones((h - 1, w)), mu)
         cfg = RefineConfig(mu=mu, omega=omega, iterations=500)
         result = refine(init, weights, cfg)
 
@@ -208,14 +233,10 @@ class TestRefine:
     def test_objective_value_matches_manual(self):
         depth = np.array([[1.0, 2.0], [3.0, 4.0]])
         dbar = np.array([[1.5, 2.0], [2.0, 4.0]])
-        weights = WeightMaps(
-            w=np.array([[1.0, 2.0], [0.5, 0.0]]),
-            g_h=np.array([[0.5], [1.0]]),
-            g_v=np.array([[0.25, 0.75]]),
-        )
+        weights = weight_maps([[1.0, 2.0], [0.5, 0.0]], [[0.5], [1.0]], [[0.25, 0.75]], mu=2.0)
         # data: 1*0.25 + 0 + 0.5*1 + 0; horizontal: 0.5*1 + 1*1; vertical: 0.25*4 + 0.75*4
         want = 0.75 + 2.0 * (1.5 + 4.0)
-        assert objective_value(depth, dbar, weights, mu=2.0) == pytest.approx(want, rel=1e-12)
+        assert objective_value(depth, dbar, weights) == pytest.approx(want, rel=1e-12)
 
     def test_anchoring_of_high_confidence_pixels(self):
         rng = np.random.default_rng(5)
@@ -225,7 +246,7 @@ class TestRefine:
         wmap = np.full((h, w), 0.01)
         anchored = rng.random((h, w)) < 0.3
         wmap[anchored] = 1e4  # >= 100 * mu * degree for mu = 1, degree <= 4
-        weights = WeightMaps(w=wmap, g_h=np.ones((h, w - 1)), g_v=np.ones((h - 1, w)))
+        weights = weight_maps(wmap, np.ones((h, w - 1)), np.ones((h - 1, w)))
         cfg = RefineConfig(mu=1.0, iterations=7)
         result = refine(init, weights, cfg)
         drift = np.abs(result.depth - depth)[anchored]
@@ -295,7 +316,7 @@ class TestRefine:
         h, w = 1, 64
         wmap = np.linspace(0.0, 50.0, w).reshape(h, w)
         init = make_initial(np.full((h, w), 2.0), np.ones((h, w), dtype=bool))
-        weights = WeightMaps(w=wmap, g_h=np.ones((h, w - 1)), g_v=np.ones((0, w)))
+        weights = weight_maps(wmap, np.ones((h, w - 1)), np.ones((0, w)))
         result = refine(init, weights, RefineConfig(iterations=0))
         sigma = result.uncertainty[0, 1:-1]  # interior: same smoothness degree everywhere
         assert np.all(np.diff(sigma) <= 1e-15)
@@ -323,36 +344,42 @@ class TestRefine:
             )
 
 
+def reference_diagonal(weights):
+    """The diagonal of the normal equations: w + the sum of the mu g of each pixel's edges."""
+    gh, gv = weights.mu_gh[:, :-1], weights.mu_gv
+    degree = np.zeros_like(weights.w)
+    degree[:, :-1] += gh
+    degree[:, 1:] += gh
+    degree[:-1, :] += gv
+    degree[1:, :] += gv
+    return weights.w + degree
+
+
 def reference_jacobi(init, weights, cfg):
     """The plain damped-Jacobi update with fresh arrays for every term."""
     valid = init.valid
     dbar = np.where(valid, init.depth, 0.0)
     fill = float(np.median(init.depth[valid])) if np.any(valid) else 1.0
     d = np.where(valid, init.depth, fill)
-    mu = cfg.mu
-    degree = np.zeros_like(d)
-    degree[:, :-1] += weights.g_h
-    degree[:, 1:] += weights.g_h
-    degree[:-1, :] += weights.g_v
-    degree[1:, :] += weights.g_v
-    denom = weights.w + mu * degree
+    gh, gv = weights.mu_gh[:, :-1], weights.mu_gv
+    denom = reference_diagonal(weights)
     constrained = denom > 0.0
     safe_denom = np.where(constrained, denom, 1.0)
 
     def objective(d):
         data = np.sum(weights.w * np.square(d - dbar))
-        smooth_h = np.sum(weights.g_h * np.square(np.diff(d, axis=1)))
-        smooth_v = np.sum(weights.g_v * np.square(np.diff(d, axis=0)))
-        return float(data + mu * (smooth_h + smooth_v))
+        smooth_h = np.sum(gh * np.square(np.diff(d, axis=1)))
+        smooth_v = np.sum(gv * np.square(np.diff(d, axis=0)))
+        return float(data + (smooth_h + smooth_v))
 
     iterates, values = [d.copy()], [objective(d)]
     for _ in range(cfg.iterations):
         s = np.zeros_like(d)
-        s[:, :-1] += weights.g_h * d[:, 1:]
-        s[:, 1:] += weights.g_h * d[:, :-1]
-        s[:-1, :] += weights.g_v * d[1:, :]
-        s[1:, :] += weights.g_v * d[:-1, :]
-        target_delta = (weights.w * dbar + mu * s - denom * d) / safe_denom
+        s[:, :-1] += gh * d[:, 1:]
+        s[:, 1:] += gh * d[:, :-1]
+        s[:-1, :] += gv * d[1:, :]
+        s[1:, :] += gv * d[:-1, :]
+        target_delta = (weights.w * dbar + s - denom * d) / safe_denom
         d = np.where(constrained, d + cfg.omega * target_delta, d)
         iterates.append(d.copy())
         values.append(objective(d))
@@ -421,7 +448,7 @@ class TestBufferedJacobi:
         weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
         iterates, values, _ = reference_jacobi(init, weights, cfg)
         dbar = np.where(init.valid, init.depth, 0.0)
-        assert_objective_close([objective_value(d, dbar, weights, cfg.mu) for d in iterates], values)
+        assert_objective_close([objective_value(d, dbar, weights) for d in iterates], values)
 
     def test_final_map_only_by_default(self):
         rng = np.random.default_rng(6)
@@ -448,16 +475,16 @@ class TestBufferedJacobi:
         iterates, values, sigma = reference_jacobi(init, weights, cfg)
         assert_matches_reference(result, iterates, values, sigma)
         # pixels with no diagonal (all invalid ones when mu = 0) hold d(0) exactly
-        held = ~(weights.w + weights.degree(cfg.mu) > 0.0)
+        held = ~(reference_diagonal(weights) > 0.0)
         assert all(np.array_equal(iterate[held], iterates[0][held]) for iterate in result.iterates)
 
     def test_underflowed_smoothness_holds_pixel(self):
-        # mu * g rounds to 0, so the invalid middle pixel has no diagonal, but
-        # mu * (g d) does not, and without being held it would move off d(0)
+        # mu * g rounds to 0, so the invalid middle pixel has no diagonal; with
+        # neighbours of 1e-300 and 1e9 it must still hold d(0) exactly
         init = make_initial([[1e-300, 1e-300, 1.0, 1e9, 1e-300]], [[True, True, False, True, True]])
-        weights = WeightMaps(w=np.array([[1.0, 1.0, 0.0, 1.0, 1.0]]), g_h=np.full((1, 4), 0.2), g_v=np.empty((0, 5)))
         cfg = RefineConfig(mu=5e-324, iterations=3)
-        assert not np.any(weights.degree(cfg.mu))
+        weights = weight_maps([[1.0, 1.0, 0.0, 1.0, 1.0]], np.full((1, 4), 0.2), np.empty((0, 5)), cfg.mu)
+        assert reference_diagonal(weights)[0, 2] == 0.0
         result = refine_on(init, weights, cfg, keep_iterates=True)
         iterates, values, sigma = reference_jacobi(init, weights, cfg)
         assert_matches_reference(result, iterates, values, sigma)
@@ -473,12 +500,10 @@ class TestBufferedJacobi:
 
     def test_groups_split_the_bands_in_order(self):
         shape = (300, 400)
-        weights = WeightMaps(w=np.ones(shape), g_h=np.full((300, 399), 0.5), g_v=np.full((299, 400), 0.5))
-        setup = refine_module.RefineSetup(weights, RefineConfig())
-        maps = (np.zeros(shape), setup.w, setup.mu_gh, setup.mu_gv, setup.step)
-        (serial,) = refine_module._BandPass(*maps).groups
+        weights = weight_maps(np.ones(shape), np.full((300, 399), 0.5), np.full((299, 400), 0.5))
+        (serial,) = refine_module._BandPass(np.zeros(shape), weights).groups
         for workers in (2, 3):
-            groups = refine_module._BandPass(*maps, workers=workers).groups
+            groups = refine_module._BandPass(np.zeros(shape), weights, workers=workers).groups
             assert len(groups) == workers
             assert [band for group in groups for band in group] == serial
 
@@ -489,7 +514,7 @@ class TestBufferedJacobi:
         weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
         iterates, values, _ = reference_jacobi(init, weights, cfg)
         dbar = np.where(init.valid, init.depth, 0.0)
-        assert_objective_close([objective_value(d, dbar, weights, cfg.mu) for d in iterates], values)
+        assert_objective_close([objective_value(d, dbar, weights) for d in iterates], values)
 
 
 class TestBufferedJacobiSmallBands(TestBufferedJacobi):
@@ -522,13 +547,14 @@ class TestRefineMemory:
 
     def test_vga_peak_is_bounded_and_independent_of_iterations(self):
         peak, map_bytes = self.vga_peaks(workers=1)
-        assert peak <= 7.6 * map_bytes  # 7.41 maps measured; 7.61 with six band buffers
+        # the step, sigma, d, dbar, the spare map and four band buffers
+        assert peak <= 5.6 * map_bytes  # 5.41 maps measured; 7.41 with the edge maps scaled in refine
 
     def test_vga_peak_with_two_workers(self):
         # each group of row bands has its own buffers: four of a 48-row band
         # plus one row, 0.41 VGA maps
         peak, map_bytes = self.vga_peaks(workers=2)
-        assert peak <= 8.0 * map_bytes  # 7.82 maps measured; 8.23 with six band buffers
+        assert peak <= 6.0 * map_bytes  # 5.82 maps measured; 7.82 with the edge maps scaled in refine
 
 
 VGA = {"width": 640, "height": 480, "fx": 800.0, "fy": 800.0}
@@ -545,10 +571,11 @@ def triangulated_bundle(root, **settings) -> RunConfig:
 class TestRefineCommandMemory:
     def test_vga_peak(self, tmp_path):
         # the perfbench refine_vga_40it call: float32 initial maps (1.5 maps),
-        # the set-up's w, mu g_h, mu g_v, step and sigma, then d, dbar and the
-        # spare map, and two groups' band buffers (0.82 maps). Measured at
-        # 10.45 maps (numpy 2.4, Python 3.11); float64 initial maps, edge
-        # maps kept through the iterations and six band buffers took 14.36.
+        # the weights' w, mu g_h and mu g_v, the step and sigma, then d, dbar
+        # and the spare map, and two groups' band buffers (0.82 maps).
+        # Measured at 10.45 maps (numpy 2.4, Python 3.11); float64 initial
+        # maps, unscaled edge maps kept through the iterations and six band
+        # buffers took 14.36.
         cfg = triangulated_bundle(tmp_path, **VGA, workers=2, iterations=40)
         cmd_refine(cfg, tmp_path)  # lazy set-up outside the measurement
         summary, peak = traced_peak(lambda: cmd_refine(cfg, tmp_path))
@@ -556,28 +583,27 @@ class TestRefineCommandMemory:
         assert peak <= 10.8 * 8 * 640 * 480, peak / (8 * 640 * 480)
 
     @pytest.mark.parametrize("command", [cmd_refine, cmd_estimate])
-    def test_edge_maps_are_freed_before_the_first_pass(self, tmp_path, monkeypatch, command):
+    def test_intensity_is_freed_before_the_first_pass(self, tmp_path, monkeypatch, command):
         cfg = triangulated_bundle(tmp_path, width=160, height=120, fx=200.0, fy=200.0)
-        built = []
+        images = []
 
-        def recording_build_weights(*args):
-            weights = build_weights(*args)
-            built.extend(weakref.ref(obj) for obj in (weights, weights.g_h, weights.g_v))
-            return weights
+        def recording_build_weights(init, intensity, rc):
+            images.append(weakref.ref(intensity))
+            return build_weights(init, intensity, rc)
 
         alive = []
         band_pass = refine_module._BandPass.__call__
 
         def checking_band_pass(self, *args, **kwargs):
-            alive.append([ref() is not None for ref in built])
+            alive.append([ref() is not None for ref in images])
             return band_pass(self, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "build_weights", recording_build_weights)
         monkeypatch.setattr(refine_module._BandPass, "__call__", checking_band_pass)
         command(cfg, tmp_path)
-        assert len(built) == 3
+        assert len(images) == 1
         assert len(alive) == cfg.iterations + 1
-        assert alive[0] == [False, False, False]
+        assert alive[0] == [False]
 
 
 def loaded_and_widened(tmp_path, parity: int):
@@ -622,7 +648,7 @@ class TestFloat32Initial:
         cfg = RefineConfig(weight_mode=mode)
         got, want = build_weights(narrow, texture, cfg), build_weights(wide, texture, cfg)
         assert got.w.dtype == np.float64
-        for name in ("w", "g_h", "g_v"):
+        for name in ("w", "mu_gh", "mu_gv"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
@@ -664,6 +690,19 @@ class TestLaplacianNll:
         gt = np.array([[2.0]])
         with pytest.raises(InputError):
             laplacian_nll([gt.copy()], [np.zeros((1, 1))], gt)
+
+    def test_nan_sigma_rejected(self):
+        gt = np.array([[2.0, 3.0]])
+        with pytest.raises(InputError, match="sigma"):
+            laplacian_nll([gt.copy()], [np.array([[1.0, np.nan]])], gt)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_depth_on_a_scored_pixel_rejected(self, bad):
+        gt = np.array([[2.0, 3.0, np.nan]])
+        # off the scored pixels any depth is ignored
+        assert laplacian_nll([np.array([[2.0, 3.0, bad]])], [np.ones((1, 3))], gt) == 0.0
+        with pytest.raises(InputError, match="depth"):
+            laplacian_nll([np.array([[2.0, bad, 1.0]])], [np.ones((1, 3))], gt)
 
     def test_mismatched_map_counts_rejected(self):
         gt = np.array([[2.0]])
