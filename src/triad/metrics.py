@@ -5,11 +5,12 @@ reports are deterministic. Pixels where either map is non-finite are excluded
 by mask intersection; finite non-positive values under the mask are an error,
 since the relative/log/inverse metrics are undefined there.
 
-One scorer computes all of it. ``Scorer`` gathers the ground truth on its
-mask once, with the gt-side terms log g and 1/g, and scores any number of
-predictions against it; ``evaluate`` wraps it. ``uncertainty_sweep`` and
-``error_uncertainty_correlation`` share its gathers, but only the sweep builds
-log g and 1/g, on the pixels its widest threshold keeps. For one
+One scorer computes all of it. ``Scorer`` gathers the ground truth g on its
+mask once and scores any number of predictions against it; ``evaluate``
+wraps it. A float32 ground truth, as read from a PFM file, stays float32,
+and every term widens it exactly; predictions and sigma are gathered in
+their own dtype and then widened to float64. ``uncertainty_sweep`` and
+``error_uncertainty_correlation`` share its gathers. For one
 prediction each per-pixel term (the ratio max(p/g, g/p), |d|/g, d², d²/g,
 (log p - log g)² and (1/p - 1/g)², with d = p - g) is computed once on the
 gathered pixels and reduced over every selection (all pixels, and each
@@ -31,21 +32,24 @@ Two shortcuts are exact, not approximations:
 Scoring can use one more thread. ``_Prediction.score`` takes an executor
 and then, through ``workers.run``, ranks sigma on it while ranking |d| on the
 calling thread; the estimate command runs the reports of its two maps on one
-scorer the same way. The tasks share only arrays they read, and every array a
-scoring task reads exists before any thread starts: a scorer computes log g
-and 1/g when it is built. Every value comes from the same function on the
-same inputs, so results are bit-identical with and without the executor.
+scorer the same way. The tasks share only arrays they read: a scorer holds
+only g, which exists before any thread starts, and each task builds its own
+terms and blocks. Every value comes from the same function on the same
+inputs, so results are bit-identical with and without the executor.
 
-Memory: besides the caller's maps, a scorer keeps three gathered arrays (g,
-log g and 1/g). Scoring one prediction adds the gathered prediction (which
-becomes d, then |d|), one term buffer, one selection gathered from it at a
-time and, with a sweep, the gathered sigma and each threshold's pixel
-indices; the ratio's second quotient takes RATIO_BLOCK pixels at a time. The
-ranks overwrite |d| and sigma in place; each rank pass adds the sort order
-and one sorted array. Scoring an initial and a refined 640x480 map with
-sigma and a sweep peaks 8.2-8.8 float64 maps above what was live before, and
-a test holds it to 10. With an executor the two reports, and then the two
-rank passes, overlap: 9.3-11.1 maps, which a test holds to 12.
+Memory: besides the caller's maps, a scorer keeps one gathered array, g.
+Scoring one prediction adds the gathered prediction (which becomes d, then
+|d|), one term buffer, one selection gathered from it at a time and, with a
+sweep, the gathered sigma and each threshold's pixel indices; g/p, log g and
+1/g take RATIO_BLOCK pixels at a time in one small buffer. The ranks
+overwrite |d| and sigma in place; each rank pass adds the sort order and one
+sorted array. Scoring an initial and a refined 640x480 map with sigma and a
+sweep peaks 6.3-6.8 float64 maps above what was live before (6.3 with the
+estimate command's float32 ground truth and initial map), and a test holds
+it to 7.5. With an executor the two reports, and then the two rank passes,
+overlap: 6.3-9.2 maps, which a test holds to 10. Keeping log g and 1/g for
+the scorer's life and a float64 copy of the ground truth took 8.2-8.8 and
+up to 11.1 maps.
 """
 
 from __future__ import annotations
@@ -110,24 +114,27 @@ class CorrelationResult:
 
 
 class _Truth:
-    """Ground truth on the evaluated pixels, with its gt-side terms log g and 1/g.
+    """Ground truth on the evaluated pixels, float32 or float64, and whether any is non-positive.
 
-    The terms are computed here, so threads scoring against one truth only
-    read it. They are None when some pixel is non-positive: every prediction
-    scored against such a truth raises before it reads them.
+    Threads scoring against one truth only read it. Every prediction scored
+    against a truth with a non-positive pixel raises before its terms are
+    formed.
     """
 
     def __init__(self, g: np.ndarray):
         self.g = g
         self.nonpositive = bool(np.any(g <= 0))
-        self.log_g = self.inv_g = None
-        if not self.nonpositive:
-            self.log_g, self.inv_g = np.log(g), 1.0 / g
 
 
 def _ground_truth(gt, mask) -> tuple[np.ndarray, np.ndarray]:
-    """(evaluated mask, gt on it): the mask's pixels where gt is finite, and their gt values."""
-    gt = np.asarray(gt, dtype=np.float64)
+    """(evaluated mask, gt on it): the mask's pixels where gt is finite, and their gt values.
+
+    A float32 ground truth stays float32, and every term widens it exactly;
+    any other dtype becomes float64.
+    """
+    gt = np.asarray(gt)
+    if gt.dtype != np.float32:
+        gt = gt.astype(np.float64, copy=False)
     base = np.ones(gt.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if base.shape != gt.shape:
         raise _shape_error(gt=gt.shape, mask=base.shape)
@@ -139,11 +146,13 @@ def _gather(mask: np.ndarray, g: np.ndarray, pred):
     """(finite, p, g) on the evaluated pixels: the mask's pixels where pred is finite.
 
     ``finite`` selects them among the mask's pixels (None: all of them).
+    pred is gathered in its own dtype and then widened to float64, so p is
+    a fresh array and no whole-map copy is made.
     """
-    pred = np.asarray(pred, dtype=np.float64)
+    pred = np.asarray(pred)
     if pred.shape != mask.shape:
         raise _shape_error(pred=pred.shape, gt=mask.shape)
-    p = pred[mask]
+    p = pred[mask].astype(np.float64, copy=False)
     finite = np.isfinite(p)
     if finite.all():
         return None, p, g
@@ -151,11 +160,11 @@ def _gather(mask: np.ndarray, g: np.ndarray, pred):
 
 
 def _gather_sigma(mask: np.ndarray, finite, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """Sigma on the mask, and on the evaluated pixels that ``finite`` selects."""
-    sigma = np.asarray(sigma, dtype=np.float64)
+    """Sigma on the mask, and on the evaluated pixels that ``finite`` selects, both float64."""
+    sigma = np.asarray(sigma)
     if sigma.shape != mask.shape:
         raise InputError(f"sigma shape {sigma.shape} != depth shape {mask.shape}")
-    on_mask = sigma[mask]
+    on_mask = sigma[mask].astype(np.float64, copy=False)
     return on_mask, on_mask if finite is None else on_mask[finite]
 
 
@@ -234,19 +243,22 @@ def _reports(p: np.ndarray, truth: _Truth, selections: list) -> list[MetricRepor
     def means(term):
         return [np.mean(term if s is None else term[s]) for s in selections]
 
+    # the gt-side parts of three terms (g/p, log g, 1/g) go a block at a time
+    # through one small float64 buffer, so none of them takes a whole map
+    buffer = np.empty(min(p.size, RATIO_BLOCK))
+    starts = range(0, p.size, RATIO_BLOCK)
+    blocks = [(slice(i, i + RATIO_BLOCK), buffer[: min(RATIO_BLOCK, p.size - i)]) for i in starts]
     term = np.divide(p, g)
-    # g/p a block at a time into one small buffer, so it never takes a whole map
-    inverse = np.empty(min(p.size, RATIO_BLOCK))
-    for i in range(0, p.size, RATIO_BLOCK):
-        block = slice(i, i + RATIO_BLOCK)
-        part = inverse[: term[block].size]
+    for block, part in blocks:
         np.maximum(term[block], np.divide(g[block], p[block], out=part), out=term[block])
     deltas = [_delta_acc(term if s is None else term[s], n) for s, n in zip(selections, sizes)]
     np.log(p, out=term)
-    term -= truth.log_g
+    for block, part in blocks:
+        term[block] -= np.log(g[block], out=part, dtype=np.float64)
     log_mse = means(np.square(term, out=term))
     np.divide(1.0, p, out=term)
-    term -= truth.inv_g
+    for block, part in blocks:
+        term[block] -= np.divide(1.0, g[block], out=part, dtype=np.float64)
     inv_mse = means(np.square(term, out=term))
     np.subtract(p, g, out=p)
     mse = means(np.multiply(p, p, out=term))
@@ -322,7 +334,7 @@ def uncertainty_sweep(
     _, sig = _gather_sigma(mask, finite, sigma)
     n_base = sig.size
     # only pixels some threshold keeps are scored, so a non-positive pixel no
-    # threshold keeps raises nothing, and log g and 1/g are built on those alone
+    # threshold keeps raises nothing
     widest = sig < max(thresholds, default=-np.inf)
     if not widest.all():
         p, sig, g = p[widest], sig[widest], g[widest]

@@ -14,9 +14,9 @@ and noisy flow): ``cmd_synth`` writes it, the tests and scripts use it in memory
 row bands on up to that many threads, the calling thread included (see
 ``triad.workers``), and ``estimate`` with ground truth and ``eval`` with a
 sigma map score on one more thread: it scores the initial map while the
-refined map is scored, and then ranks sigma while the error is ranked. Every
-array a scoring task reads exists before the thread starts (a ``Scorer``
-computes its ground-truth terms when it is built). Each pool is closed
+refined map is scored, and then ranks sigma while the error is ranked. The
+tasks share only the ``Scorer``'s gathered ground truth, which exists before
+the thread starts; each task builds its own terms. Each pool is closed
 before its stage returns or raises, a stage starts at most one thread per
 row band but one, and with one worker no thread starts.
 
@@ -425,7 +425,7 @@ def cmd_triangulate(cfg: RunConfig, root) -> dict:
 
 
 def _load_initial(out: Path) -> InitialDepth:
-    """The initial maps in out_dir, kept at the files' float32 precision."""
+    """The initial maps in out_dir, at the files' float32 precision, the one triangulate_map gives."""
     maps = {field: fileio.read_pfm(out / name) for field, name in INITIAL_FILES.items()}
     return InitialDepth(**maps, valid=np.isfinite(maps["depth"]))
 

@@ -68,9 +68,11 @@ The per-pixel uncertainty is the inverse square root of the objective's
 diagonal curvature, scaled by beta and floored at sigma_min: exactly the
 pixels the data and smoothness terms constrain weakly get a wide scale.
 
-Memory. The initial maps may be float32, as ``triad refine`` reads them from
-PFM files; build_weights squares them in float64 and refine copies them into
-float64 d(0) and dbar, so they give the bytes of their float64 widening.
+Memory. The initial maps are float32, as triangulate_map stores them and
+``triad refine`` reads them from PFM files; build_weights squares them in
+float64 and refine copies them into float64 d(0) and dbar, so they give the
+bytes of their float64 widening, and ``triad estimate`` refines exactly
+what ``triad refine`` does.
 build_weights returns the weights in the form the iterations read them: w,
 mu g_h padded and mu g_v, with no unscaled edge map kept past its return.
 refine adds the step and sigma, then d, dbar, the spare map and four band
@@ -78,7 +80,9 @@ buffers per group. The iterations then hold those eight float64 maps (the
 initial maps and the mask aside), 25.7 MB traced at the peak of a
 40-iteration VGA ``triad refine`` with two workers, where float64 initial
 maps, edge maps kept unscaled next to their scaled copies and six buffers
-per group took 35.3 MB.
+per group took 35.3 MB. Inside a VGA ``triad estimate`` with two workers the
+refinement stage peaks at the same 25.7 MB; float64 initial maps there took
+29.4 MB.
 
 The pass stays float64. With float32 iterates and operands, and einsum
 still accumulating the band shares in float64, C rose between iterations by
@@ -406,24 +410,26 @@ def laplacian_nll(
     scale map, so one iterate contributes sum_i |d_i - gt_i| / sigma_i +
     ln sigma_i over valid pixels (fixed row-major order). Iterate k of K is
     weighted lam^(K - k), emphasizing the final estimates; the defaults are
-    lam = 0.83 with K implied by the number of maps provided.
+    lam = 0.83 with K implied by the number of maps provided. Every map is
+    gathered on the valid pixels before anything is computed, so values
+    elsewhere are never read; there sigma must be finite and positive and
+    the depth finite.
     """
-    depths = [np.asarray(d, dtype=np.float64) for d in depths]
-    sigmas = [np.asarray(s, dtype=np.float64) for s in sigmas]
+    depths, sigmas = [np.asarray(d) for d in depths], [np.asarray(s) for s in sigmas]
     if len(depths) != len(sigmas) or not depths:
         raise InputError("need the same (nonzero) number of depth and sigma maps")
     gt = np.asarray(gt, dtype=np.float64)
     mask = np.isfinite(gt) if valid is None else (np.asarray(valid, dtype=bool) & np.isfinite(gt))
+    g = gt[mask]
     last_k = len(depths) - 1
     total = 0.0
     for k, (d, s) in enumerate(zip(depths, sigmas)):
         if d.shape != gt.shape or s.shape != gt.shape:
             raise InputError("all maps must share the ground-truth shape")
-        scale = np.where(mask, s, 1.0)
-        if not np.all(scale > 0):  # NaN fails too
-            raise InputError("sigma must be positive on valid pixels")
-        if not np.all(np.isfinite(d[mask])):
+        d, s = d[mask].astype(np.float64, copy=False), s[mask].astype(np.float64, copy=False)
+        if not (np.all(s > 0) and np.all(s < np.inf)):  # NaN fails both
+            raise InputError("sigma must be finite and positive on valid pixels")
+        if not np.all(np.isfinite(d)):
             raise InputError("depth must be finite on valid pixels")
-        inner = np.sum(np.where(mask, np.abs(d - gt) / scale + np.log(scale), 0.0))
-        total += lam ** (last_k - k) * float(inner)
+        total += lam ** (last_k - k) * float(np.sum(np.abs(d - g) / s + np.log(s)))
     return total

@@ -31,10 +31,18 @@ arithmetic, comes out below 1e-7.
 
 Pixels with H below h_eps (no baseline) or a minimizer outside (0, d_max]
 (cheirality violation) are degenerate and must be masked invalid, never
-clamped. Per-pixel reductions always run in the given observation order, so
-results are bit-identical however the rows are split: triangulate_map walks
-them in the bands of workers.row_bands and, with ``workers`` >= 2, runs
-contiguous groups of bands on workers.run, one group per thread.
+clamped.
+
+Every band is solved and checked in float64, and the three channels are then
+stored as float32, the precision of the PFM files they are written to: the
+rounding is the one write_pfm applies, so the files are those of float64
+maps, and every later stage (weights, refinement, scoring) reads the same
+float32 values whether the maps come from this call or from the files.
+
+Per-pixel reductions always run in the given observation order, so results
+are bit-identical however the rows are split: triangulate_map walks them in
+the bands of workers.row_bands and, with ``workers`` >= 2, runs contiguous
+groups of bands on workers.run, one group per thread.
 
 Each call for a row band allocates its three sums and eight band-sized work
 buffers (256 KiB each at 32k pixels) once and evaluates every frame's terms
@@ -52,8 +60,9 @@ The steps that read differently are exact rewrites:
     -0.0 and adding +0.0 leaves it as it was.
   - "Any valid observation" is one boolean map; a count would only be
     compared with 1.
-  - The solve writes into the output rows and then sets the pixels it could
-    not solve to NaN by index.
+  - The solve overwrites the band's sums in place, rounds them into the
+    float32 output rows and then sets the pixels it could not solve to NaN
+    by index.
 The buffers belong to the call that allocated them, and each call runs on one
 thread, so pool threads share no buffer and write disjoint rows of the output.
 """
@@ -99,9 +108,9 @@ class InitialDepth:
     conf_h is the square root of the per-pixel cost curvature (large when the
     baseline-to-depth ratio conditions the problem well); conf_r is the norm
     of the residual at the minimizer (large when the observations disagree).
-    Invalid pixels are NaN in all three channels. triangulate_map gives
-    float64 channels; ``triad refine`` keeps the float32 ones it reads from
-    PFM files, which refinement widens exactly.
+    Invalid pixels are NaN in all three channels. The channels are float32,
+    as triangulate_map stores them and as ``triad refine`` reads them from
+    PFM files; weights, refinement and scoring widen them exactly.
     """
 
     depth: np.ndarray
@@ -274,18 +283,19 @@ def triangulate_map(
 
     Observations with invalid flow are dropped per pixel; pixels with no
     usable observation or a degenerate solve come back invalid (NaN), never
-    clamped. The per-pixel math is identical in every row band, so output is
-    bit-identical for any worker count; ``workers`` >= 2 runs the row bands
-    on at most that many threads, the calling thread included, and never on
-    more threads than there are bands.
+    clamped. Validity is decided on the float64 solve, and the channels are
+    returned rounded to float32. The per-pixel math is identical in every
+    row band, so output is bit-identical for any worker count; ``workers``
+    >= 2 runs the row bands on at most that many threads, the calling thread
+    included, and never on more threads than there are bands.
     """
     k = inp.intrinsics
     h, w = k.height, k.width
     xm = (np.arange(w, dtype=np.float64) - k.cx) / k.fx
     ym = (np.arange(h, dtype=np.float64) - k.cy) / k.fy
-    depth = np.empty((h, w))
-    conf_h = np.empty((h, w))
-    conf_r = np.empty((h, w))
+    depth = np.empty((h, w), dtype=np.float32)
+    conf_h = np.empty((h, w), dtype=np.float32)
+    conf_r = np.empty((h, w), dtype=np.float32)
     valid = np.empty((h, w), dtype=bool)
 
     def solve(rows):
@@ -298,16 +308,17 @@ def triangulate_map(
         beta_sq /= h_acc
         np.subtract(gamma, beta_sq, out=gamma)
         np.maximum(0.0, gamma, out=gamma)
-        np.sqrt(gamma, out=conf_r[rows])
-        np.sqrt(h_acc, out=conf_h[rows])
+        np.sqrt(gamma, out=gamma)
+        # depth: -beta / safe_h, checked against (0, d_max] before it is rounded
         np.negative(beta, out=beta)
-        np.divide(beta, h_acc, out=depth[rows])
-        d = depth[rows]
-        ok &= d > 0.0
-        ok &= d <= d_max
+        np.divide(beta, h_acc, out=beta)
+        np.sqrt(h_acc, out=h_acc)
+        ok &= beta > 0.0
+        ok &= beta <= d_max
         valid[rows] = ok
         unsolved = np.flatnonzero(~ok)
-        for channel in (depth, conf_h, conf_r):
+        for channel, band in ((depth, beta), (conf_h, h_acc), (conf_r, gamma)):
+            channel[rows] = band  # rounded to float32 as write_pfm rounds
             channel[rows].reshape(-1)[unsolved] = np.nan
 
     # Bands are disjoint rows of the outputs, so the threads share no element.

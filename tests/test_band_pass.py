@@ -140,12 +140,29 @@ class TestBandPassMatchesReference:
         monkeypatch.setattr(workers_module, "BAND_PIXELS", band_pixels)
         got = triangulate_map(inp, workers=workers)
         depth, conf_h, conf_r, valid = _reference_map(inp)
-        assert got.depth.tobytes() == depth.tobytes()
-        assert got.conf_h.tobytes() == conf_h.tobytes()
-        assert got.conf_r.tobytes() == conf_r.tobytes()
+        # the float64 solve, rounded to float32 as it is stored
+        assert got.depth.tobytes() == depth.astype(np.float32).tobytes()
+        assert got.conf_h.tobytes() == conf_h.astype(np.float32).tobytes()
+        assert got.conf_r.tobytes() == conf_r.astype(np.float32).tobytes()
         assert np.array_equal(got.valid, valid)
         # the case has both valid and invalid pixels
         assert 0 < np.count_nonzero(valid) < valid.size
+
+    @pytest.mark.parametrize("rounds", ["down", "up"])
+    def test_validity_is_decided_before_rounding(self, rounds):
+        # a d_max between a pixel's float64 depth and its float32 rounding:
+        # the float64 depth decides, so the pixel is invalid when rounding
+        # down would bring it under d_max and valid when rounding up would
+        # take it over
+        inp = _invalid_flow_case(0)
+        depth = _reference_map(inp)[0]
+        narrow = depth.astype(np.float32).astype(np.float64)
+        edge = (narrow < depth) if rounds == "down" else (narrow > depth)
+        y, x = np.argwhere(edge)[0]
+        d_max = float(narrow[y, x] if rounds == "down" else depth[y, x])
+        got = triangulate_map(inp, d_max=d_max)
+        assert np.array_equal(got.valid, _reference_map(inp, d_max=d_max)[3])
+        assert got.valid[y, x] == (rounds == "up")
 
     def test_all_invalid_input_gives_all_invalid_map(self):
         inp = _invalid_flow_case(0)
@@ -154,14 +171,15 @@ class TestBandPassMatchesReference:
         got = triangulate_map(only_empty, workers=2)
         assert not got.valid.any()
         for channel in (got.depth, got.conf_h, got.conf_r):
-            assert channel.tobytes() == np.full(channel.shape, np.nan).tobytes()
+            assert channel.tobytes() == np.full(channel.shape, np.nan, dtype=np.float32).tobytes()
 
 
 # Peak traced memory of triangulate_map on 4 VGA frames with one worker: the
-# three output channels and the mask (7.7 MB) plus one band's sums and work
-# buffers. Measured at 13.27 MB (numpy 2.4, Python 3.11); the bound allows
-# 9.3 % more. The expression-per-term form peaked at 16.18 MB.
-VGA_TRIANGULATION_PEAK_BYTES = 14_500_000
+# three float32 output channels and the mask (4.0 MB) plus one band's sums
+# and work buffers. Measured at 6.83 MB (numpy 2.4, Python 3.11); the bound
+# allows 9.8 % more. Float64 channels peaked at 10.52 MB, and the
+# expression-per-term form at 16.18 MB.
+VGA_TRIANGULATION_PEAK_BYTES = 7_500_000
 
 
 class TestBandPassMemory:

@@ -20,11 +20,11 @@ NO_TRUTH = "estimate complete (no ground truth found, metrics skipped)\n"
 EVAL = """\
 [eval]
 n_evaluated = 6912
-abs_rel = 0.0587533903974
-sq_rel = 0.00959852833871
-log_rmse = 0.0734262909633
-irmse = 0.0392555789225
-rmse = 0.137696010342
+abs_rel = 0.0587533911603
+sq_rel = 0.00959852854722
+log_rmse = 0.0734262917968
+irmse = 0.0392555793831
+rmse = 0.137696011851
 delta[1.05] = 43.3015046296
 delta[1.1] = 80.9751157407
 delta[1.25] = 99.927662037
@@ -33,7 +33,7 @@ delta[1.953125] = 100
 """
 UNCERTAINTY = """\
 [uncertainty]
-spearman_rho = -0.111090332133
+spearman_rho = -0.111090517191
 spearman_defined = true
 """
 

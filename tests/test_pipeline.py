@@ -308,13 +308,18 @@ class TestEstimate:
         assert float(kv["refined.rmse"]) < 1e-4
 
     def test_triangulate_then_refine_matches_estimate(self, bundle):
-        opts = synth_opts()
-        assert run_cli("triangulate", "--root", str(bundle), *opts, "--opt=out_dir=staged") == 0
-        assert run_cli("refine", "--root", str(bundle), *opts, "--opt=out_dir=staged") == 0
-        staged = read_pfm(bundle / "staged" / "depth_refined.pfm")
-        direct = read_pfm(bundle / "out" / "depth_refined.pfm")
-        # the staged path round-trips the initial map through float32 files
-        assert np.allclose(staged, direct, atol=1e-4)
+        # estimate refines the float32 maps triangulate writes, so the staged
+        # path, which reads them back from the files, writes the same bytes
+        names = ("depth_initial.pfm", "conf_h.pfm", "conf_r.pfm", "depth_refined.pfm", "sigma.pfm", "objective.txt")
+        for workers in (1, 2):
+            opts = [*synth_opts(), f"--opt=workers={workers}"]
+            direct, staged = f"direct_w{workers}", f"staged_w{workers}"
+            assert run_cli("estimate", "--root", str(bundle), *opts, f"--opt=out_dir={direct}") == 0
+            assert run_cli("triangulate", "--root", str(bundle), *opts, f"--opt=out_dir={staged}") == 0
+            assert run_cli("refine", "--root", str(bundle), *opts, f"--opt=out_dir={staged}") == 0
+            for name in names:
+                want = (bundle / direct / name).read_bytes()
+                assert (bundle / staged / name).read_bytes() == want, (name, workers)
 
     def test_estimate_without_ground_truth_skips_metrics(self, tmp_path, capsys):
         root = tmp_path / "nogt"

@@ -258,9 +258,12 @@ class TestDotProductBound:
         got, want = np.array(got), np.array(want)
         assert len(got) >= 0.8 * len(map_valid)
         err = np.abs(got - want)
-        assert np.max(err[:, 0] / want[:, 0]) <= 1e-9
-        assert np.max(err[:, 1] / want[:, 1]) <= 1e-9
-        assert np.max(err[:, 2]) <= 1e-9
+        # the stated float64 bound, plus the float32 rounding of the stored
+        # channels (at most 2**-24 relative to the float64 value)
+        rounding = 2.0**-24 * (1 + 1e-9)
+        assert np.max(err[:, 0] / want[:, 0]) <= 1e-9 + rounding
+        assert np.max(err[:, 1] / want[:, 1]) <= 1e-9 + rounding
+        assert np.max(err[:, 2] - rounding * want[:, 2]) <= 1e-9 * (1 + rounding)
 
 
 class TestEpipolarLoss:
