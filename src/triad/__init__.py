@@ -9,7 +9,6 @@ testable without datasets.
 """
 
 from .errors import (
-    BoundsError,
     ConfigError,
     EmptyEvaluation,
     FormatError,
@@ -20,14 +19,9 @@ from .errors import (
 from .flow import FlowField
 from .geometry import (
     Intrinsics,
-    Ray,
     RelativePose,
     Trajectory,
-    compose,
-    identity_pose,
-    inverse,
     normalized_grid,
-    pixel_to_normalized,
     relative_angle_translation,
 )
 from .metrics import (
@@ -39,7 +33,7 @@ from .metrics import (
     evaluate,
     uncertainty_sweep,
 )
-from .refine import RefineConfig, RefineResult, WeightMaps, build_weights, laplacian_nll, refine
+from .refinement import RefineConfig, RefineResult, WeightMaps, build_weights, laplacian_nll, refine
 from .select import Selection, SelectionPolicy, select_frames
 from .synth import (
     NoiseModel,
@@ -55,13 +49,11 @@ from .triangulate import (
     TriangulationInput,
     epipolar_loss,
     triangulate_map,
-    triangulate_pixel,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsError",
     "ConfigError",
     "CorrelationResult",
     "EmptyEvaluation",
@@ -73,7 +65,6 @@ __all__ = [
     "MetricReport",
     "NoiseModel",
     "NumericalError",
-    "Ray",
     "RefineConfig",
     "RefineResult",
     "RelativePose",
@@ -87,24 +78,19 @@ __all__ = [
     "TriangulationInput",
     "WeightMaps",
     "build_weights",
-    "compose",
     "corrupt_flow",
     "epipolar_loss",
     "error_uncertainty_correlation",
     "evaluate",
-    "identity_pose",
-    "inverse",
     "laplacian_nll",
     "make_scene",
     "make_trajectory",
     "normalized_grid",
-    "pixel_to_normalized",
     "refine",
     "relative_angle_translation",
     "render_flow",
     "render_flows",
     "select_frames",
     "triangulate_map",
-    "triangulate_pixel",
     "uncertainty_sweep",
 ]

@@ -9,10 +9,6 @@ class InputError(TriadError):
     """An argument violates a documented precondition or invariant."""
 
 
-class BoundsError(InputError):
-    """A pixel coordinate lies outside the image."""
-
-
 class FormatError(TriadError):
     """A file does not conform to its declared on-disk format."""
 

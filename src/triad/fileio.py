@@ -198,7 +198,7 @@ def write_intrinsics(k: Intrinsics, path) -> None:
 
 
 def read_trajectory(path) -> Trajectory:
-    """Read TUM-style "t tx ty tz qx qy qz qw" lines into world-from-camera poses."""
+    """Read TUM-style "t tx ty tz qx qy qz qw" lines into world-from-camera poses; at least one."""
     timestamps: list[float] = []
     poses: list[RelativePose] = []
     with open(path, "r", encoding="ascii") as f:
@@ -220,6 +220,8 @@ def read_trajectory(path) -> Trajectory:
                 raise FormatError(f"{path}:{lineno}: timestamps must be strictly increasing")
             timestamps.append(t)
             poses.append(RelativePose(quaternion_to_rotation(qx, qy, qz, qw), (tx, ty, tz)))
+    if not poses:
+        raise FormatError(f"{path}: no poses")
     return Trajectory(np.array(timestamps), tuple(poses))
 
 

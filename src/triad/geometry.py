@@ -1,4 +1,4 @@
-"""Camera intrinsics, rigid poses, rays, and the transform algebra everything else uses.
+"""Camera intrinsics, rigid poses, trajectories, and the transform algebra everything else uses.
 
 Conventions: right-handed camera frame with +z forward, so depth is the +z
 coordinate of a point in the camera frame. Angles are radians, distances are
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, InputError
+from .errors import InputError
 
 ORTHONORMAL_TOL = 1e-9
 
@@ -81,54 +81,6 @@ class RelativePose:
             object.__setattr__(pose, name, arr)
         return pose
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform an array of points with shape (..., 3)."""
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.rotation.T + self.translation
-
-
-@dataclass(frozen=True)
-class Ray:
-    """A unit viewing direction."""
-
-    direction: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "direction", _frozen_array(self.direction, (3,), "direction"))
-        norm = float(np.linalg.norm(self.direction))
-        if abs(norm - 1.0) > 1e-12:
-            raise InputError(f"ray direction must be unit length, |v| = {norm!r}")
-
-    @classmethod
-    def from_vector(cls, v) -> "Ray":
-        v = np.asarray(v, dtype=np.float64)
-        n = np.linalg.norm(v)
-        if n == 0.0 or not np.isfinite(n):
-            raise InputError("cannot normalize a zero or non-finite vector")
-        return cls(v / n)
-
-
-def identity_pose() -> RelativePose:
-    return RelativePose(np.eye(3), np.zeros(3))
-
-
-def compose(a: RelativePose, b: RelativePose) -> RelativePose:
-    """Pose applying ``a`` first, then ``b``."""
-    return RelativePose(*_composed(a, b))
-
-
-def _composed(a: RelativePose, b: RelativePose) -> tuple[np.ndarray, np.ndarray]:
-    return b.rotation @ a.rotation, b.rotation @ a.translation + b.translation
-
-
-def inverse(p: RelativePose) -> RelativePose:
-    return RelativePose(*_inverted(p))
-
-
-def _inverted(p: RelativePose) -> tuple[np.ndarray, np.ndarray]:
-    rt = p.rotation.T
-    return rt, -rt @ p.translation
-
 
 def relative_angle_translation(a: RelativePose, b: RelativePose) -> tuple[float, float]:
     """Rotation angle in [0, pi] and translation distance between two poses.
@@ -144,17 +96,6 @@ def relative_angle_translation(a: RelativePose, b: RelativePose) -> tuple[float,
     sin_term = float(np.linalg.norm(skew)) / 2.0
     angle = math.atan2(sin_term, cos_term)
     return angle, float(np.linalg.norm(t))
-
-
-def pixel_to_normalized(u, K: Intrinsics) -> np.ndarray:
-    """Map a pixel (x, y) to the homogeneous camera-normalized vector [x', y', 1].
-
-    Raises BoundsError when the pixel lies outside [0, width) x [0, height).
-    """
-    x, y = float(u[0]), float(u[1])
-    if not (0.0 <= x < K.width and 0.0 <= y < K.height):
-        raise BoundsError(f"pixel ({x}, {y}) outside {K.width}x{K.height} image")
-    return np.array([(x - K.cx) / K.fx, (y - K.cy) / K.fy, 1.0])
 
 
 def normalized_grid(K: Intrinsics) -> np.ndarray:
@@ -237,9 +178,13 @@ class Trajectory:
     def relative_pose(self, src: int, dst: int) -> RelativePose:
         """Transform taking points in camera ``src`` coordinates into camera ``dst``.
 
-        Equal bit for bit to compose(poses[src], inverse(poses[dst])); both
-        poses were validated at construction, so the derived ones skip the
-        orthonormality checks.
+        Camera ``src`` to world, then world to camera ``dst``: equal bit for
+        bit to compose(poses[src], inverse(poses[dst])) of the test helpers.
+        Both poses were validated at construction, so the derived one skips
+        the orthonormality checks.
         """
-        inv = RelativePose._unchecked(*_inverted(self.poses[dst]))
-        return RelativePose._unchecked(*_composed(self.poses[src], inv))
+        a, b = self.poses[src], self.poses[dst]
+        # b's inverse is (R^T, -R^T t), its rotation stored as construction stores it
+        inv_rotation = np.array(b.rotation.T)
+        inv_translation = -b.rotation.T @ b.translation
+        return RelativePose._unchecked(inv_rotation @ a.rotation, inv_rotation @ a.translation + inv_translation)

@@ -220,9 +220,11 @@ class _Prediction:
 
         rho is reported undefined (0) when fewer than SPEARMAN_MIN_PIXELS mask
         pixels have a finite sigma, and raises InputError when enough do but
-        too few of them have a finite prediction. Thresholds must be positive.
-        With an executor, sigma is ranked on it while |p - g| is ranked here.
+        too few of them have a finite prediction. The thresholds must pass
+        check_thresholds. With an executor, sigma is ranked on it while
+        |p - g| is ranked here.
         """
+        check_thresholds(thresholds)
         on_mask, sig = _gather_sigma(self.mask, self.finite, sigma)
         report, rows = _sweep(self.p, self.truth, sig, thresholds, self.p.size, score_all=True)
         if np.count_nonzero(np.isfinite(on_mask)) < SPEARMAN_MIN_PIXELS:
@@ -284,6 +286,15 @@ def _delta_acc(ratio: np.ndarray, n: int) -> dict[float, float]:
     return {t: 100.0 * (np.count_nonzero(ratio < t) / n) for t in DELTA_THRESHOLDS}
 
 
+def check_thresholds(thresholds) -> None:
+    """Raise InputError unless every sweep threshold is positive.
+
+    NaN is rejected; an infinite threshold is legal and keeps every pixel.
+    """
+    if not all(t > 0 for t in thresholds):  # NaN fails "> 0"
+        raise InputError("thresholds must be positive")
+
+
 def _sweep(p, truth: _Truth, sig, thresholds, n_base: int, score_all: bool):
     """The report on every pixel (when score_all, else None) and one sweep row per threshold.
 
@@ -327,8 +338,7 @@ def uncertainty_sweep(
     reports 100%. An empty retained set yields coverage 0 and a null report
     instead of raising.
     """
-    if any(t <= 0 for t in thresholds):
-        raise InputError("thresholds must be positive")
+    check_thresholds(thresholds)
     mask, g = _ground_truth(gt, mask)
     finite, p, g = _gather(mask, g, pred)
     _, sig = _gather_sigma(mask, finite, sigma)

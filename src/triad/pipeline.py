@@ -28,7 +28,6 @@ depend only on the map size, and their split moves only the last digits of
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +42,7 @@ from .metrics import (
     CorrelationResult,
     MetricReport,
     Scorer,
+    check_thresholds,
     csv_lines,
     sweep_csv_lines,
 )
@@ -50,7 +50,7 @@ from .metrics import (
 from .metrics import error_uncertainty_correlation, evaluate, uncertainty_sweep  # noqa: F401
 # cmd_synth renders through render_flows, so the render_flow span reads 0 calls
 from .synth import render_flow  # noqa: F401
-from .refine import WEIGHT_MODES, RefineConfig, RefineResult, build_weights, refine
+from .refinement import WEIGHT_MODES, RefineConfig, RefineResult, build_weights, refine
 from .select import Selection, SelectionPolicy, select_frames
 from .synth import (
     NoiseModel,
@@ -61,7 +61,14 @@ from .synth import (
     make_trajectory,
     render_flows,
 )
-from .triangulate import DEFAULT_D_MAX, DEFAULT_H_EPS, InitialDepth, TriangulationInput, triangulate_map
+from .triangulate import (
+    DEFAULT_D_MAX,
+    DEFAULT_H_EPS,
+    InitialDepth,
+    TriangulationInput,
+    check_limits,
+    triangulate_map,
+)
 from .workers import pool, run
 
 ENV_PREFIX = "TRIAD_"
@@ -198,22 +205,18 @@ class RunConfig:
         raise ConfigError(f"unknown trajectory_kind {self.trajectory_kind!r}")
 
     def sweep_threshold_list(self) -> list[float]:
+        """At least one threshold, each as metrics.check_thresholds requires."""
         try:
             values = [float(t) for t in self.sweep_thresholds.split()]
         except ValueError as e:
             raise ConfigError(f"bad sweep_thresholds: {e}") from e
-        # NaN fails "> 0" as well; an infinite threshold keeps every pixel
-        if not values or not all(t > 0 for t in values):
+        try:
+            check_thresholds(values)
+        except InputError as e:
+            raise ConfigError("sweep_thresholds must be positive numbers") from e
+        if not values:
             raise ConfigError("sweep_thresholds must be positive numbers")
         return values
-
-    def triangulation_limits(self) -> tuple[float, float]:
-        """(h_eps, d_max): h_eps finite and nonnegative, d_max positive and finite."""
-        if not (math.isfinite(self.h_eps) and self.h_eps >= 0.0):
-            raise ConfigError("h_eps must be a finite nonnegative number")
-        if not (0.0 < self.d_max < math.inf):
-            raise ConfigError("d_max must be positive and finite")
-        return self.h_eps, self.d_max
 
     def ablate_iteration_list(self) -> list[int]:
         try:
@@ -309,11 +312,11 @@ def load_run_config(config_path=None, overrides=(), env=None) -> RunConfig:
         cfg.noise_model(0)
         check_scene_settings(**cfg.scene_settings())
         make_trajectory(cfg.trajectory_kind, cfg.n_frames, cfg.trajectory_params())
+        check_limits(cfg.h_eps, cfg.d_max)
     except InputError as e:
         raise ConfigError(str(e)) from e
     cfg.sweep_threshold_list()
     cfg.ablate_iteration_list()
-    cfg.triangulation_limits()
     return cfg
 
 
@@ -404,8 +407,7 @@ def _triangulate_stage(cfg: RunConfig, root: Path):
         raise NumericalError("frame selection produced no usable frames")
     observations = _load_selected_flows(cfg, root, traj, keyframe, selection)
     inp = TriangulationInput(k, tuple(observations))
-    h_eps, d_max = cfg.triangulation_limits()
-    init = triangulate_map(inp, h_eps=h_eps, d_max=d_max, workers=cfg.workers)
+    init = triangulate_map(inp, h_eps=cfg.h_eps, d_max=cfg.d_max, workers=cfg.workers)
     if not np.any(init.valid):
         raise NumericalError("triangulation left no valid pixels")
     return keyframe, selection, init, warnings

@@ -33,8 +33,8 @@ iterate (recomputing the fluxes on the edges into it from the row above) and
 the band's share of C for the current iterate; the three partial sums of each
 band come from np.einsum (no BLAS, so no dependence on the thread count) and
 are added over the bands in band order. C(d) therefore depends on the band
-split, which depends only on the map size, and objective_value runs the same
-pass without the step.
+split, which depends only on the map size. Without a step map the same pass
+gives C(d) alone, as the tests' objective_value evaluates it.
 
 With ``workers`` >= 2, refine splits the bands of every pass into at most that
 many contiguous groups, each with its own band buffers, and runs them on
@@ -307,11 +307,6 @@ class _BandPass:
             np.multiply(acc, self.step[p0:p1], out=acc)
             np.add(d[p0:p1], acc, out=out[p0:p1])
         return data, horiz, vert
-
-
-def objective_value(d: np.ndarray, dbar_filled: np.ndarray, weights: WeightMaps) -> float:
-    """C(d); dbar_filled must be finite everywhere (its value is ignored where w = 0)."""
-    return _BandPass(dbar_filled, weights)(d)
 
 
 def _median(values: np.ndarray) -> float:

@@ -22,12 +22,12 @@ ray s the Lagrange identity (s x u).(s x v) = u.v - (s.u)(s.v) gives
     gamma = sum_k |p_k|^2       - (n_k.p_k)^2           / |n_k|^2
 
 Each term subtracts two nearly equal numbers when the baseline is small, so
-this form loses a few more digits than the cross products, which
-triangulate_pixel keeps as the reference. Stated bound, checked on the noisy
-test suite: the validity mask is identical, depth and sqrt(H) agree to 1e-9
-relative and the residual norm to 1e-9 absolute (measured worst cases 1.3e-12,
-6.3e-13 and 8.4e-13). On exact flow the residual norm, zero in exact
-arithmetic, comes out below 1e-7.
+this form loses a few more digits than the cross products, which the tests
+keep as the reference (triangulate_pixel in tests/helpers.py). Stated bound,
+checked on the noisy test suite: the validity mask is identical, depth and
+sqrt(H) agree to 1e-9 relative and the residual norm to 1e-9 absolute
+(measured worst cases 1.3e-12, 6.3e-13 and 8.4e-13). On exact flow the
+residual norm, zero in exact arithmetic, comes out below 1e-7.
 
 Pixels with H below h_eps (no baseline) or a minimizer outside (0, d_max]
 (cheirality violation) are degenerate and must be masked invalid, never
@@ -69,6 +69,7 @@ thread, so pool threads share no buffer and write disjoint rows of the output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,41 +140,12 @@ class InitialDepth:
             raise InputError("valid pixels need depth > 0, conf_h > 0, conf_r >= 0")
 
 
-def triangulate_pixel(
-    m,
-    observations,
-    h_eps: float = DEFAULT_H_EPS,
-    d_max: float = DEFAULT_D_MAX,
-):
-    """Solve the scalar least squares for one pixel.
-
-    ``m`` is the keyframe direction as [x', y', 1] (camera-normalized, z = 1,
-    so the recovered depth is the +z coordinate); ``observations`` is a
-    sequence of (ray, pose) pairs whose rays are unit-normalized internally.
-    Returns (depth, hessian, residual), or None when the pixel is degenerate
-    (no baseline, or the minimizer violates cheirality / exceeds d_max).
-    """
-    m = np.asarray(getattr(m, "direction", m), dtype=np.float64)
-    if not observations:
-        raise InputError("need at least one observation")
-    h_acc = 0.0
-    beta = 0.0
-    gamma = 0.0
-    for ray, pose in observations:
-        s = np.asarray(getattr(ray, "direction", ray), dtype=np.float64)
-        s = s / np.linalg.norm(s)
-        a = np.cross(s, pose.rotation @ m)
-        b = np.cross(s, pose.translation)
-        h_acc += float(a @ a)
-        beta += float(a @ b)
-        gamma += float(b @ b)
-    if h_acc < h_eps:
-        return None
-    depth = -beta / h_acc
-    if not (0.0 < depth <= d_max):
-        return None
-    residual = np.sqrt(max(0.0, gamma - beta * beta / h_acc))
-    return depth, h_acc, residual
+def check_limits(h_eps: float, d_max: float) -> None:
+    """Raise InputError unless h_eps is finite and nonnegative and d_max positive and finite."""
+    if not (math.isfinite(h_eps) and h_eps >= 0.0):
+        raise InputError("h_eps must be a finite nonnegative number")
+    if not (0.0 < d_max < math.inf):
+        raise InputError("d_max must be positive and finite")
 
 
 def _observation_rays(flow_field: FlowField, k: Intrinsics, rows: slice, x: np.ndarray, y: np.ndarray):
@@ -287,8 +259,10 @@ def triangulate_map(
     returned rounded to float32. The per-pixel math is identical in every
     row band, so output is bit-identical for any worker count; ``workers``
     >= 2 runs the row bands on at most that many threads, the calling thread
-    included, and never on more threads than there are bands.
+    included, and never on more threads than there are bands. h_eps must be
+    finite and nonnegative and d_max positive and finite (see check_limits).
     """
+    check_limits(h_eps, d_max)
     k = inp.intrinsics
     h, w = k.height, k.width
     xm = (np.arange(w, dtype=np.float64) - k.cx) / k.fx

@@ -17,7 +17,7 @@ from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 
 # Pixels per row band: the smallest band whose refinement passes gain from a
-# second thread (the refine module tabulates 8k to 64k).
+# second thread (the refinement module tabulates 8k to 64k).
 BAND_PIXELS = 1 << 15
 
 

@@ -1,12 +1,31 @@
-"""Shared test utilities: random geometry, oracles, and the synthetic suites."""
+"""Shared test utilities: random geometry, reference oracles, and the synthetic suites.
+
+The oracles are second constructions of what the package computes another
+way, kept here because no command needs them: the cross-product
+triangulation of one pixel against triangulate_map's dot-product form,
+pose composition and inversion against Trajectory.relative_pose, and C(d)
+alone against refine's band pass.
+"""
 
 import math
 import tracemalloc
 
 import numpy as np
 
-from triad import RefineConfig, RelativePose, TriangulationInput, WeightMaps, build_weights, refine, triangulate_map
+from triad import (
+    InputError,
+    Intrinsics,
+    RefineConfig,
+    RelativePose,
+    TriangulationInput,
+    WeightMaps,
+    build_weights,
+    refine,
+    triangulate_map,
+)
 from triad.pipeline import ROOM_SUITE, RunConfig, synthesize
+from triad.refinement import _BandPass
+from triad.triangulate import DEFAULT_D_MAX, DEFAULT_H_EPS
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -52,6 +71,74 @@ def golden_section_argmin(f, lo: float, hi: float, tol: float = 1e-10) -> float:
             d = a + invphi * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
+
+
+def apply(pose: RelativePose, points) -> np.ndarray:
+    """Transform an array of points with shape (..., 3)."""
+    pts = np.asarray(points, dtype=np.float64)
+    return pts @ pose.rotation.T + pose.translation
+
+
+def identity_pose() -> RelativePose:
+    return RelativePose(np.eye(3), np.zeros(3))
+
+
+def compose(a: RelativePose, b: RelativePose) -> RelativePose:
+    """Pose applying ``a`` first, then ``b``."""
+    return RelativePose(b.rotation @ a.rotation, b.rotation @ a.translation + b.translation)
+
+
+def inverse(p: RelativePose) -> RelativePose:
+    rt = p.rotation.T
+    return RelativePose(rt, -rt @ p.translation)
+
+
+def pixel_to_normalized(u, K: Intrinsics) -> np.ndarray:
+    """Map a pixel (x, y) to the homogeneous camera-normalized vector [x', y', 1].
+
+    Raises InputError when the pixel lies outside [0, width) x [0, height).
+    """
+    x, y = float(u[0]), float(u[1])
+    if not (0.0 <= x < K.width and 0.0 <= y < K.height):
+        raise InputError(f"pixel ({x}, {y}) outside {K.width}x{K.height} image")
+    return np.array([(x - K.cx) / K.fx, (y - K.cy) / K.fy, 1.0])
+
+
+def triangulate_pixel(m, observations, h_eps: float = DEFAULT_H_EPS, d_max: float = DEFAULT_D_MAX):
+    """Solve one pixel's scalar least squares in the cross-product form of the triangulate module.
+
+    ``m`` is the keyframe direction as [x', y', 1] (camera-normalized, z = 1,
+    so the recovered depth is the +z coordinate); ``observations`` is a
+    sequence of (ray, pose) pairs whose rays are unit-normalized internally.
+    Returns (depth, hessian, residual), or None when the pixel is degenerate
+    (no baseline, or the minimizer violates cheirality / exceeds d_max).
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if not observations:
+        raise InputError("need at least one observation")
+    h_acc = 0.0
+    beta = 0.0
+    gamma = 0.0
+    for ray, pose in observations:
+        s = np.asarray(ray, dtype=np.float64)
+        s = s / np.linalg.norm(s)
+        a = np.cross(s, pose.rotation @ m)
+        b = np.cross(s, pose.translation)
+        h_acc += float(a @ a)
+        beta += float(a @ b)
+        gamma += float(b @ b)
+    if h_acc < h_eps:
+        return None
+    depth = -beta / h_acc
+    if not (0.0 < depth <= d_max):
+        return None
+    residual = np.sqrt(max(0.0, gamma - beta * beta / h_acc))
+    return depth, h_acc, residual
+
+
+def objective_value(d: np.ndarray, dbar_filled: np.ndarray, weights: WeightMaps) -> float:
+    """C(d) from refine's band pass without a step; dbar_filled must be finite everywhere (ignored where w = 0)."""
+    return _BandPass(dbar_filled, weights)(d)
 
 
 def _chain_case(cfg: RunConfig, refine_cfg: RefineConfig | None = None):

@@ -25,7 +25,6 @@ from triad import (
     build_weights,
     select_frames,
     triangulate_map,
-    triangulate_pixel,
     uncertainty_sweep,
 )
 from triad.cli import main
@@ -34,7 +33,15 @@ from triad.metrics import DELTA_THRESHOLDS
 from triad.pipeline import RunConfig, synthesize
 from triad.synth import constant_velocity_trajectory
 from triad.triangulate import InitialDepth
-from helpers import golden_section_argmin, random_rotation, read_keyvalues, suite_case, weight_maps
+from helpers import (
+    apply,
+    golden_section_argmin,
+    random_rotation,
+    read_keyvalues,
+    suite_case,
+    triangulate_pixel,
+    weight_maps,
+)
 
 
 @contextmanager
@@ -72,7 +79,7 @@ def test_criterion_01_triangulation_oracle_equivalence():
                 if np.linalg.det(rot) < 0:
                     continue
                 pose = RelativePose(rot, rng.uniform(-0.5, 0.5, 3))
-                transformed = pose.apply(point)
+                transformed = apply(pose, point)
                 if transformed[2] < 0.2:
                     continue
                 observations.append((transformed + 1e-3 * rng.standard_normal(3), pose))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triad import FlowField, FormatError, compose, inverse
+from triad import FlowField, FormatError
 from triad.fileio import (
     FLO_MAGIC,
     read_flow,
@@ -22,7 +22,7 @@ from triad.fileio import (
 )
 from triad.geometry import Intrinsics, RelativePose, Trajectory, quaternion_to_rotation
 
-from helpers import pose_matrix, random_pose, traced_peak
+from helpers import compose, inverse, pose_matrix, random_pose, traced_peak
 
 
 class TestFlo:

@@ -163,6 +163,14 @@ class TestUncertaintySweep:
         with pytest.raises(InputError):
             uncertainty_sweep(gt, gt, gt, thresholds=(0.0,))
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_every_caller_rejects_negative_and_nan_thresholds(self, bad):
+        gt = np.array([1.0, 2.0])
+        with pytest.raises(InputError, match="^thresholds must be positive$"):
+            uncertainty_sweep(gt, gt, gt, thresholds=(0.5, bad))
+        with pytest.raises(InputError, match="^thresholds must be positive$"):
+            Scorer(gt).prediction(gt).score(gt, [0.5, bad])
+
     def test_csv_lines_shape(self):
         rng = np.random.default_rng(3)
         gt = rng.uniform(1, 3, 100)

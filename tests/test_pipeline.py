@@ -120,6 +120,17 @@ class TestConfigLoading:
         cfg = load_run_config(overrides=["sweep_thresholds=inf 0.5"])
         assert cfg.sweep_threshold_list() == [math.inf, 0.5]
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("h_eps=nan", "h_eps must be a finite nonnegative number"),
+         ("d_max=-1", "d_max must be positive and finite"),
+         ("sweep_thresholds=0.5 nan", "sweep_thresholds must be positive numbers"),
+         ("sweep_thresholds=", "sweep_thresholds must be positive numbers")],
+    )
+    def test_layer_rules_fail_as_config_errors(self, bad, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            load_run_config(overrides=[bad])
+
     def test_middle_keyframe_default(self):
         from triad.pipeline import resolve_keyframe
 
@@ -468,6 +479,20 @@ class TestExitCodes:
 
     def test_missing_data_is_two(self, tmp_path):
         assert run_cli("estimate", "--root", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("command", ["select", "estimate"])
+    def test_empty_trajectory_is_two_before_any_output(self, tmp_path, capsys, command):
+        root = tmp_path / "e"
+        opts = synth_opts(width=32, height=24, fx=40.0, fy=40.0)
+        assert run_cli("synth", "--root", str(root), *opts) == 0
+        (root / "trajectory.txt").write_text("")
+        before = sorted(root.rglob("*"))
+        capsys.readouterr()
+        assert run_cli(command, "--root", str(root), *opts) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"data error: {root / 'trajectory.txt'}: no poses"
+        assert sorted(root.rglob("*")) == before
 
     def test_corrupt_flow_file_is_two(self, tmp_path):
         root = tmp_path / "c"

@@ -1,4 +1,3 @@
-import importlib
 import math
 import weakref
 
@@ -15,14 +14,13 @@ from triad import (
     laplacian_nll,
     refine,
 )
-from triad import pipeline
+from triad import pipeline, refinement
 from triad.pipeline import ROOM_SUITE, RunConfig, cmd_estimate, cmd_refine, cmd_synth, cmd_triangulate
-from triad.refine import WEIGHT_MODES, objective_value
+from triad.refinement import WEIGHT_MODES
 from triad.triangulate import InitialDepth
 
-from helpers import suite_case, traced_peak, weight_maps
+from helpers import objective_value, suite_case, traced_peak, weight_maps
 
-refine_module = importlib.import_module("triad.refine")  # triad.refine is also the function's name
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 # The flux-form band pass reorders the reference's rounding, so iterates and
@@ -283,11 +281,11 @@ class TestRefine:
         # one partition at n // 2, plus the largest value below it for even n
         values = np.asarray(values, dtype=np.float64)
         want = np.median(values)
-        got = refine_module._median(values.copy())
+        got = refinement._median(values.copy())
         assert got == want and np.signbit(got) == np.signbit(want), (got, want)
         # float32 values give the median of their float64 widening
         narrow = values.astype(np.float32)
-        got = refine_module._median(narrow.copy())
+        got = refinement._median(narrow.copy())
         assert type(got) is float and got == np.median(narrow.astype(np.float64))
 
     def test_all_invalid_fill_is_one_meter(self):
@@ -502,9 +500,9 @@ class TestBufferedJacobi:
     def test_groups_split_the_bands_in_order(self):
         shape = (300, 400)
         weights = weight_maps(np.ones(shape), np.full((300, 399), 0.5), np.full((299, 400), 0.5))
-        (serial,) = refine_module._BandPass(np.zeros(shape), weights).groups
+        (serial,) = refinement._BandPass(np.zeros(shape), weights).groups
         for workers in (2, 3):
-            groups = refine_module._BandPass(np.zeros(shape), weights, workers=workers).groups
+            groups = refinement._BandPass(np.zeros(shape), weights, workers=workers).groups
             assert len(groups) == workers
             assert [band for group in groups for band in group] == serial
 
@@ -526,7 +524,7 @@ class TestBufferedJacobiSmallBands(TestBufferedJacobi):
         def row_bands(height, width, rows=request.param):
             return [slice(y, min(y + rows, height)) for y in range(0, height, rows)]
 
-        monkeypatch.setattr(refine_module, "row_bands", row_bands)
+        monkeypatch.setattr(refinement, "row_bands", row_bands)
 
 
 class TestRefineMemory:
@@ -604,14 +602,14 @@ class TestRefineCommandMemory:
             return build_weights(init, intensity, rc)
 
         alive = []
-        band_pass = refine_module._BandPass.__call__
+        band_pass = refinement._BandPass.__call__
 
         def checking_band_pass(self, *args, **kwargs):
             alive.append([ref() is not None for ref in images])
             return band_pass(self, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "build_weights", recording_build_weights)
-        monkeypatch.setattr(refine_module._BandPass, "__call__", checking_band_pass)
+        monkeypatch.setattr(refinement._BandPass, "__call__", checking_band_pass)
         command(cfg, tmp_path)
         assert len(images) == 1
         assert len(alive) == cfg.iterations + 1

@@ -70,7 +70,7 @@ def ref_uncertainty_sweep(pred, sigma, gt, thresholds=SWEEP_THRESHOLDS, mask=Non
     pred = np.asarray(pred, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    if any(t <= 0 for t in thresholds):
+    if not all(t > 0 for t in thresholds):  # NaN fails "> 0"
         raise InputError("thresholds must be positive")
     base = ref_evaluation_mask(pred, gt, mask)
     n_base = int(np.count_nonzero(base))

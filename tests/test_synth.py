@@ -13,7 +13,6 @@ from triad import (
     NoiseModel,
     RelativePose,
     TriangulationInput,
-    compose,
     corrupt_flow,
     make_scene,
     make_trajectory,
@@ -27,6 +26,8 @@ from triad.synth import (
     orbit_trajectory,
     stop_and_go_trajectory,
 )
+
+from helpers import compose
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 

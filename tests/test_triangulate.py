@@ -9,20 +9,25 @@ from triad import (
     FlowField,
     InputError,
     Intrinsics,
-    Ray,
     RelativePose,
     TriangulationInput,
-    compose,
     epipolar_loss,
     render_flow,
     triangulate_map,
-    triangulate_pixel,
 )
 from triad.geometry import normalized_grid
 from triad.pipeline import ROOM_SUITE, RunConfig, synthesize
 from triad.triangulate import InitialDepth
 
-from helpers import exact_flow_case, golden_section_argmin, random_rotation, suite_case
+from helpers import (
+    apply,
+    compose,
+    exact_flow_case,
+    golden_section_argmin,
+    random_rotation,
+    suite_case,
+    triangulate_pixel,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -40,7 +45,7 @@ def _random_instance(rng, n_views, noise=1e-3):
         if np.linalg.det(rot) < 0:
             continue
         pose = RelativePose(rot, rng.uniform(-0.5, 0.5, 3))
-        transformed = pose.apply(point)
+        transformed = apply(pose, point)
         if transformed[2] < 0.2:
             continue
         ray = transformed + noise * rng.standard_normal(3)
@@ -70,9 +75,8 @@ class TestTriangulatePixel:
 
     def test_accepts_ray_objects(self):
         pose = RelativePose(np.eye(3), (-1.0, 0.0, 0.0))
-        result = triangulate_pixel(
-            Ray.from_vector([0, 0, 1]), [(Ray.from_vector([-0.5, 0, 1.0]), pose)]
-        )
+        ray = np.array([-0.5, 0, 1.0])
+        result = triangulate_pixel(np.array([0.0, 0.0, 1.0]), [(ray / np.linalg.norm(ray), pose)])
         assert result[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_baseline_is_degenerate(self):
@@ -174,6 +178,21 @@ class TestTriangulateMap:
         pose = RelativePose(np.eye(3), np.zeros(3))
         init = triangulate_map(TriangulationInput(k, ((field, pose),)))
         assert not init.valid.any()
+
+    @pytest.mark.parametrize(
+        "limits, message",
+        [({"h_eps": np.nan}, "h_eps must be a finite nonnegative number"),
+         ({"h_eps": -1.0}, "h_eps must be a finite nonnegative number"),
+         ({"d_max": np.nan}, "d_max must be positive and finite"),
+         ({"d_max": -1.0}, "d_max must be positive and finite"),
+         ({"d_max": np.inf}, "d_max must be positive and finite")],
+    )
+    def test_bad_limits_rejected(self, limits, message):
+        k = Intrinsics(100, 100, 32, 24, 64, 48)
+        field = FlowField(np.full((48, 64, 2), 0.5), np.ones((48, 64), dtype=bool))
+        pose = RelativePose(np.eye(3), (0.1, 0, 0))
+        with pytest.raises(InputError, match=f"^{message}$"):
+            triangulate_map(TriangulationInput(k, ((field, pose),)), **limits)
 
     def test_dimension_mismatch_rejected(self):
         k = Intrinsics(100, 100, 32, 24, 64, 48)
