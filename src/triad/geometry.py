@@ -157,7 +157,7 @@ def rotation_to_quaternion(r: np.ndarray) -> tuple[float, float, float, float]:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Timestamped world-from-camera poses, ordered by strictly increasing time."""
+    """Timestamped world-from-camera poses, ordered by strictly increasing finite time."""
 
     timestamps: np.ndarray
     poses: tuple[RelativePose, ...]
@@ -169,6 +169,8 @@ class Trajectory:
         object.__setattr__(self, "poses", tuple(self.poses))
         if ts.ndim != 1 or len(ts) != len(self.poses):
             raise InputError("need one timestamp per pose")
+        if not np.all(np.isfinite(ts)):
+            raise InputError("timestamps must be finite")
         if len(ts) and not np.all(np.diff(ts) > 0):
             raise InputError("timestamps must be strictly increasing")
 

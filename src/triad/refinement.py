@@ -40,17 +40,24 @@ With ``workers`` >= 2, refine splits the bands of every pass into at most that
 many contiguous groups, each with its own band buffers, and runs them on
 workers.run, one group per thread. Groups read the current iterate and write
 disjoint rows of the next, and their shares of C come back in band order, so
-every iterate, C(d) and sigma are the same for any worker count. Milliseconds
-for 40 VGA iterations by workers.BAND_PIXELS, median of 40 interleaved calls,
-2-vCPU host with 4 MB of L2 per core (repeat runs moved single cells by up to
-10 %):
+every iterate, C(d) and sigma are the same for any worker count.
 
-    band pixels      8k     16k     32k     64k
-    1 worker        261     240     246     260
-    2 workers       411     266     215     227
+Every array a pass writes (d, dbar, the spare map, each kept iterate and the
+band buffers) comes from workers.empty and so starts on a cache line; with
+np.empty's 16-byte alignment the same passes ran at a speed set by where the
+process's heap put them. Milliseconds for 40 VGA iterations by
+workers.BAND_PIXELS, medians of 40 interleaved calls in each of two
+processes, 2-vCPU host with 4 MB of L2 per core:
 
-32k bands are the smallest that gain from a second thread; one thread pays
-2-10 % for them over 16k ones. Only the last digits of C(d) depend on the
+    band pixels      8k       16k      32k      64k
+    1 worker      124-133  102-110  106-121  128-135
+    2 workers     197-205  143-155   91-96    88-95
+
+32k bands are the smallest that gain from a second thread; one thread still
+pays 4-10 % for them over 16k ones, so alignment is not what costs it. The
+same table with 16-byte-aligned buffers, on the same host and 20 calls per
+cell, read 146-160 (16k) and 155-172 ms (32k) on one worker and 154-174 and
+109-122 ms on two. Only the last digits of C(d) depend on the
 band size: 8k to 64k bands give bit-identical iterates and objective values
 within 5.8e-16 relative of each other over 40 VGA iterations.
 
@@ -105,7 +112,7 @@ import numpy as np
 
 from .errors import InputError
 from .triangulate import InitialDepth
-from .workers import pool, row_bands, run, split
+from .workers import empty, pool, row_bands, run, split
 
 WEIGHT_MODES = ("full", "hessian_only", "residual_only", "constant")
 
@@ -207,24 +214,44 @@ def build_weights(init: InitialDepth, intensity: np.ndarray, cfg: RefineConfig) 
     intensity = np.asarray(intensity, dtype=np.float64)
     if intensity.shape != init.depth.shape:
         raise InputError("intensity shape must match the depth map")
-    # squared in float64, so float32 maps give the bytes of their float64 widening
-    hess, res_sq = np.square(init.conf_h, dtype=np.float64), np.square(init.conf_r, dtype=np.float64)
+    shape = intensity.shape
     tau_sq = cfg.tau * cfg.tau
+    # squared in float64, so float32 maps give the bytes of their float64
+    # widening; each mode then computes in place what its formula rounds
+    w = empty(shape)
     if cfg.weight_mode == "full":
-        w = hess / (res_sq + tau_sq)
+        np.square(init.conf_h, out=w, dtype=np.float64)
+        res_sq = np.square(init.conf_r, out=empty(shape), dtype=np.float64)
+        res_sq += tau_sq
+        w /= res_sq
+        del res_sq
     elif cfg.weight_mode == "hessian_only":
-        w = hess / tau_sq
+        np.square(init.conf_h, out=w, dtype=np.float64)
+        w /= tau_sq
     elif cfg.weight_mode == "residual_only":
-        w = 1.0 / (res_sq + tau_sq)
+        np.square(init.conf_r, out=w, dtype=np.float64)
+        w += tau_sq
+        np.divide(1.0, w, out=w)
     else:  # constant
-        w = np.ones_like(hess)
-    w = np.where(init.valid, np.minimum(w, cfg.w_max), 0.0)
-    mu_gh = np.zeros(intensity.shape)
-    g_h = np.exp(-np.abs(np.diff(intensity, axis=1)) / cfg.kappa)
+        w.fill(1.0)
+    np.minimum(w, cfg.w_max, out=w)
+    w.reshape(-1)[np.flatnonzero(~init.valid)] = 0.0
+    # g = exp(|dI| / -kappa), as exact as exp(-|dI| / kappa), built in place
+    # in the differences (np.diff) and then scaled by mu
+    g_h, mu_gv = [
+        np.subtract(ahead, behind, out=empty(ahead.shape))
+        for ahead, behind in ((intensity[:, 1:], intensity[:, :-1]), (intensity[1:], intensity[:-1]))
+    ]
+    for g in (g_h, mu_gv):
+        np.abs(g, out=g)
+        np.divide(g, -cfg.kappa, out=g)
+        np.exp(g, out=g)
+    mu_gh = empty(shape)
     np.multiply(g_h, cfg.mu, out=mu_gh[:, :-1])
     del g_h
-    mu_gv = np.exp(-np.abs(np.diff(intensity, axis=0)) / cfg.kappa)
-    return WeightMaps(w=w, mu_gh=mu_gh, mu_gv=np.multiply(mu_gv, cfg.mu, out=mu_gv))
+    mu_gh[:, -1] = 0.0
+    mu_gv *= cfg.mu
+    return WeightMaps(w=w, mu_gh=mu_gh, mu_gv=mu_gv)
 
 
 class _BandPass:
@@ -233,7 +260,8 @@ class _BandPass:
     The weight maps and the step are read flat. The bands of
     workers.row_bands are split into ``workers`` contiguous groups (fewer
     when there are fewer bands), each with its own four band buffers, sized
-    once for the widest band.
+    once for the widest band and each starting on a cache line
+    (workers.empty).
     """
 
     def __init__(self, dbar: np.ndarray, weights: WeightMaps, step: np.ndarray | None = None, workers: int = 1):
@@ -245,7 +273,7 @@ class _BandPass:
         bands = [(rows.start * width, rows.stop * width) for rows in row_bands(height, width)]
         self.groups = split(bands, workers)
         size = max((p1 - p0 for p0, p1 in bands), default=0) + width
-        self.buffers = [np.empty((4, size)) for _ in self.groups]
+        self.buffers = [[empty(size) for _ in range(4)] for _ in self.groups]
 
     def __call__(self, d: np.ndarray, nxt: np.ndarray | None = None, executor: Executor | None = None) -> float:
         """C(d); with ``nxt``, also write the Jacobi step from d into it.
@@ -269,7 +297,7 @@ class _BandPass:
         """The shares of C(d) of group g's bands, in band order, using group g's buffers."""
         return [self._band(d, out, p0, p1, self.buffers[g]) for p0, p1 in self.groups[g]]
 
-    def _band(self, d, out, p0: int, p1: int, buffers: np.ndarray):
+    def _band(self, d, out, p0: int, p1: int, buffers: list):
         """The data, horizontal and vertical shares of C(d) owned by pixels [p0, p1).
 
         A pixel owns its data term and its edges to the right and below. With
@@ -292,7 +320,7 @@ class _BandPass:
         np.multiply(self.mu_gv[e0:e1], dv, out=fv)
         own = p0 - e0  # the band's own vertical edges start here
         vert = np.einsum("i,i->", fv[own:], dv[own:])
-        r, acc = buffers[0, :n], buffers[2, :n]
+        r, acc = buffers[0][:n], buffers[2][:n]
         np.subtract(self.dbar[p0:p1], d[p0:p1], out=r)
         np.multiply(self.w[p0:p1], r, out=acc)
         data = np.einsum("i,i->", acc, r)
@@ -370,18 +398,19 @@ def refine(
     fill = _median(gathered) if gathered.size else 1.0
     del gathered
     # float64 maps whatever the depth's precision; float32 widens exactly
-    d = np.full(valid.shape, fill)
+    d, dbar = empty(valid.shape), empty(valid.shape)
+    d.fill(fill)
     np.copyto(d, init.depth, where=valid)
-    dbar = np.zeros(valid.shape)
+    dbar.fill(0.0)
     np.copyto(dbar, init.depth, where=valid)
     band_pass = _BandPass(dbar, weights, step, workers)
 
-    spare = None if keep_iterates else np.empty_like(d)
+    spare = None if keep_iterates else empty(d.shape)
     iterates = [d] if keep_iterates else []
     objective = []
     with pool(len(band_pass.groups), "refine") as executor:
         for _ in range(cfg.iterations):
-            nxt = np.empty_like(d) if keep_iterates else spare
+            nxt = empty(d.shape) if keep_iterates else spare
             objective.append(band_pass(d, nxt, executor))
             if keep_iterates:
                 iterates.append(nxt)

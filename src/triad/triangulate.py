@@ -45,11 +45,12 @@ the bands of workers.row_bands and, with ``workers`` >= 2, runs contiguous
 groups of bands on workers.run, one group per thread.
 
 Each call for a row band allocates its three sums and eight band-sized work
-buffers (256 KiB each at 32k pixels) once and evaluates every frame's terms
-into them in place (ufuncs with out=). Every value is rounded from the same
-operands in the same order as the formulas in _accumulate_rows's comments,
-read left to right, so the results are bit for bit those of evaluating each
-formula into fresh arrays.
+buffers (256 KiB each at 32k pixels) once, each from workers.empty so that it
+starts on a cache line, and evaluates every frame's terms into them in place
+(ufuncs with out=). Every value is rounded from the same operands in the same
+order as the formulas in _accumulate_rows's comments, read left to right, so
+the results are bit for bit those of evaluating each formula into fresh
+arrays.
 The steps that read differently are exact rewrites:
   - R m and (R m).p are formed as row term plus column term; IEEE addition
     gives the same bits with its operands swapped.
@@ -77,7 +78,7 @@ import numpy as np
 from .errors import InputError
 from .flow import FlowField
 from .geometry import Intrinsics, RelativePose, normalized_grid
-from .workers import pool, row_bands, run, split
+from .workers import empty, pool, row_bands, run, split
 
 DEFAULT_H_EPS = 1e-12
 DEFAULT_D_MAX = 100.0
@@ -180,13 +181,13 @@ def _accumulate_rows(inp: TriangulationInput, xm: np.ndarray, ym: np.ndarray, ro
     """
     ym = ym[rows, None]
     shape = (ym.shape[0], xm.shape[0])
-    h_acc = np.zeros(shape)
-    beta = np.zeros(shape)
-    gamma = np.zeros(shape)
+    h_acc, beta, gamma = (empty(shape) for _ in range(3))
+    for acc in (h_acc, beta, gamma):
+        acc.fill(0.0)
     any_obs = np.zeros(shape, dtype=bool)
     # nx, ny: ray; inv: 1/|n|^2; rm: one component of R m at a time, then
     # (R m).p; n_rm: n.R m; rm_sq: |R m|^2; n_p: n.p; t: the term in hand
-    nx, ny, inv, rm, n_rm, rm_sq, n_p, t = np.empty((8, *shape))
+    nx, ny, inv, rm, n_rm, rm_sq, n_p, t = (empty(shape) for _ in range(8))
     for flow_field, pose in inp.observations:
         bad = _observation_rays(flow_field, inp.intrinsics, rows, nx, ny)
         r, p = pose.rotation, pose.translation

@@ -182,6 +182,12 @@ class TestTrajectory:
         with pytest.raises(InputError):
             Trajectory(np.array([0.0, 0.0]), poses)
 
+    @pytest.mark.parametrize("timestamps", [[0.0, np.inf], [np.nan], [-np.inf, 0.0]])
+    def test_finite_timestamps_required(self, timestamps):
+        poses = tuple(identity_pose() for _ in timestamps)
+        with pytest.raises(InputError, match="finite"):
+            Trajectory(np.array(timestamps), poses)
+
     def test_relative_pose_to_self_is_identity(self):
         rng = np.random.default_rng(11)
         traj = Trajectory(np.array([0.0, 1.0]), (random_pose(rng), random_pose(rng)))

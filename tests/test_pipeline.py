@@ -480,19 +480,38 @@ class TestExitCodes:
     def test_missing_data_is_two(self, tmp_path):
         assert run_cli("estimate", "--root", str(tmp_path)) == 2
 
-    @pytest.mark.parametrize("command", ["select", "estimate"])
-    def test_empty_trajectory_is_two_before_any_output(self, tmp_path, capsys, command):
-        root = tmp_path / "e"
+    @staticmethod
+    def _bad_trajectory_is_two_before_any_output(root, capsys, command, text, message):
         opts = synth_opts(width=32, height=24, fx=40.0, fy=40.0)
         assert run_cli("synth", "--root", str(root), *opts) == 0
-        (root / "trajectory.txt").write_text("")
+        (root / "trajectory.txt").write_text(text)
         before = sorted(root.rglob("*"))
         capsys.readouterr()
         assert run_cli(command, "--root", str(root), *opts) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.strip() == f"data error: {root / 'trajectory.txt'}: no poses"
+        assert captured.err.strip() == f"data error: {message}"
         assert sorted(root.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["select", "estimate"])
+    def test_empty_trajectory_is_two_before_any_output(self, tmp_path, capsys, command):
+        root = tmp_path / "e"
+        message = f"{root / 'trajectory.txt'}: no poses"
+        self._bad_trajectory_is_two_before_any_output(root, capsys, command, "", message)
+
+    @pytest.mark.parametrize("command", ["select", "estimate"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a later infinite timestamp passes the increasing check, and a
+            # lone NaN timestamp has no neighbour to be compared with
+            "0 0 0 0 0 0 0 1\ninf 0.1 0 0 0 0 0 1\n",
+            "nan 0 0 0 0 0 0 1\n",
+        ],
+    )
+    def test_non_finite_timestamp_is_two_before_any_output(self, tmp_path, capsys, command, text):
+        message = "timestamps must be finite"
+        self._bad_trajectory_is_two_before_any_output(tmp_path / "t", capsys, command, text, message)
 
     def test_corrupt_flow_file_is_two(self, tmp_path):
         root = tmp_path / "c"

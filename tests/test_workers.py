@@ -3,11 +3,37 @@
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from triad.workers import BAND_PIXELS, pool, row_bands, run, split
+from triad.workers import ALIGN, BAND_PIXELS, empty, pool, row_bands, run, split
+
+
+shapes = st.one_of(st.integers(0, 300), st.lists(st.integers(0, 40), max_size=3).map(tuple))
+
+
+class TestEmpty:
+    @given(shapes, st.sampled_from([np.float64, np.float32, np.bool_]))
+    def test_shape_dtype_and_alignment(self, shape, dtype):
+        array = empty(shape, dtype)
+        assert array.shape == np.empty(shape, dtype).shape
+        assert array.dtype == dtype
+        assert array.flags.c_contiguous and array.flags.writeable
+        assert array.ctypes.data % ALIGN == 0
+        # one block per array, at most ALIGN bytes longer than its data
+        assert array.base.nbytes == array.nbytes + ALIGN
+
+    @given(shapes, st.sampled_from([np.float64, np.float32, np.bool_]), st.integers(2, 8))
+    def test_every_buffer_of_a_set_is_aligned_and_its_own(self, shape, dtype, count):
+        buffers = [empty(shape, dtype) for _ in range(count)]
+        assert all(buffer.ctypes.data % ALIGN == 0 for buffer in buffers)
+        for i, buffer in enumerate(buffers):
+            assert not any(np.shares_memory(buffer, other) for other in buffers[i + 1 :])
+        for i, buffer in enumerate(buffers):
+            buffer.reshape(-1)[:] = i % 2
+        assert all(np.all(buffer == i % 2) for i, buffer in enumerate(buffers))
 
 
 class TestRowBands:
