@@ -7,31 +7,34 @@ s_k = n_k / |n_k| and poses (R_k, p_k) taking keyframe coordinates into
 frame k, the scalar depth d minimizes
 
     cost(d) = sum_k || s_k x (R_k m d + p_k) ||^2
-            = H d^2 + 2 beta d + gamma
+            = H d^2 + 2 beta d + gamma,
 
-with a_k = s_k x (R_k m), b_k = s_k x p_k, H = sum a_k.a_k,
-beta = sum a_k.b_k, gamma = sum b_k.b_k. The closed-form minimizer is
-d = -beta / H; H (the scalar curvature of the cost) and the residual norm
-sqrt(cost(d)) become the two confidence channels of the initial depth map.
+summed over frame k's terms, which the Lagrange identity
+(s x u).(s x v) = u.v - (s.u)(s.v) for a unit ray s turns into dot products:
 
-triangulate_map evaluates the coefficients without cross products. For a unit
-ray s the Lagrange identity (s x u).(s x v) = u.v - (s.u)(s.v) gives
+    H_k     = |R_k m|^2     - (n_k.R_k m)^2         / |n_k|^2
+    beta_k  = (R_k m).p_k   - (n_k.R_k m)(n_k.p_k)  / |n_k|^2
+    gamma_k = |p_k|^2       - (n_k.p_k)^2           / |n_k|^2
 
-    H     = sum_k |R_k m|^2     - (n_k.R_k m)^2         / |n_k|^2
-    beta  = sum_k (R_k m).p_k   - (n_k.R_k m)(n_k.p_k)  / |n_k|^2
-    gamma = sum_k |p_k|^2       - (n_k.p_k)^2           / |n_k|^2
+_frame_terms alone forms them, for one frame on a band of rows. The
+minimizer of their sum is d = -beta / H; H (the scalar curvature of the
+cost) and the residual norm sqrt(cost(d)) become the two confidence channels
+of the initial depth map. Pixels with H below h_eps (no baseline) or d
+outside (0, d_max] (cheirality violation) are degenerate and must be masked
+invalid, never clamped. epipolar_loss reads one frame's terms at the
+ground-truth depth g: |s_k x q|^2 with q = R_k m g + p_k, the point in frame k.
 
 Each term subtracts two nearly equal numbers when the baseline is small, so
 this form loses a few more digits than the cross products, which the tests
-keep as the reference (triangulate_pixel in tests/helpers.py). Stated bound,
-checked on the noisy test suite: the validity mask is identical, depth and
-sqrt(H) agree to 1e-9 relative and the residual norm to 1e-9 absolute
-(measured worst cases 1.3e-12, 6.3e-13 and 8.4e-13). On exact flow the
-residual norm, zero in exact arithmetic, comes out below 1e-7.
-
-Pixels with H below h_eps (no baseline) or a minimizer outside (0, d_max]
-(cheirality violation) are degenerate and must be masked invalid, never
-clamped.
+keep as the reference (triangulate_pixel and cross_product_loss in
+tests/helpers.py). Stated bounds, checked on the noisy test suite: the
+validity mask is identical, depth and sqrt(H) agree to 1e-9 relative and the
+residual norm to 1e-9 absolute (measured worst cases 1.3e-12, 6.3e-13 and
+8.4e-13). On exact flow the residual norm, zero in exact arithmetic, comes
+out below 1e-7. epipolar_loss is within 1e-14 |q|^2 per pixel of the
+cross-product loss (measured worst case 6.7e-16 |q|^2 on suite seeds 0-2,
+QVGA and VGA, exact and decoded noisy flow), and floored at 0 as the
+residual is, since rounding takes a zero cost below it.
 
 Every band is solved and checked in float64, and the three channels are then
 stored as float32, the precision of the PFM files they are written to: the
@@ -48,9 +51,8 @@ Each call for a row band allocates its three sums and eight band-sized work
 buffers (256 KiB each at 32k pixels) once, each from workers.empty so that it
 starts on a cache line, and evaluates every frame's terms into them in place
 (ufuncs with out=). Every value is rounded from the same operands in the same
-order as the formulas in _accumulate_rows's comments, read left to right, so
-the results are bit for bit those of evaluating each formula into fresh
-arrays.
+order as the formulas in _frame_terms's comments, read left to right, so the
+results are bit for bit those of evaluating each formula into fresh arrays.
 The steps that read differently are exact rewrites:
   - R m and (R m).p are formed as row term plus column term; IEEE addition
     gives the same bits with its operands swapped.
@@ -77,7 +79,7 @@ import numpy as np
 
 from .errors import InputError
 from .flow import FlowField
-from .geometry import Intrinsics, RelativePose, normalized_grid
+from .geometry import Intrinsics, RelativePose
 from .workers import empty, pool, row_bands, run, split
 
 DEFAULT_H_EPS = 1e-12
@@ -149,99 +151,97 @@ def check_limits(h_eps: float, d_max: float) -> None:
         raise InputError("d_max must be positive and finite")
 
 
-def _observation_rays(flow_field: FlowField, k: Intrinsics, rows: slice, x: np.ndarray, y: np.ndarray):
-    """Unnormalized observation rays [x, y, 1] of a band of rows: pixel plus flow, through K^-1.
+def _axes(k: Intrinsics):
+    """The x' of m by column and its y' by row."""
+    xm = (np.arange(k.width, dtype=np.float64) - k.cx) / k.fx
+    ym = (np.arange(k.height, dtype=np.float64) - k.cy) / k.fy
+    return xm, ym
 
-    Writes the x and y components into ``x`` and ``y``, band-shaped float64
-    buffers whatever the field's dtype is (a float32 field is widened
-    exactly as it is copied in), and returns the flat indices of the band's
-    invalid pixels. Those get the ray of zero flow, so every value is finite
-    whatever their vectors hold.
+
+def _frame_terms(flow_field: FlowField, pose: RelativePose, k: Intrinsics, xm, ym, rows: slice, buffers):
+    """One frame's H_k, beta_k and gamma_k on a band of rows, and the band's invalid flat indices.
+
+    ``xm`` and ``ym`` come from _axes. The terms are written into three of
+    the eight band-shaped float64 ``buffers`` and returned. A float32 field
+    is widened exactly as it is copied in, and invalid pixels get the ray of
+    zero flow, so every term is finite; it is the caller's to drop them.
     """
+    ym = ym[rows, None]
+    # nx, ny: ray; inv: 1/|n|^2; rm: one component of R m at a time, then
+    # (R m).p; n_rm: n.R m, then gamma_k; rm_sq: |R m|^2, then H_k; n_p: n.p;
+    # t: the product in hand, then beta_k
+    nx, ny, inv, rm, n_rm, rm_sq, n_p, t = buffers
     bad = np.flatnonzero(~flow_field.valid[rows])
-    np.copyto(x, flow_field.vectors[rows, :, 0])
-    x.reshape(-1)[bad] = 0.0
-    x += np.arange(k.width, dtype=np.float64)[None, :]
-    x -= k.cx
-    x /= k.fx
-    np.copyto(y, flow_field.vectors[rows, :, 1])
-    y.reshape(-1)[bad] = 0.0
-    y += np.arange(k.height, dtype=np.float64)[rows, None]
-    y -= k.cy
-    y /= k.fy
-    return bad
+    # the ray: n = (flow + pixel - c) / f per axis, with zero flow where invalid
+    columns = np.arange(k.width, dtype=np.float64)
+    band_rows = np.arange(k.height, dtype=np.float64)[rows, None]
+    for axis, n, pixel, c, f in ((0, nx, columns, k.cx, k.fx), (1, ny, band_rows, k.cy, k.fy)):
+        np.copyto(n, flow_field.vectors[rows, :, axis])
+        n.reshape(-1)[bad] = 0.0
+        n += pixel
+        n -= c
+        n /= f
+    r, p = pose.rotation, pose.translation
+    # inv = 1 / (nx nx + ny ny + 1)
+    np.multiply(nx, nx, out=inv)
+    np.multiply(ny, ny, out=t)
+    inv += t
+    inv += 1.0
+    np.divide(1.0, inv, out=inv)
+    # R m and (R m).p = m.(R^T p) are sums of a column term and a row term;
+    # n_rm = nx rm0 + ny rm1 + rm2 and rm_sq = rm0 rm0 + rm1 rm1 + rm2 rm2
+    np.copyto(rm, r[0, 1] * ym)
+    rm += r[0, 0] * xm + r[0, 2]
+    np.multiply(nx, rm, out=n_rm)
+    np.multiply(rm, rm, out=rm_sq)
+    np.copyto(rm, r[1, 1] * ym)
+    rm += r[1, 0] * xm + r[1, 2]
+    np.multiply(ny, rm, out=t)
+    n_rm += t
+    np.multiply(rm, rm, out=t)
+    rm_sq += t
+    np.copyto(rm, r[2, 1] * ym)
+    rm += r[2, 0] * xm + r[2, 2]
+    n_rm += rm
+    np.multiply(rm, rm, out=t)
+    rm_sq += t
+    # n_p = nx p0 + ny p1 + p2
+    np.multiply(nx, p[0], out=n_p)
+    np.multiply(ny, p[1], out=t)
+    n_p += t
+    n_p += p[2]
+    # H_k = rm_sq - n_rm n_rm inv
+    np.multiply(n_rm, n_rm, out=t)
+    t *= inv
+    np.subtract(rm_sq, t, out=rm_sq)
+    # beta_k = (R m).p - n_rm n_p inv
+    c = r.T @ p
+    np.copyto(rm, c[1] * ym)
+    rm += c[0] * xm + c[2]
+    np.multiply(n_rm, n_p, out=t)
+    t *= inv
+    np.subtract(rm, t, out=t)
+    # gamma_k = p.p - n_p n_p inv
+    np.multiply(n_p, n_p, out=n_rm)
+    n_rm *= inv
+    np.subtract(p @ p, n_rm, out=n_rm)
+    return rm_sq, t, n_rm, bad
 
 
 def _accumulate_rows(inp: TriangulationInput, xm: np.ndarray, ym: np.ndarray, rows: slice):
-    """Per-pixel cost coefficients for a band of rows, frames in input order.
-
-    ``xm`` and ``ym`` are the keyframe's normalized column and row
-    coordinates. The terms use the dot-product form of the module docstring.
-    Returns H, beta, gamma and whether any observation of the pixel is valid.
-    """
-    ym = ym[rows, None]
-    shape = (ym.shape[0], xm.shape[0])
+    """H, beta, gamma on a band of rows (_frame_terms summed in input order) and where any is valid."""
+    shape = (ym[rows].shape[0], xm.shape[0])
     h_acc, beta, gamma = (empty(shape) for _ in range(3))
     for acc in (h_acc, beta, gamma):
         acc.fill(0.0)
     any_obs = np.zeros(shape, dtype=bool)
-    # nx, ny: ray; inv: 1/|n|^2; rm: one component of R m at a time, then
-    # (R m).p; n_rm: n.R m; rm_sq: |R m|^2; n_p: n.p; t: the term in hand
-    nx, ny, inv, rm, n_rm, rm_sq, n_p, t = (empty(shape) for _ in range(8))
+    buffers = [empty(shape) for _ in range(8)]
     for flow_field, pose in inp.observations:
-        bad = _observation_rays(flow_field, inp.intrinsics, rows, nx, ny)
-        r, p = pose.rotation, pose.translation
-        # inv = 1 / (nx nx + ny ny + 1)
-        np.multiply(nx, nx, out=inv)
-        np.multiply(ny, ny, out=t)
-        inv += t
-        inv += 1.0
-        np.divide(1.0, inv, out=inv)
-        # R m and (R m).p = m.(R^T p) are sums of a column term and a row term;
-        # n_rm = nx rm0 + ny rm1 + rm2 and rm_sq = rm0 rm0 + rm1 rm1 + rm2 rm2
-        np.copyto(rm, r[0, 1] * ym)
-        rm += r[0, 0] * xm + r[0, 2]
-        np.multiply(nx, rm, out=n_rm)
-        np.multiply(rm, rm, out=rm_sq)
-        np.copyto(rm, r[1, 1] * ym)
-        rm += r[1, 0] * xm + r[1, 2]
-        np.multiply(ny, rm, out=t)
-        n_rm += t
-        np.multiply(rm, rm, out=t)
-        rm_sq += t
-        np.copyto(rm, r[2, 1] * ym)
-        rm += r[2, 0] * xm + r[2, 2]
-        n_rm += rm
-        np.multiply(rm, rm, out=t)
-        rm_sq += t
-        # n_p = nx p0 + ny p1 + p2
-        np.multiply(nx, p[0], out=n_p)
-        np.multiply(ny, p[1], out=t)
-        n_p += t
-        n_p += p[2]
-        # each term is zeroed on the invalid pixels, then added everywhere
-        # (exact: see the module docstring)
-        # H += rm_sq - n_rm n_rm inv
-        np.multiply(n_rm, n_rm, out=t)
-        t *= inv
-        np.subtract(rm_sq, t, out=t)
-        t.reshape(-1)[bad] = 0.0
-        h_acc += t
-        # beta += (R m).p - n_rm n_p inv
-        c = r.T @ p
-        np.copyto(rm, c[1] * ym)
-        rm += c[0] * xm + c[2]
-        np.multiply(n_rm, n_p, out=t)
-        t *= inv
-        np.subtract(rm, t, out=t)
-        t.reshape(-1)[bad] = 0.0
-        beta += t
-        # gamma += p.p - n_p n_p inv
-        np.multiply(n_p, n_p, out=t)
-        t *= inv
-        np.subtract(p @ p, t, out=t)
-        t.reshape(-1)[bad] = 0.0
-        gamma += t
+        *terms, bad = _frame_terms(flow_field, pose, inp.intrinsics, xm, ym, rows, buffers)
+        # zeroed where invalid, then added everywhere (exact: see the module docstring)
+        for acc, term in zip((h_acc, beta, gamma), terms):
+            term.reshape(-1)[bad] = 0.0
+            acc += term
         any_obs |= flow_field.valid[rows]
     return h_acc, beta, gamma, any_obs
 
@@ -264,10 +264,8 @@ def triangulate_map(
     finite and nonnegative and d_max positive and finite (see check_limits).
     """
     check_limits(h_eps, d_max)
-    k = inp.intrinsics
-    h, w = k.height, k.width
-    xm = (np.arange(w, dtype=np.float64) - k.cx) / k.fx
-    ym = (np.arange(h, dtype=np.float64) - k.cy) / k.fy
+    h, w = inp.intrinsics.height, inp.intrinsics.width
+    xm, ym = _axes(inp.intrinsics)
     depth = np.empty((h, w), dtype=np.float32)
     conf_h = np.empty((h, w), dtype=np.float32)
     conf_r = np.empty((h, w), dtype=np.float32)
@@ -313,22 +311,24 @@ def epipolar_loss(
 
     Substituting ground-truth depth into the per-pixel cost measures the flow
     error in every direction, including the component perpendicular to the
-    epipolar line that depth alone cannot see. Returns the scalar sum over
-    valid pixels (fixed row-major order) and the per-pixel map, NaN where the
-    flow is invalid or the ground truth is not finite.
+    epipolar line that depth alone cannot see: H_k g^2 + 2 beta_k g + gamma_k
+    at the ground truth g, floored at 0. Returns the sum over valid pixels
+    (fixed row-major order) and the per-pixel map, NaN where the flow is
+    invalid or the ground truth is not finite.
     """
+    inp = TriangulationInput(k, ((flow_field, pose),))
     gt = np.asarray(gt_depth, dtype=np.float64)
     if gt.shape != (k.height, k.width):
         raise InputError(f"gt depth shape {gt.shape} != image size {(k.height, k.width)}")
     valid = flow_field.valid & np.isfinite(gt)
-    m_grid = normalized_grid(k)
-    nx, ny = np.empty((2, k.height, k.width))
-    _observation_rays(flow_field, k, slice(None), nx, ny)
-    s = np.stack([nx, ny, np.ones_like(nx)], axis=-1)
-    s /= np.linalg.norm(s, axis=-1, keepdims=True)
-    safe_gt = np.where(valid, gt, 1.0)
-    transformed = (m_grid @ pose.rotation.T) * safe_gt[..., None] + pose.translation
-    residual = np.cross(s, transformed)
-    per_pixel = np.einsum("...i,...i->...", residual, residual)
-    total = float(np.sum(np.where(valid, per_pixel, 0.0)))
-    return total, np.where(valid, per_pixel, np.nan)
+    xm, ym = _axes(k)
+    per_pixel = np.empty(gt.shape)
+    for rows in row_bands(k.height, k.width):
+        # one frame's sums are its terms, 0 where its flow is invalid
+        h_k, beta_k, gamma_k, _ = _accumulate_rows(inp, xm, ym, rows)
+        g = np.where(valid[rows], gt[rows], 0.0)
+        loss = np.maximum(0.0, (h_k * g + 2.0 * beta_k) * g + gamma_k, out=per_pixel[rows])
+        loss[~valid[rows]] = 0.0  # until the total is taken
+    total = float(np.sum(per_pixel))
+    per_pixel[~valid] = np.nan
+    return total, per_pixel

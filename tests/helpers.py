@@ -2,8 +2,9 @@
 
 The oracles are second constructions of what the package computes another
 way, kept here because no command needs them: the cross-product
-triangulation of one pixel against triangulate_map's dot-product form,
-pose composition and inversion against Trajectory.relative_pose, and C(d)
+triangulation of one pixel against triangulate_map's dot-product form, the
+cross-product epipolar loss of one pixel against epipolar_loss's, pose
+composition and inversion against Trajectory.relative_pose, and C(d)
 alone against refine's band pass.
 """
 
@@ -134,6 +135,21 @@ def triangulate_pixel(m, observations, h_eps: float = DEFAULT_H_EPS, d_max: floa
         return None
     residual = np.sqrt(max(0.0, gamma - beta * beta / h_acc))
     return depth, h_acc, residual
+
+
+def cross_product_loss(m, ray, pose: RelativePose, depth: float):
+    """One pixel's epipolar loss in the cross-product form of the triangulate module, and |q|^2.
+
+    ``m`` is the keyframe direction [x', y', 1], ``ray`` the observed ray
+    (unit-normalized here) and q = R m depth + p the point in the frame.
+    Returns (|s x q|^2, |q|^2), the second being the scale of the module's
+    stated bound on epipolar_loss.
+    """
+    s = np.asarray(ray, dtype=np.float64)
+    s = s / np.linalg.norm(s)
+    q = pose.rotation @ np.asarray(m, dtype=np.float64) * depth + pose.translation
+    r = np.cross(s, q)
+    return float(r @ r), float(q @ q)
 
 
 def objective_value(d: np.ndarray, dbar_filled: np.ndarray, weights: WeightMaps) -> float:

@@ -15,7 +15,7 @@ import triad.workers as workers_module
 from triad import FlowField, RelativePose, TriangulationInput, triangulate_map
 from triad.flow import INVALID_FLOW
 from triad.pipeline import ROOM_SUITE, RunConfig, _triangulate_stage, cmd_synth, synthesize
-from triad.triangulate import DEFAULT_D_MAX, DEFAULT_H_EPS, _accumulate_rows
+from triad.triangulate import DEFAULT_D_MAX, DEFAULT_H_EPS, _accumulate_rows, _frame_terms
 
 from helpers import suite_case, traced_peak
 
@@ -172,6 +172,28 @@ class TestBandPassMatchesReference:
         assert not got.valid.any()
         for channel in (got.depth, got.conf_h, got.conf_r):
             assert channel.tobytes() == np.full(channel.shape, np.nan, dtype=np.float32).tobytes()
+
+
+class TestFrameTerms:
+    """_frame_terms gives each frame's own terms, the ones the reference adds for that frame."""
+
+    @pytest.mark.parametrize("band_pixels", [1, 3, workers_module.BAND_PIXELS])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_terms_bit_identical_on_valid_pixels(self, seed, band_pixels, monkeypatch):
+        inp = _invalid_flow_case(seed)
+        k = inp.intrinsics
+        xm, ym = _grid(k)
+        monkeypatch.setattr(workers_module, "BAND_PIXELS", band_pixels)
+        for observation in inp.observations:
+            alone = TriangulationInput(k, (observation,))
+            for rows in workers_module.row_bands(k.height, k.width):
+                buffers = [np.empty((rows.stop - rows.start, k.width)) for _ in range(8)]
+                *terms, bad = _frame_terms(*observation, k, xm, ym, rows, buffers)
+                want = _reference_accumulate_rows(alone, xm, ym, rows)
+                valid = observation[0].valid[rows]
+                assert np.array_equal(bad, np.flatnonzero(~valid))
+                for got, ref in zip(terms, want):
+                    assert got[valid].tobytes() == ref[valid].tobytes()
 
 
 # Peak traced memory of triangulate_map on 4 VGA frames with one worker: the

@@ -22,10 +22,12 @@ from triad.triangulate import InitialDepth
 from helpers import (
     apply,
     compose,
+    cross_product_loss,
     exact_flow_case,
     golden_section_argmin,
     random_rotation,
     suite_case,
+    traced_peak,
     triangulate_pixel,
 )
 
@@ -285,6 +287,13 @@ class TestDotProductBound:
         assert np.max(err[:, 2] - rounding * want[:, 2]) <= 1e-9 * (1 + rounding)
 
 
+# Peak traced memory of epipolar_loss on one VGA frame: the float64 per-pixel
+# map (2.46 MB), the masks and one band's eight work buffers. Measured at
+# 6.74 MB (numpy 2.4, Python 3.11); the bound allows 9.8 % more. The
+# cross-product form on whole (H, W, 3) maps peaked at 54.4 MB.
+VGA_EPIPOLAR_LOSS_PEAK_BYTES = 7_400_000
+
+
 class TestEpipolarLoss:
     def test_exact_flow_has_negligible_loss(self):
         case = exact_flow_case(seed=6)
@@ -293,6 +302,8 @@ class TestEpipolarLoss:
         n = int(field.valid.sum())
         assert total < 1e-12 * n
         assert np.nanmax(per_pixel) < 1e-12
+        # rounding takes the unfloored dot form below zero on exact flow
+        assert np.nanmin(per_pixel) >= 0.0
 
     def test_matches_row_major_recomputation(self):
         case = exact_flow_case(seed=7, width=64, height=48, fx=90.0, fy=90.0)
@@ -309,13 +320,45 @@ class TestEpipolarLoss:
                     assert np.isnan(per_pixel[y, x])
                     continue
                 u = np.array([x, y]) + noisy.vectors[y, x]
-                s = np.array([(u[0] - k.cx) / k.fx, (u[1] - k.cy) / k.fy, 1.0])
-                s = s / np.linalg.norm(s)
-                r = np.cross(s, pose.rotation @ m_grid[y, x] * case["gt"][y, x] + pose.translation)
-                contribution = float(r @ r)
-                assert per_pixel[y, x] == pytest.approx(contribution, rel=1e-12, abs=1e-15)
+                ray = [(u[0] - k.cx) / k.fx, (u[1] - k.cy) / k.fy, 1.0]
+                contribution, q_sq = cross_product_loss(m_grid[y, x], ray, pose, case["gt"][y, x])
+                # the module's stated bound
+                assert abs(per_pixel[y, x] - contribution) <= 1e-14 * q_sq
                 want += contribution
         assert total == pytest.approx(want, rel=1e-12)
+
+    def test_suite_within_stated_bound(self):
+        """Exact and decoded noisy flow of every suite frame: NaN, floor and per-pixel bound."""
+        rng = np.random.default_rng(0)
+        ratios = []
+        for seed in range(3):
+            k, _, scene, _, frames = synthesize(RunConfig(**ROOM_SUITE, seed=seed))
+            gt = scene.depth_map()
+            m_grid = normalized_grid(k)
+            for _, pose, exact, noisy in frames:
+                for field in (exact, FlowField.from_raster(noisy.to_raster())):
+                    _, per_pixel = epipolar_loss(field, pose, gt, k)
+                    assert np.array_equal(np.isnan(per_pixel), ~(field.valid & np.isfinite(gt)))
+                    assert np.nanmin(per_pixel) >= 0.0
+                    for index in rng.choice(k.height * k.width, 100, replace=False):
+                        y, x = divmod(int(index), k.width)
+                        if not field.valid[y, x]:
+                            continue
+                        u, v = np.array([x, y]) + field.vectors[y, x]
+                        ray = [(u - k.cx) / k.fx, (v - k.cy) / k.fy, 1.0]
+                        want, q_sq = cross_product_loss(m_grid[y, x], ray, pose, gt[y, x])
+                        ratios.append(abs(per_pixel[y, x] - want) / q_sq)
+        assert len(ratios) >= 2000
+        assert max(ratios) <= 1e-14
+
+    def test_vga_peak_within_bound(self):
+        cfg = RunConfig(**ROOM_SUITE, width=640, height=480, fx=800.0, fy=800.0)
+        k, _, scene, _, frames = synthesize(cfg)
+        gt = scene.depth_map()
+        _, pose, _, noisy = next(iter(frames))
+        (total, _), peak = traced_peak(lambda: epipolar_loss(noisy, pose, gt, k))
+        assert total > 0.0
+        assert peak <= VGA_EPIPOLAR_LOSS_PEAK_BYTES, peak / 1e6
 
     @given(seeds)
     @settings(max_examples=15)
@@ -336,6 +379,14 @@ class TestEpipolarLoss:
         field = FlowField(np.zeros((24, 32, 2)), np.ones((24, 32), dtype=bool))
         with pytest.raises(InputError):
             epipolar_loss(field, RelativePose(np.eye(3), (0.1, 0, 0)), np.ones((5, 5)), k)
+
+    # a smaller field, and fields numpy would broadcast against the map
+    @pytest.mark.parametrize("height, width", [(24, 32), (48, 1), (1, 64)])
+    def test_flow_size_mismatch_rejected(self, height, width):
+        k = Intrinsics(90, 90, 32, 24, 64, 48)
+        field = FlowField(np.zeros((height, width, 2)), np.ones((height, width), dtype=bool))
+        with pytest.raises(InputError, match=f"^flow field is {width}x{height}, intrinsics expect 64x48$"):
+            epipolar_loss(field, RelativePose(np.eye(3), (0.1, 0, 0)), np.ones((48, 64)), k)
 
 
 @functools.cache
