@@ -40,7 +40,6 @@ from .synth import (
     SyntheticScene,
     corrupt_flow,
     make_scene,
-    make_trajectory,
     render_flow,
     render_flows,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "evaluate",
     "laplacian_nll",
     "make_scene",
-    "make_trajectory",
     "normalized_grid",
     "refine",
     "relative_angle_translation",

@@ -103,7 +103,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_run_config(args.config, args.opt, os.environ)
         summary = COMMANDS[args.command][0](cfg, args.root)
-    except (ConfigError, _UsageError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except (FormatError, InputError, OSError) as e:

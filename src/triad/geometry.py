@@ -98,10 +98,16 @@ def relative_angle_translation(a: RelativePose, b: RelativePose) -> tuple[float,
     return angle, float(np.linalg.norm(t))
 
 
-def normalized_grid(K: Intrinsics) -> np.ndarray:
-    """Camera-normalized homogeneous coordinates for every pixel, shape (H, W, 3)."""
+def normalized_axes(K: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """The camera-normalized x' of every pixel column and y' of every pixel row."""
     xs = (np.arange(K.width, dtype=np.float64) - K.cx) / K.fx
     ys = (np.arange(K.height, dtype=np.float64) - K.cy) / K.fy
+    return xs, ys
+
+
+def normalized_grid(K: Intrinsics) -> np.ndarray:
+    """Camera-normalized homogeneous coordinates for every pixel, shape (H, W, 3)."""
+    xs, ys = normalized_axes(K)
     grid = np.empty((K.height, K.width, 3), dtype=np.float64)
     grid[..., 0] = xs[None, :]
     grid[..., 1] = ys[:, None]

@@ -113,19 +113,6 @@ class CorrelationResult:
     defined: bool
 
 
-class _Truth:
-    """Ground truth on the evaluated pixels, float32 or float64, and whether any is non-positive.
-
-    Threads scoring against one truth only read it. Every prediction scored
-    against a truth with a non-positive pixel raises before its terms are
-    formed.
-    """
-
-    def __init__(self, g: np.ndarray):
-        self.g = g
-        self.nonpositive = bool(np.any(g <= 0))
-
-
 def _ground_truth(gt, mask) -> tuple[np.ndarray, np.ndarray]:
     """(evaluated mask, gt on it): the mask's pixels where gt is finite, and their gt values.
 
@@ -172,12 +159,14 @@ class Scorer:
     """Ground truth gathered once on a mask, scored against any number of predictions.
 
     A prediction is evaluated on the mask's pixels where both it and the
-    ground truth are finite, in row-major order.
+    ground truth are finite, in row-major order. ``g``, float32 or float64,
+    holds the ground truth on them, and ``nonpositive`` whether any of it
+    is <= 0; threads scoring against one scorer only read them.
     """
 
     def __init__(self, gt: np.ndarray, mask=None):
-        self.mask, g = _ground_truth(gt, mask)
-        self.truth = _Truth(g)
+        self.mask, self.g = _ground_truth(gt, mask)
+        self.nonpositive = bool(np.any(self.g <= 0))
 
     def prediction(self, pred) -> _Prediction:
         """The prediction on the evaluated pixels, checked as ``evaluate`` checks it.
@@ -185,13 +174,12 @@ class Scorer:
         Raises EmptyEvaluation when no pixel survives masking, InputError when
         a surviving pixel is non-positive.
         """
-        finite, p, g = _gather(self.mask, self.truth.g, pred)
-        scored = _Prediction(self.mask, finite, p, self.truth if finite is None else _Truth(g))
-        if scored.p.size == 0:
+        finite, p, g = _gather(self.mask, self.g, pred)
+        if p.size == 0:
             raise EmptyEvaluation("no pixels to evaluate")
-        if np.any(scored.p <= 0) or scored.truth.nonpositive:
+        if np.any(p <= 0) or (self.nonpositive if finite is None else np.any(g <= 0)):
             raise InputError("depth must be positive on evaluated pixels")
-        return scored
+        return _Prediction(self.mask, finite, p, g)
 
     def report(self, pred) -> MetricReport:
         return self.prediction(pred).report()
@@ -200,18 +188,18 @@ class Scorer:
 class _Prediction:
     """One prediction on a scorer's evaluated pixels (see ``_gather``).
 
-    ``p`` and ``truth`` hold those pixels. Reducing overwrites ``p``, so each
+    ``p`` and ``g`` hold those pixels. Reducing overwrites ``p``, so each
     prediction is scored once.
     """
 
-    def __init__(self, mask: np.ndarray, finite, p: np.ndarray, truth: _Truth):
+    def __init__(self, mask: np.ndarray, finite, p: np.ndarray, g: np.ndarray):
         self.mask = mask
         self.finite = finite
         self.p = p
-        self.truth = truth
+        self.g = g
 
     def report(self) -> MetricReport:
-        return _reports(self.p, self.truth, [None])[0]
+        return _reports(self.p, self.g, [None])[0]
 
     def score(
         self, sigma, thresholds, executor: Executor | None = None
@@ -226,20 +214,19 @@ class _Prediction:
         """
         check_thresholds(thresholds)
         on_mask, sig = _gather_sigma(self.mask, self.finite, sigma)
-        report, rows = _sweep(self.p, self.truth, sig, thresholds, self.p.size, score_all=True)
+        report, rows = _sweep(self.p, self.g, sig, thresholds, self.p.size, score_all=True)
         if np.count_nonzero(np.isfinite(on_mask)) < SPEARMAN_MIN_PIXELS:
             return report, CorrelationResult(rho=0.0, defined=False), rows
         return report, _rank_correlation(self.p, sig, executor), rows
 
 
-def _reports(p: np.ndarray, truth: _Truth, selections: list) -> list[MetricReport]:
+def _reports(p: np.ndarray, g: np.ndarray, selections: list) -> list[MetricReport]:
     """One report per selection of the evaluated pixels, each term computed once.
 
     A selection is None (every pixel) or the ascending indices of its pixels,
     and none is empty; every pixel is finite and positive. p ends up as
     |p - g|.
     """
-    g = truth.g
     sizes = [p.size if s is None else s.size for s in selections]
 
     def means(term):
@@ -295,7 +282,7 @@ def check_thresholds(thresholds) -> None:
         raise InputError("thresholds must be positive")
 
 
-def _sweep(p, truth: _Truth, sig, thresholds, n_base: int, score_all: bool):
+def _sweep(p, g, sig, thresholds, n_base: int, score_all: bool):
     """The report on every pixel (when score_all, else None) and one sweep row per threshold.
 
     Coverage is relative to n_base; a threshold that keeps no pixel gets a
@@ -303,7 +290,7 @@ def _sweep(p, truth: _Truth, sig, thresholds, n_base: int, score_all: bool):
     """
     # index arrays, since gathering a term through a boolean mask is several times slower
     kept = [np.flatnonzero(sig < t) for t in thresholds]
-    reports = iter(_reports(p, truth, [None] * score_all + [k for k in kept if k.size]))
+    reports = iter(_reports(p, g, [None] * score_all + [k for k in kept if k.size]))
     report = next(reports) if score_all else None
     rows = [
         SweepRow(
@@ -348,10 +335,9 @@ def uncertainty_sweep(
     widest = sig < max(thresholds, default=-np.inf)
     if not widest.all():
         p, sig, g = p[widest], sig[widest], g[widest]
-    truth = _Truth(g)
-    if p.size and (np.any(p <= 0) or truth.nonpositive):
+    if p.size and (np.any(p <= 0) or np.any(g <= 0)):
         raise InputError("depth must be positive on evaluated pixels")
-    return _sweep(p, truth, sig, thresholds, n_base, score_all=False)[1]
+    return _sweep(p, g, sig, thresholds, n_base, score_all=False)[1]
 
 
 def _average_ranks(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

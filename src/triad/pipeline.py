@@ -56,10 +56,12 @@ from .synth import (
     NoiseModel,
     SyntheticScene,
     check_scene_settings,
+    constant_velocity_trajectory,
     corrupt_flow,
     make_scene,
-    make_trajectory,
+    orbit_trajectory,
     render_flows,
+    stop_and_go_trajectory,
 )
 from .triangulate import (
     DEFAULT_D_MAX,
@@ -173,14 +175,9 @@ class RunConfig:
             **{f.name: getattr(self, SELECTION_KEYS.get(f.name, f.name)) for f in dataclasses.fields(SelectionPolicy)}
         )
 
-    def refine_config(self, weight_mode: str | None = None, iterations: int | None = None) -> RefineConfig:
+    def refine_config(self) -> RefineConfig:
         """The refinement settings: every RefineConfig field read from the same-named key."""
-        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(RefineConfig)}
-        if weight_mode is not None:
-            values["weight_mode"] = weight_mode
-        if iterations is not None:
-            values["iterations"] = iterations
-        return RefineConfig(**values)
+        return RefineConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(RefineConfig)})
 
     def noise_model(self, frame_index: int) -> NoiseModel:
         base = self.noise_seed if self.noise_seed >= 0 else self.seed + 1
@@ -195,13 +192,15 @@ class RunConfig:
         """make_scene's shape settings, each read from the same-named key."""
         return {key: getattr(self, key) for key in SCENE_KEYS}
 
-    def trajectory_params(self) -> dict:
+    def trajectory_obj(self) -> Trajectory:
+        """The synthetic trajectory of trajectory_kind, built from its keys."""
+        velocity = (self.vx, self.vy, self.vz)
         if self.trajectory_kind == "constant_velocity":
-            return {"velocity": (self.vx, self.vy, self.vz), "dt": self.dt, "yaw_rate": self.yaw_rate}
+            return constant_velocity_trajectory(self.n_frames, velocity, self.dt, self.yaw_rate)
         if self.trajectory_kind == "stop_and_go":
-            return {"velocity": (self.vx, self.vy, self.vz), "move": self.move, "dwell": self.dwell, "dt": self.dt}
+            return stop_and_go_trajectory(self.n_frames, velocity, self.move, self.dwell, self.dt)
         if self.trajectory_kind == "orbit":
-            return {"radius": self.orbit_radius, "dt": self.dt}
+            return orbit_trajectory(self.n_frames, self.orbit_radius, self.dt)
         raise ConfigError(f"unknown trajectory_kind {self.trajectory_kind!r}")
 
     def sweep_threshold_list(self) -> list[float]:
@@ -311,7 +310,7 @@ def load_run_config(config_path=None, overrides=(), env=None) -> RunConfig:
         cfg.selection_policy()
         cfg.noise_model(0)
         check_scene_settings(**cfg.scene_settings())
-        make_trajectory(cfg.trajectory_kind, cfg.n_frames, cfg.trajectory_params())
+        cfg.trajectory_obj()
         check_limits(cfg.h_eps, cfg.d_max)
     except InputError as e:
         raise ConfigError(str(e)) from e
@@ -339,7 +338,7 @@ def synthesize(cfg: RunConfig):
     one when it is reached, so a caller that streams them holds one at a time.
     """
     k = cfg.intrinsics_obj()
-    traj = make_trajectory(cfg.trajectory_kind, cfg.n_frames, cfg.trajectory_params())
+    traj = cfg.trajectory_obj()
     scene = make_scene(cfg.width, cfg.height, cfg.seed, **cfg.scene_settings())
     keyframe = resolve_keyframe(cfg, len(traj))
     return k, traj, scene, keyframe, _frames(cfg, k, traj, scene, keyframe)
@@ -562,7 +561,7 @@ def cmd_ablate(cfg: RunConfig, root) -> dict:
     rows = []
     reports: dict[tuple[str, int], MetricReport] = {}
     for mode in WEIGHT_MODES:
-        rc = cfg.refine_config(weight_mode=mode, iterations=max_iterations)
+        rc = dataclasses.replace(cfg.refine_config(), weight_mode=mode, iterations=max_iterations)
         weights = build_weights(init, intensity, rc)
         result = refine(init, weights, rc, keep_iterates=True, workers=cfg.workers)
         for iterations in iteration_grid:

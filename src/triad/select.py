@@ -29,7 +29,7 @@ class SelectionPolicy:
 
     mode: str = "fixed"
     n_frames: int = 5
-    fixed_step: int = 5
+    fixed_step: int = 1
     theta_min: float = 0.05  # radians
     t_min: float = 0.05  # meters
     anchor: str = "previous"

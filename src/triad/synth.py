@@ -32,6 +32,9 @@ from .errors import InputError
 from .flow import INVALID_FLOW_THRESHOLD, FlowField
 from .geometry import Intrinsics, RelativePose, Trajectory, normalized_grid
 
+# a reprojected point is in front of the camera when its depth exceeds this, in meters
+Z_EPS = 1e-6
+
 
 @dataclass(frozen=True)
 class SyntheticScene:
@@ -188,18 +191,13 @@ def make_scene(
     )
 
 
-def render_flows(
-    scene: SyntheticScene,
-    k: Intrinsics,
-    poses: Iterable[RelativePose],
-    z_eps: float = 1e-6,
-) -> Iterator[FlowField]:
+def render_flows(scene: SyntheticScene, k: Intrinsics, poses: Iterable[RelativePose]) -> Iterator[FlowField]:
     """Exact keyframe -> adjacent-frame flow for each pose, yielded one field at a time.
 
     Each keyframe pixel is back-projected with its ground-truth depth once,
     here; then, per pose, transformed by it (keyframe coordinates into the
     adjacent frame) and reprojected. Pixels landing behind the camera
-    (z <= z_eps) or outside the image are marked invalid rather than raising.
+    (z <= Z_EPS) or outside the image are marked invalid rather than raising.
     A valid vector ends inside the image, so it is finite, and the field
     skips FlowField's re-validation.
     """
@@ -207,10 +205,10 @@ def render_flows(
         raise InputError("intrinsics size must match the scene")
     points = normalized_grid(k)
     points *= scene.depth_map()[..., None]
-    return _reprojected(points, k, poses, z_eps)
+    return _reprojected(points, k, poses)
 
 
-def _reprojected(points: np.ndarray, k: Intrinsics, poses: Iterable[RelativePose], z_eps: float):
+def _reprojected(points: np.ndarray, k: Intrinsics, poses: Iterable[RelativePose]):
     # work buffers shared by every pose; each field gets its own vectors
     transformed = np.empty_like(points)
     u = np.empty(points.shape[:2])
@@ -222,7 +220,7 @@ def _reprojected(points: np.ndarray, k: Intrinsics, poses: Iterable[RelativePose
         for axis in range(3):  # one strided add per axis beats a broadcast over the last one
             transformed[..., axis] += pose.translation[axis]
         z = transformed[..., 2]
-        in_front = z > z_eps
+        in_front = z > Z_EPS
         safe_z = np.where(in_front, z, 1.0)
         np.multiply(transformed[..., 0], k.fx, out=u)
         u /= safe_z
@@ -239,14 +237,9 @@ def _reprojected(points: np.ndarray, k: Intrinsics, poses: Iterable[RelativePose
         yield FlowField._unchecked(vectors, valid)
 
 
-def render_flow(
-    scene: SyntheticScene,
-    k: Intrinsics,
-    pose_k: RelativePose,
-    z_eps: float = 1e-6,
-) -> FlowField:
+def render_flow(scene: SyntheticScene, k: Intrinsics, pose_k: RelativePose) -> FlowField:
     """Exact keyframe -> adjacent-frame flow for one pose: ``render_flows`` with one pose."""
-    return next(render_flows(scene, k, (pose_k,), z_eps))
+    return next(render_flows(scene, k, (pose_k,)))
 
 
 def corrupt_flow(flow: FlowField, model: NoiseModel) -> FlowField:
@@ -346,15 +339,3 @@ def orbit_trajectory(n_frames: int, radius: float, dt: float = 1.0) -> Trajector
         position = np.array([radius * math.sin(phi), 0.0, radius * (1.0 - math.cos(phi))])
         poses.append(RelativePose(_yaw_matrix(phi), position))
     return Trajectory(timestamps, tuple(poses))
-
-
-def make_trajectory(kind: str, n_frames: int, params: dict | None = None) -> Trajectory:
-    """Dispatch on trajectory kind: constant_velocity, stop_and_go, or orbit."""
-    params = dict(params or {})
-    if kind == "constant_velocity":
-        return constant_velocity_trajectory(n_frames, **params)
-    if kind == "stop_and_go":
-        return stop_and_go_trajectory(n_frames, **params)
-    if kind == "orbit":
-        return orbit_trajectory(n_frames, **params)
-    raise InputError(f"unknown trajectory kind {kind!r}")

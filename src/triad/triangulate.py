@@ -79,7 +79,7 @@ import numpy as np
 
 from .errors import InputError
 from .flow import FlowField
-from .geometry import Intrinsics, RelativePose
+from .geometry import Intrinsics, RelativePose, normalized_axes
 from .workers import empty, pool, row_bands, run, split
 
 DEFAULT_H_EPS = 1e-12
@@ -151,20 +151,14 @@ def check_limits(h_eps: float, d_max: float) -> None:
         raise InputError("d_max must be positive and finite")
 
 
-def _axes(k: Intrinsics):
-    """The x' of m by column and its y' by row."""
-    xm = (np.arange(k.width, dtype=np.float64) - k.cx) / k.fx
-    ym = (np.arange(k.height, dtype=np.float64) - k.cy) / k.fy
-    return xm, ym
-
-
 def _frame_terms(flow_field: FlowField, pose: RelativePose, k: Intrinsics, xm, ym, rows: slice, buffers):
     """One frame's H_k, beta_k and gamma_k on a band of rows, and the band's invalid flat indices.
 
-    ``xm`` and ``ym`` come from _axes. The terms are written into three of
-    the eight band-shaped float64 ``buffers`` and returned. A float32 field
-    is widened exactly as it is copied in, and invalid pixels get the ray of
-    zero flow, so every term is finite; it is the caller's to drop them.
+    ``xm`` and ``ym`` are m's x' by column and y' by row (normalized_axes).
+    The terms are written into three of the eight band-shaped float64
+    ``buffers`` and returned. A float32 field is widened exactly as it is
+    copied in, and invalid pixels get the ray of zero flow, so every term is
+    finite; it is the caller's to drop them.
     """
     ym = ym[rows, None]
     # nx, ny: ray; inv: 1/|n|^2; rm: one component of R m at a time, then
@@ -265,7 +259,7 @@ def triangulate_map(
     """
     check_limits(h_eps, d_max)
     h, w = inp.intrinsics.height, inp.intrinsics.width
-    xm, ym = _axes(inp.intrinsics)
+    xm, ym = normalized_axes(inp.intrinsics)
     depth = np.empty((h, w), dtype=np.float32)
     conf_h = np.empty((h, w), dtype=np.float32)
     conf_r = np.empty((h, w), dtype=np.float32)
@@ -321,7 +315,7 @@ def epipolar_loss(
     if gt.shape != (k.height, k.width):
         raise InputError(f"gt depth shape {gt.shape} != image size {(k.height, k.width)}")
     valid = flow_field.valid & np.isfinite(gt)
-    xm, ym = _axes(k)
+    xm, ym = normalized_axes(k)
     per_pixel = np.empty(gt.shape)
     for rows in row_bands(k.height, k.width):
         # one frame's sums are its terms, 0 where its flow is invalid

@@ -36,7 +36,6 @@ PUBLIC = [
     "evaluate",
     "laplacian_nll",
     "make_scene",
-    "make_trajectory",
     "normalized_grid",
     "refine",
     "relative_angle_translation",

@@ -1,7 +1,9 @@
 import dataclasses
 import math
 import platform
+import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +158,21 @@ class TestConfigLoading:
         assert RunConfig().selection_policy() == SelectionPolicy()
         cfg = RunConfig(selection_mode="adaptive", sel_n_frames=3, fixed_step=2, theta_min=0.1, t_min=0.2, anchor="keyframe")
         assert cfg.selection_policy() == SelectionPolicy("adaptive", 3, 2, 0.1, 0.2, "keyframe")
+
+    def test_readme_configuration_table_lists_run_config_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+        assert rows
+        defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+        for cells in rows:
+            keys = re.findall(r"`(\w+)`", cells[0])
+            values = [value.strip().strip("`") for value in cells[1].split(",")]
+            assert len(keys) == len(values), cells
+            for key, value in zip(keys, values):
+                # a listed default, read as a config value, is the field's default
+                assert key in defaults, key
+                assert getattr(load_run_config(overrides=[f"{key}={value}"]), key) == defaults[key], key
 
 
 class TestSynthBundle:
@@ -564,6 +581,17 @@ class TestExitCodes:
         assert run_cli("synth", "--root", str(root), *opts, *(f"--opt={b}" for b in bad.split())) == 1
         assert "config error" in capsys.readouterr().err
         assert not root.exists() or not any(root.iterdir())
+
+    def test_default_settings_compose(self, tmp_path):
+        # synth's default bundle holds the 4 frames around its keyframe, which default selection takes
+        root = str(tmp_path / "defaults")
+        assert run_cli("synth", "--root", root) == 0
+        assert run_cli("estimate", "--root", root) == 0
+        written = sorted(path.name for path in (tmp_path / "defaults" / "out").iterdir())
+        assert written == sorted(
+            ["depth_initial.pfm", "conf_h.pfm", "conf_r.pfm", "depth_refined.pfm", "sigma.pfm"]
+            + ["objective.txt", "report.txt", "report.kv", "sweep.csv"]
+        )
 
     def test_tiny_map_reports_spearman_undefined(self, tmp_path):
         root = tmp_path / "tiny"

@@ -6,6 +6,7 @@ command's scoring sequence: one gather, one set of terms and one tie-aware
 rank pass per call. The scorer must match them exactly, errors included.
 """
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -199,7 +200,7 @@ class TestSuiteCasesExact:
         refined, sigma = case["result"].depth.astype(np.float32), case["result"].uncertainty.astype(np.float32)
         assert initial.dtype == np.float32
         scorer = Scorer(gt, mask)
-        assert scorer.truth.g.dtype == np.float32
+        assert scorer.g.dtype == np.float32
         thresholds = quantile_thresholds(sigma) + list(SWEEP_THRESHOLDS)
         wide = [m.astype(np.float64) for m in (initial, refined, sigma, gt)]
         want = ref_estimate_scoring(*wide[:3], wide[3], mask, thresholds)
@@ -338,7 +339,7 @@ class TestAblateRows:
         intensity = read_image(tmp_path / cfg.image)
         mask = init.valid & np.isfinite(gt)
         for mode in ("full", "hessian_only", "residual_only", "constant"):
-            rc = cfg.refine_config(weight_mode=mode, iterations=5)
+            rc = dataclasses.replace(cfg.refine_config(), weight_mode=mode, iterations=5)
             result = refine(init, build_weights(init, intensity, rc), rc, keep_iterates=True)
             for k in (0, 2, 5):
                 want = ref_evaluate(result.iterates[k], gt, mask)

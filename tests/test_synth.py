@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from triad import (
+    ConfigError,
     FlowField,
     InputError,
     Intrinsics,
@@ -15,7 +16,6 @@ from triad import (
     TriangulationInput,
     corrupt_flow,
     make_scene,
-    make_trajectory,
     render_flow,
     triangulate_map,
 )
@@ -196,11 +196,21 @@ class TestTrajectories:
             assert Rotation.from_matrix(rel).magnitude() == pytest.approx(2 * math.pi / n, abs=1e-9)
 
     def test_dispatcher(self):
-        assert len(make_trajectory("constant_velocity", 4, {"velocity": (0, 0, 0)})) == 4
-        assert len(make_trajectory("stop_and_go", 4, {})) == 4
-        assert len(make_trajectory("orbit", 4, {"radius": 1.0})) == 4
-        with pytest.raises(InputError):
-            make_trajectory("spiral", 4, {})
+        # RunConfig.trajectory_obj is the one dispatch on trajectory_kind
+        kinds = {
+            "constant_velocity": constant_velocity_trajectory(4, velocity=(0.1, 0.0, 0.0), dt=0.5, yaw_rate=0.01),
+            "stop_and_go": stop_and_go_trajectory(4, velocity=(0.1, 0.0, 0.0), move=2, dwell=1, dt=0.5),
+            "orbit": orbit_trajectory(4, radius=1.5, dt=0.5),
+        }
+        keys = dict(n_frames=4, vx=0.1, dt=0.5, yaw_rate=0.01, move=2, dwell=1, orbit_radius=1.5)
+        for kind, want in kinds.items():
+            traj = RunConfig(trajectory_kind=kind, **keys).trajectory_obj()
+            assert np.array_equal(traj.timestamps, want.timestamps)
+            for got, ref in zip(traj.poses, want.poses, strict=True):
+                assert np.array_equal(got.rotation, ref.rotation)
+                assert np.array_equal(got.translation, ref.translation)
+        with pytest.raises(ConfigError, match="unknown trajectory_kind 'spiral'"):
+            RunConfig(trajectory_kind="spiral").trajectory_obj()
 
 
 class TestEndToEndConsistency:
