@@ -37,6 +37,7 @@ from .refinement import RefineConfig, RefineResult, WeightMaps, build_weights, l
 from .select import Selection, SelectionPolicy, select_frames
 from .synth import (
     NoiseModel,
+    SceneSettings,
     SyntheticScene,
     corrupt_flow,
     make_scene,
@@ -67,6 +68,7 @@ __all__ = [
     "RefineConfig",
     "RefineResult",
     "RelativePose",
+    "SceneSettings",
     "Selection",
     "Scorer",
     "SelectionPolicy",

@@ -9,7 +9,7 @@ Formats:
            then float32 scanlines stored bottom-to-top. Converted to the
            internal top-to-bottom convention on read. NaN marks invalid.
   .pgm  -- binary P5, 8- or 16-bit (16-bit big-endian per the format),
-           scaled to [0, 1] floats on read.
+           scaled to [0, 1] floats on read; always written 16-bit.
   trajectory -- text lines "t tx ty tz qx qy qz qw" (world-from-camera),
            strictly increasing timestamps.
   intrinsics -- single text line "fx fy cx cy width height".
@@ -169,15 +169,14 @@ def read_image(path) -> np.ndarray:
     return values.astype(np.float64) / maxval
 
 
-def write_image(img: np.ndarray, path, maxval: int = 65535) -> None:
-    if not (0 < maxval < 65536):
-        raise FormatError(f"PGM maxval must be in (0, 65536), got {maxval}")
+def write_image(img: np.ndarray, path) -> None:
+    """Write a (H, W) raster in [0, 1] (clipped) as a 16-bit binary PGM (P5)."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise FormatError(f"PGM rasters must be (H, W), got {img.shape}")
-    quantized = np.rint(np.clip(img, 0.0, 1.0) * maxval)
+    quantized = np.rint(np.clip(img, 0.0, 1.0) * 65535)
     h, w = img.shape
-    write_file(path, f"P5\n{w} {h}\n{maxval}\n".encode("ascii"), quantized, "u1" if maxval < 256 else ">u2")
+    write_file(path, f"P5\n{w} {h}\n65535\n".encode("ascii"), quantized, ">u2")
 
 
 def read_intrinsics(path) -> Intrinsics:

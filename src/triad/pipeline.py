@@ -54,8 +54,8 @@ from .refinement import WEIGHT_MODES, RefineConfig, RefineResult, build_weights,
 from .select import Selection, SelectionPolicy, select_frames
 from .synth import (
     NoiseModel,
+    SceneSettings,
     SyntheticScene,
-    check_scene_settings,
     constant_velocity_trajectory,
     corrupt_flow,
     make_scene,
@@ -124,12 +124,12 @@ class RunConfig:
     dwell: int = 3
     orbit_radius: float = 2.0
     dt: float = 1.0
-    base_depth: float = 2.0
-    n_bumps: int = 5
-    bump_amplitude: float = 0.15
-    bump_sigma_lo: float = 0.12
-    bump_sigma_hi: float = 0.3
-    texture_cutoff: float = 0.06
+    base_depth: float = SceneSettings.base_depth
+    n_bumps: int = SceneSettings.n_bumps
+    bump_amplitude: float = SceneSettings.bump_amplitude
+    bump_sigma_lo: float = SceneSettings.bump_sigma_lo
+    bump_sigma_hi: float = SceneSettings.bump_sigma_hi
+    texture_cutoff: float = SceneSettings.texture_cutoff
 
     # flow corruption
     sigma_flow: float = 1.0
@@ -188,9 +188,9 @@ class RunConfig:
             seed=base + frame_index,
         )
 
-    def scene_settings(self) -> dict:
-        """make_scene's shape settings, each read from the same-named key."""
-        return {key: getattr(self, key) for key in SCENE_KEYS}
+    def scene_settings(self) -> SceneSettings:
+        """The scene's shape settings: every SceneSettings field read from the same-named key."""
+        return SceneSettings(**{f.name: getattr(self, f.name) for f in dataclasses.fields(SceneSettings)})
 
     def trajectory_obj(self) -> Trajectory:
         """The synthetic trajectory of trajectory_kind, built from its keys."""
@@ -246,7 +246,6 @@ ROOM_SUITE = {
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 # the SelectionPolicy fields whose config key has another name
 SELECTION_KEYS = {"mode": "selection_mode", "n_frames": "sel_n_frames"}
-SCENE_KEYS = ("n_bumps", "base_depth", "bump_amplitude", "bump_sigma_lo", "bump_sigma_hi", "texture_cutoff")
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -309,7 +308,7 @@ def load_run_config(config_path=None, overrides=(), env=None) -> RunConfig:
         cfg.refine_config()
         cfg.selection_policy()
         cfg.noise_model(0)
-        check_scene_settings(**cfg.scene_settings())
+        cfg.scene_settings()
         cfg.trajectory_obj()
         check_limits(cfg.h_eps, cfg.d_max)
     except InputError as e:
@@ -339,7 +338,7 @@ def synthesize(cfg: RunConfig):
     """
     k = cfg.intrinsics_obj()
     traj = cfg.trajectory_obj()
-    scene = make_scene(cfg.width, cfg.height, cfg.seed, **cfg.scene_settings())
+    scene = make_scene(cfg.width, cfg.height, cfg.seed, cfg.scene_settings())
     keyframe = resolve_keyframe(cfg, len(traj))
     return k, traj, scene, keyframe, _frames(cfg, k, traj, scene, keyframe)
 
@@ -428,7 +427,7 @@ def cmd_triangulate(cfg: RunConfig, root) -> dict:
 def _load_initial(out: Path) -> InitialDepth:
     """The initial maps in out_dir, at the files' float32 precision, the one triangulate_map gives."""
     maps = {field: fileio.read_pfm(out / name) for field, name in INITIAL_FILES.items()}
-    return InitialDepth(**maps, valid=np.isfinite(maps["depth"]))
+    return InitialDepth(**maps)
 
 
 def _run_refinement(cfg: RunConfig, root: Path, init: InitialDepth) -> RefineResult:

@@ -74,34 +74,21 @@ def select_frames(traj: Trajectory, keyframe_index: int, policy: SelectionPolicy
 
     if policy.mode == "fixed":
         n_before = wanted // 2
-        n_after = wanted - n_before
-        chosen = [
-            keyframe_index - policy.fixed_step * j
-            for j in range(n_before, 0, -1)
-            if keyframe_index - policy.fixed_step * j >= 0
-        ]
-        chosen += [
-            keyframe_index + policy.fixed_step * j
-            for j in range(1, n_after + 1)
-            if keyframe_index + policy.fixed_step * j < n
-        ]
+        steps = (keyframe_index + policy.fixed_step * j for j in range(-n_before, wanted - n_before + 1) if j)
+        chosen = [index for index in steps if 0 <= index < n]
         return Selection(tuple(chosen), shortfall=len(chosen) < wanted)
 
     accepted: list[int] = []
     last_accepted = {-1: keyframe_index, +1: keyframe_index}  # per side
-    exhausted = {-1: False, +1: False}
-    offset = 1
-    while len(accepted) < wanted and not all(exhausted.values()):
-        for side in (-1, +1):
-            if len(accepted) >= wanted:
-                break
-            candidate = keyframe_index + side * offset
-            if not (0 <= candidate < n):
-                exhausted[side] = True
-                continue
-            anchor = keyframe_index if policy.anchor == "keyframe" else last_accepted[side]
-            if _clears_threshold(traj, candidate, anchor, policy):
-                accepted.append(candidate)
-                last_accepted[side] = candidate
-        offset += 1
+    # outward by offset, the frame before the keyframe first at each offset
+    scan = ((side, keyframe_index + side * offset) for offset in range(1, n) for side in (-1, +1))
+    for side, candidate in scan:
+        if len(accepted) == wanted:
+            break
+        if not (0 <= candidate < n):
+            continue
+        anchor = keyframe_index if policy.anchor == "keyframe" else last_accepted[side]
+        if _clears_threshold(traj, candidate, anchor, policy):
+            accepted.append(candidate)
+            last_accepted[side] = candidate
     return Selection(tuple(sorted(accepted)), shortfall=len(accepted) < wanted)

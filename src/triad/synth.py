@@ -15,8 +15,8 @@ valid vectors are finite by construction: a rendered vector is valid only
 when its reprojection lands inside the image, and NoiseModel keeps its noise
 scales finite and bounded, so noise added to a finite vector stays finite.
 Every other FlowField is still checked when it is built.
-``check_scene_settings`` rejects scene settings that would give a
-non-finite depth map or texture; the pipeline runs it, and builds the noise
+``SceneSettings`` rejects scene settings that would give a non-finite depth
+map or texture when it is built; the pipeline builds it, with the noise
 model and the trajectory, when the config loads.
 """
 
@@ -34,6 +34,42 @@ from .geometry import Intrinsics, RelativePose, Trajectory, normalized_grid
 
 # a reprojected point is in front of the camera when its depth exceeds this, in meters
 Z_EPS = 1e-6
+# every scene depth is clipped to [DEPTH_MIN, DEPTH_MAX], in meters
+DEPTH_MIN = 0.25
+DEPTH_MAX = 50.0
+
+
+@dataclass(frozen=True)
+class SceneSettings:
+    """make_scene's shape settings, checked to give a finite scene.
+
+    The base depth and the bump sigmas must be positive and finite, with
+    lo <= hi; the amplitude finite and nonnegative; the texture cutoff
+    positive and finite; the bump count nonnegative. Bump sigmas are
+    fractions of the smaller image dimension. The defaults give a gently
+    sloped desk-scale surface; larger amplitudes with wider sigma ranges
+    produce room-scale depth spreads.
+    """
+
+    n_bumps: int = 5
+    base_depth: float = 2.0
+    bump_amplitude: float = 0.15
+    bump_sigma_lo: float = 0.12
+    bump_sigma_hi: float = 0.3
+    texture_cutoff: float = 0.06
+
+    def __post_init__(self):
+        # written so that NaN fails every check
+        if self.n_bumps < 0:
+            raise InputError("n_bumps must be nonnegative")
+        if not (0.0 < self.base_depth < math.inf):
+            raise InputError("base_depth must be positive and finite")
+        if not (0.0 <= self.bump_amplitude < math.inf):
+            raise InputError("bump_amplitude must be finite and nonnegative")
+        if not (0.0 < self.bump_sigma_lo <= self.bump_sigma_hi < math.inf):
+            raise InputError("need 0 < bump_sigma_lo <= bump_sigma_hi, both finite")
+        if not (0.0 < self.texture_cutoff < math.inf):
+            raise InputError("texture_cutoff must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -41,26 +77,24 @@ class SyntheticScene:
     """A textured depth surface over the keyframe image.
 
     Depth is a base plane plus a sum of Gaussian bumps, clipped to
-    [depth_min, depth_max]; the texture is a band-limited random field in
-    [0, 1]. Identical seeds produce identical scenes.
+    [DEPTH_MIN, DEPTH_MAX]; the texture is a band-limited random field in
+    [0, 1] whose shape is the scene's. Identical seeds produce identical
+    scenes.
     """
 
-    width: int
-    height: int
     base_depth: float
     bump_centers: np.ndarray  # (G, 2) pixel coordinates (x, y)
     bump_sigmas: np.ndarray  # (G,) pixels
     bump_amplitudes: np.ndarray  # (G,) meters, signed
     texture: np.ndarray  # (H, W) in [0, 1]
-    depth_min: float
-    depth_max: float
-    seed: int
 
-    def __post_init__(self):
-        if not (0 < self.depth_min <= self.depth_max):
-            raise InputError("need 0 < depth_min <= depth_max")
-        if self.texture.shape != (self.height, self.width):
-            raise InputError("texture shape must match the scene size")
+    @property
+    def width(self) -> int:
+        return self.texture.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.texture.shape[0]
 
     def depth_map(self) -> np.ndarray:
         """Ground-truth depth for every keyframe pixel, shape (H, W), meters.
@@ -81,7 +115,7 @@ class SyntheticScene:
                 np.exp(bump, out=bump)
                 bump *= amp
                 depth += bump
-            np.clip(depth, self.depth_min, self.depth_max, out=depth)
+            np.clip(depth, DEPTH_MIN, DEPTH_MAX, out=depth)
             depth.setflags(write=False)
             object.__setattr__(self, "_depth", depth)
         return depth
@@ -124,71 +158,15 @@ def _bandlimited_field(height: int, width: int, rng: np.random.Generator, cutoff
     return (field - field.min()) / span
 
 
-def check_scene_settings(
-    n_bumps: int,
-    base_depth: float,
-    bump_amplitude: float,
-    bump_sigma_lo: float,
-    bump_sigma_hi: float,
-    texture_cutoff: float,
-) -> None:
-    """Raise InputError unless make_scene's shape settings give a finite scene.
-
-    The base depth and the bump sigmas must be positive and finite, with
-    lo <= hi; the amplitude finite and nonnegative; the texture cutoff
-    positive and finite; the bump count nonnegative.
-    """
-    # written so that NaN fails every check
-    if n_bumps < 0:
-        raise InputError("n_bumps must be nonnegative")
-    if not (0.0 < base_depth < math.inf):
-        raise InputError("base_depth must be positive and finite")
-    if not (0.0 <= bump_amplitude < math.inf):
-        raise InputError("bump_amplitude must be finite and nonnegative")
-    if not (0.0 < bump_sigma_lo <= bump_sigma_hi < math.inf):
-        raise InputError("need 0 < bump_sigma_lo <= bump_sigma_hi, both finite")
-    if not (0.0 < texture_cutoff < math.inf):
-        raise InputError("texture_cutoff must be positive and finite")
-
-
-def make_scene(
-    width: int,
-    height: int,
-    seed: int,
-    n_bumps: int = 5,
-    base_depth: float = 2.0,
-    bump_amplitude: float = 0.15,
-    bump_sigma_lo: float = 0.12,
-    bump_sigma_hi: float = 0.3,
-    depth_min: float = 0.25,
-    depth_max: float = 50.0,
-    texture_cutoff: float = 0.06,
-) -> SyntheticScene:
-    """Draw a random scene from a 64-bit seed.
-
-    Bump sigmas are fractions of the smaller image dimension. The defaults
-    give a gently sloped desk-scale surface; larger amplitudes with wider
-    sigma ranges produce room-scale depth spreads. The shape settings are
-    checked by ``check_scene_settings`` before anything is drawn.
-    """
-    check_scene_settings(n_bumps, base_depth, bump_amplitude, bump_sigma_lo, bump_sigma_hi, texture_cutoff)
+def make_scene(width: int, height: int, seed: int, settings: SceneSettings = SceneSettings()) -> SyntheticScene:
+    """Draw a random scene of the given shape settings from a 64-bit seed."""
     rng = np.random.default_rng(seed)
-    centers = rng.uniform([0, 0], [width, height], size=(n_bumps, 2))
-    sigmas = rng.uniform(bump_sigma_lo, bump_sigma_hi, size=n_bumps) * min(width, height)
-    amplitudes = rng.uniform(-bump_amplitude, bump_amplitude, size=n_bumps)
-    texture = _bandlimited_field(height, width, rng, texture_cutoff)
-    return SyntheticScene(
-        width=width,
-        height=height,
-        base_depth=base_depth,
-        bump_centers=centers,
-        bump_sigmas=sigmas,
-        bump_amplitudes=amplitudes,
-        texture=texture,
-        depth_min=depth_min,
-        depth_max=depth_max,
-        seed=seed,
-    )
+    n = settings.n_bumps
+    centers = rng.uniform([0, 0], [width, height], size=(n, 2))
+    sigmas = rng.uniform(settings.bump_sigma_lo, settings.bump_sigma_hi, size=n) * min(width, height)
+    amplitudes = rng.uniform(-settings.bump_amplitude, settings.bump_amplitude, size=n)
+    texture = _bandlimited_field(height, width, rng, settings.texture_cutoff)
+    return SyntheticScene(settings.base_depth, centers, sigmas, amplitudes, texture)
 
 
 def render_flows(scene: SyntheticScene, k: Intrinsics, poses: Iterable[RelativePose]) -> Iterator[FlowField]:

@@ -63,9 +63,10 @@ The steps that read differently are exact rewrites:
     -0.0 and adding +0.0 leaves it as it was.
   - "Any valid observation" is one boolean map; a count would only be
     compared with 1.
-  - The solve overwrites the band's sums in place, rounds them into the
-    float32 output rows and then sets the pixels it could not solve to NaN
-    by index.
+  - The solve overwrites the band's sums in place, with beta^2 / H in one
+    more buffer from workers.empty, rounds them into the float32 output rows
+    and then sets the pixels it could not solve to NaN by index; those NaNs
+    are the validity mask that InitialDepth reads.
 The buffers belong to the call that allocated them, and each call runs on one
 thread, so pool threads share no buffer and write disjoint rows of the output.
 """
@@ -73,7 +74,7 @@ thread, so pool threads share no buffer and write disjoint rows of the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,28 +108,30 @@ class TriangulationInput:
 
 @dataclass(frozen=True)
 class InitialDepth:
-    """Triangulated depth with its two confidence channels and validity mask.
+    """Triangulated depth with its two confidence channels; ``valid`` is where depth is not NaN.
 
     conf_h is the square root of the per-pixel cost curvature (large when the
     baseline-to-depth ratio conditions the problem well); conf_r is the norm
     of the residual at the minimizer (large when the observations disagree).
-    Invalid pixels are NaN in all three channels. The channels are float32,
-    as triangulate_map stores them and as ``triad refine`` reads them from
-    PFM files; weights, refinement and scoring widen them exactly.
+    A pixel is invalid exactly where depth is NaN, and the confidences must
+    be NaN there too. The channels are float32, as triangulate_map stores
+    them and as ``triad refine`` reads them from PFM files; weights,
+    refinement and scoring widen them exactly.
     """
 
     depth: np.ndarray
     conf_h: np.ndarray
     conf_r: np.ndarray
-    valid: np.ndarray
+    valid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = self.depth.shape
-        for name in ("conf_h", "conf_r", "valid"):
+        for name in ("conf_h", "conf_r"):
             if getattr(self, name).shape != shape:
                 raise InputError(f"{name} shape {getattr(self, name).shape} != depth shape {shape}")
-        v = self.valid
-        invalid = ~v
+        invalid = np.isnan(self.depth)
+        v = ~invalid
+        object.__setattr__(self, "valid", v)
         for name in ("depth", "conf_h", "conf_r"):
             channel = getattr(self, name)
             # NaN exactly on the invalid pixels and no infinity anywhere means
@@ -263,7 +266,6 @@ def triangulate_map(
     depth = np.empty((h, w), dtype=np.float32)
     conf_h = np.empty((h, w), dtype=np.float32)
     conf_r = np.empty((h, w), dtype=np.float32)
-    valid = np.empty((h, w), dtype=bool)
 
     def solve(rows):
         h_acc, beta, gamma, ok = _accumulate_rows(inp, xm, ym, rows)
@@ -271,7 +273,7 @@ def triangulate_map(
         # safe_h: 1 where there is nothing to solve
         h_acc.reshape(-1)[np.flatnonzero(~ok)] = 1.0
         # residual: sqrt(max(0, gamma - beta beta / safe_h))
-        beta_sq = np.multiply(beta, beta)
+        beta_sq = np.multiply(beta, beta, out=empty(beta.shape))
         beta_sq /= h_acc
         np.subtract(gamma, beta_sq, out=gamma)
         np.maximum(0.0, gamma, out=gamma)
@@ -282,7 +284,6 @@ def triangulate_map(
         np.sqrt(h_acc, out=h_acc)
         ok &= beta > 0.0
         ok &= beta <= d_max
-        valid[rows] = ok
         unsolved = np.flatnonzero(~ok)
         for channel, band in ((depth, beta), (conf_h, h_acc), (conf_r, gamma)):
             channel[rows] = band  # rounded to float32 as write_pfm rounds
@@ -292,7 +293,7 @@ def triangulate_map(
     groups = split(row_bands(h, w), workers)
     with pool(len(groups), "triangulate") as executor:
         run(executor, [lambda group=group: [solve(rows) for rows in group] for group in groups])
-    return InitialDepth(depth=depth, conf_h=conf_h, conf_r=conf_r, valid=valid)
+    return InitialDepth(depth=depth, conf_h=conf_h, conf_r=conf_r)
 
 
 def epipolar_loss(

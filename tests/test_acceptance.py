@@ -160,7 +160,6 @@ def test_criterion_05_jacobi_matches_direct_solve():
         data_w = rng.uniform(0.5, 2.0, (h, w))
         init = InitialDepth(
             depth=depth, conf_h=np.ones((h, w)), conf_r=np.zeros((h, w)),
-            valid=np.ones((h, w), dtype=bool),
         )
         mu, omega = 0.5, 0.9
         weights = weight_maps(data_w, np.ones((h, w - 1)), np.ones((h - 1, w)), mu)

@@ -66,8 +66,8 @@ class TestLayout:
         made = []
         monkeypatch.setattr(triangulate, "empty", _recording(made))
         triangulate_map(_triangulation_input(height, width), workers=workers)
-        # three sums and eight work buffers per band, each a band of rows
-        assert len(made) == 11
+        # three sums, eight work buffers and the solve's beta^2 / H per band, each a band of rows
+        assert len(made) == 12
         assert all(array.shape == (height, width) and array.dtype == np.float64 for array in made)
         assert all(_aligned(array) for array in made)
 

@@ -20,6 +20,7 @@ PUBLIC = [
     "RefineConfig",
     "RefineResult",
     "RelativePose",
+    "SceneSettings",
     "Scorer",
     "Selection",
     "SelectionPolicy",

@@ -14,6 +14,7 @@ from triad import (
     Intrinsics,
     RefineConfig,
     RelativePose,
+    SceneSettings,
     SelectionPolicy,
     TriangulationInput,
     build_weights,
@@ -25,6 +26,7 @@ from triad import cli
 from triad.cli import MMAP_THRESHOLD, build_parser, fix_heap_thresholds, main
 from triad.fileio import read_flow, read_image, read_pfm, write_flow, write_image, write_pfm
 from triad.metrics import SPEARMAN_MIN_PIXELS
+from triad.triangulate import DEFAULT_D_MAX, DEFAULT_H_EPS
 from triad.pipeline import (
     SELECTION_KEYS,
     RunConfig,
@@ -142,19 +144,26 @@ class TestConfigLoading:
             resolve_keyframe(RunConfig(keyframe=9), 5)
 
 
-    def test_refine_config_fields_are_run_config_keys(self):
+    def test_defaults_match_their_owners(self):
         run_defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
-        for field in dataclasses.fields(RefineConfig):
-            assert field.name in run_defaults
-            assert run_defaults[field.name] == field.default
+        owned = [(f.name, f.default) for f in dataclasses.fields(RefineConfig)]
+        owned += [(SELECTION_KEYS.get(f.name, f.name), f.default) for f in dataclasses.fields(SelectionPolicy)]
+        owned += [(f.name, f.default) for f in dataclasses.fields(SceneSettings)]
+        owned += [("h_eps", DEFAULT_H_EPS), ("d_max", DEFAULT_D_MAX)]
+        for key, default in owned:
+            assert run_defaults[key] == default, key
+
+    def test_refine_config_fields_are_run_config_keys(self):
         assert RunConfig().refine_config() == RefineConfig()
 
+    def test_scene_settings_fields_are_run_config_keys(self):
+        assert RunConfig().scene_settings() == SceneSettings()
+        cfg = RunConfig(
+            n_bumps=2, base_depth=3.0, bump_amplitude=0.5, bump_sigma_lo=0.1, bump_sigma_hi=0.2, texture_cutoff=0.04
+        )
+        assert cfg.scene_settings() == SceneSettings(2, 3.0, 0.5, 0.1, 0.2, 0.04)
+
     def test_selection_policy_fields_are_run_config_keys(self):
-        run_defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
-        for field in dataclasses.fields(SelectionPolicy):
-            key = SELECTION_KEYS.get(field.name, field.name)
-            assert key in run_defaults
-            assert run_defaults[key] == field.default
         assert RunConfig().selection_policy() == SelectionPolicy()
         cfg = RunConfig(selection_mode="adaptive", sel_n_frames=3, fixed_step=2, theta_min=0.1, t_min=0.2, anchor="keyframe")
         assert cfg.selection_policy() == SelectionPolicy("adaptive", 3, 2, 0.1, 0.2, "keyframe")

@@ -41,7 +41,6 @@ def make_initial(depth, valid, conf_h=None, conf_r=None):
         depth=np.where(valid, depth, nan),
         conf_h=np.where(valid, conf_h, nan),
         conf_r=np.where(valid, conf_r, nan),
-        valid=valid,
     )
 
 
@@ -630,11 +629,11 @@ def loaded_and_widened(tmp_path, parity: int):
         maps = {name: getattr(init, name).copy() for name in pipeline.INITIAL_FILES}
         for channel in maps.values():
             channel[y, x] = np.nan
-        init = InitialDepth(**maps, valid=np.isfinite(maps["depth"]))
+        init = InitialDepth(**maps)
     pipeline._write_initial(init, tmp_path)
     narrow = pipeline._load_initial(tmp_path)
     wide = {name: getattr(narrow, name).astype(np.float64) for name in pipeline.INITIAL_FILES}
-    return narrow, InitialDepth(**wide, valid=narrow.valid), case["scene"].texture
+    return narrow, InitialDepth(**wide), case["scene"].texture
 
 
 class TestFloat32Initial:

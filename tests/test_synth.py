@@ -13,6 +13,7 @@ from triad import (
     Intrinsics,
     NoiseModel,
     RelativePose,
+    SceneSettings,
     TriangulationInput,
     corrupt_flow,
     make_scene,
@@ -22,6 +23,8 @@ from triad import (
 from triad.flow import INVALID_FLOW
 from triad.pipeline import RunConfig, synthesize
 from triad.synth import (
+    DEPTH_MAX,
+    DEPTH_MIN,
     constant_velocity_trajectory,
     orbit_trajectory,
     stop_and_go_trajectory,
@@ -33,7 +36,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def _plane_scene(width=64, height=48, depth=2.0):
-    return make_scene(width, height, seed=0, n_bumps=0, base_depth=depth)
+    return make_scene(width, height, seed=0, settings=SceneSettings(n_bumps=0, base_depth=depth))
 
 
 class TestScene:
@@ -51,9 +54,9 @@ class TestScene:
     @given(seeds)
     @settings(max_examples=10)
     def test_depth_within_declared_bounds(self, seed):
-        scene = make_scene(50, 40, seed=seed, bump_amplitude=5.0, depth_min=0.5, depth_max=3.0)
+        scene = make_scene(50, 40, seed=seed, settings=SceneSettings(bump_amplitude=100.0))
         depth = scene.depth_map()
-        assert depth.min() >= 0.5 and depth.max() <= 3.0
+        assert depth.min() >= DEPTH_MIN and depth.max() <= DEPTH_MAX
 
     def test_texture_in_unit_interval(self):
         scene = make_scene(64, 48, seed=3)

@@ -18,9 +18,17 @@ from triad import FlowField, Intrinsics, NoiseModel, corrupt_flow, make_scene, r
 from triad.flow import INVALID_FLOW
 from triad.geometry import normalized_grid
 from triad.pipeline import ROOM_SUITE, RunConfig, synthesize
-from triad.synth import constant_velocity_trajectory, orbit_trajectory, stop_and_go_trajectory
+from triad.synth import (
+    DEPTH_MAX,
+    DEPTH_MIN,
+    SceneSettings,
+    constant_velocity_trajectory,
+    orbit_trajectory,
+    stop_and_go_trajectory,
+)
 
 ROOM_SCENE = RunConfig(**ROOM_SUITE).scene_settings()
+DESK_SCENE = SceneSettings()  # the default settings
 NOISE = (1.0, 0.03, 8.0)  # sigma_flow, outlier_rate and outlier_span of the suite
 
 
@@ -31,7 +39,7 @@ def reference_depth_map(scene):
     for (cx, cy), sigma, amp in zip(scene.bump_centers, scene.bump_sigmas, scene.bump_amplitudes):
         r2 = (xs - cx) ** 2 + (ys - cy) ** 2
         depth += amp * np.exp(-r2 / (2.0 * sigma * sigma))
-    return np.clip(depth, scene.depth_min, scene.depth_max)
+    return np.clip(depth, DEPTH_MIN, DEPTH_MAX)
 
 
 def reference_render_flow(scene, k, pose_k, z_eps=1e-6):
@@ -90,15 +98,17 @@ CASES = {
         )
         for seed in range(3)
     },
-    "yawing": (3, SMALL, {}, constant_velocity_trajectory(6, (0.04, 0.01, 0.02), yaw_rate=0.05), 2, (0.8, 0.05, 6.0)),
-    "stop_and_go": (4, SMALL, {}, stop_and_go_trajectory(7, move=1, dwell=2), 3, (1.0, 0.03, 8.0)),
+    "yawing": (
+        3, SMALL, DESK_SCENE, constant_velocity_trajectory(6, (0.04, 0.01, 0.02), yaw_rate=0.05), 2, (0.8, 0.05, 6.0),
+    ),
+    "stop_and_go": (4, SMALL, DESK_SCENE, stop_and_go_trajectory(7, move=1, dwell=2), 3, (1.0, 0.03, 8.0)),
     "orbit": (5, SMALL, ROOM_SCENE, orbit_trajectory(8, radius=1.5), 0, (0.5, 0.1, 4.0)),
-    "sigma_zero": (6, SMALL, {}, constant_velocity_trajectory(5), 2, (0.0, 0.2, 5.0)),
-    "outliers_zero": (7, SMALL, {}, constant_velocity_trajectory(5), 2, (1.5, 0.0, 5.0)),
-    "outliers_all": (8, SMALL, {}, constant_velocity_trajectory(5), 2, (1.0, 1.0, 3.0)),
-    "noise_free": (9, SMALL, {}, constant_velocity_trajectory(5), 2, (0.0, 0.0, 8.0)),
+    "sigma_zero": (6, SMALL, DESK_SCENE, constant_velocity_trajectory(5), 2, (0.0, 0.2, 5.0)),
+    "outliers_zero": (7, SMALL, DESK_SCENE, constant_velocity_trajectory(5), 2, (1.5, 0.0, 5.0)),
+    "outliers_all": (8, SMALL, DESK_SCENE, constant_velocity_trajectory(5), 2, (1.0, 1.0, 3.0)),
+    "noise_free": (9, SMALL, DESK_SCENE, constant_velocity_trajectory(5), 2, (0.0, 0.0, 8.0)),
     "clipped_depth": (
-        10, SMALL, dict(n_bumps=9, base_depth=0.4, bump_amplitude=1.0), constant_velocity_trajectory(5), 2,
+        10, SMALL, SceneSettings(n_bumps=9, base_depth=0.4, bump_amplitude=1.0), constant_velocity_trajectory(5), 2,
         (1.0, 0.03, 8.0),
     ),
 }
@@ -106,8 +116,8 @@ CASES = {
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_bundle_matches_per_frame_reference(name):
-    seed, k, scene_kw, traj, keyframe, (sigma, rate, span) = CASES[name]
-    scene = make_scene(k.width, k.height, seed, **scene_kw)
+    seed, k, scene_settings, traj, keyframe, (sigma, rate, span) = CASES[name]
+    scene = make_scene(k.width, k.height, seed, scene_settings)
     others = [i for i in range(len(traj)) if i != keyframe]
     poses = [traj.relative_pose(keyframe, i) for i in others]
     assert scene.depth_map().tobytes() == reference_depth_map(scene).tobytes()
@@ -120,7 +130,7 @@ def test_bundle_matches_per_frame_reference(name):
         model = NoiseModel(sigma, rate, span, seed=seed + 1 + index)
         assert_same_field(corrupt_flow(exact, model), reference_corrupt_flow(want, model))
     if name == "clipped_depth":
-        assert (scene.depth_map() == scene.depth_min).any()
+        assert (scene.depth_map() == DEPTH_MIN).any()
     if name == "orbit":
         # the orbit must exercise both ways a pixel leaves the adjacent frame
         assert behind > 0
@@ -176,13 +186,13 @@ def test_fields_do_not_share_vectors():
 
 
 
-def reference_chain(seed, k, scene_kw, traj, noise, noise_seed):
+def reference_chain(seed, k, scene_settings, traj, noise, noise_seed):
     """The hand-built chains synthesize replaced, rendering one pose at a time.
 
     helpers.suite_case skipped noise-free corruption; criterion 7b and the
     policy script seeded each frame's noise with ``seed * 100 + index``.
     """
-    scene = make_scene(k.width, k.height, seed, **scene_kw)
+    scene = make_scene(k.width, k.height, seed, scene_settings)
     keyframe = len(traj) // 2
     frames = []
     for index in (i for i in range(len(traj)) if i != keyframe):
@@ -206,16 +216,16 @@ CHAIN_CASES = {
         for seed in range(3)
     },
     "noise_free": (
-        dict(SMALL_CAMERA, seed=3, sigma_flow=0.0, outlier_rate=0.0), SMALL, {},
+        dict(SMALL_CAMERA, seed=3, sigma_flow=0.0, outlier_rate=0.0), SMALL, DESK_SCENE,
         constant_velocity_trajectory(5, (0.0625, 0, 0)), (0.0, 0.0, 8.0), 4,
     ),
     "orbit": (
-        dict(SMALL_CAMERA, seed=4, n_frames=8, trajectory_kind="orbit", orbit_radius=1.5), SMALL, {},
+        dict(SMALL_CAMERA, seed=4, n_frames=8, trajectory_kind="orbit", orbit_radius=1.5), SMALL, DESK_SCENE,
         orbit_trajectory(8, radius=1.5), NOISE, 5,
     ),
     **{
         f"stop_and_go_seed{seed}": (
-            dict(SMALL_CAMERA, **STOP_AND_GO, seed=seed, noise_seed=seed * 100), SMALL, {},
+            dict(SMALL_CAMERA, **STOP_AND_GO, seed=seed, noise_seed=seed * 100), SMALL, DESK_SCENE,
             stop_and_go_trajectory(25, velocity=(0.08, 0, 0), move=1, dwell=3), NOISE, seed * 100,
         )
         for seed in (0, 1)
@@ -229,9 +239,11 @@ def pose_bytes(pose):
 
 @pytest.mark.parametrize("name", list(CHAIN_CASES))
 def test_synthesize_matches_hand_built_chain(name):
-    settings, k, scene_kw, traj, noise, noise_seed = CHAIN_CASES[name]
+    settings, k, scene_settings, traj, noise, noise_seed = CHAIN_CASES[name]
     got_k, got_traj, scene, keyframe, frames = synthesize(RunConfig(**settings))
-    want_scene, want_keyframe, want_frames = reference_chain(settings["seed"], k, scene_kw, traj, noise, noise_seed)
+    want_scene, want_keyframe, want_frames = reference_chain(
+        settings["seed"], k, scene_settings, traj, noise, noise_seed
+    )
     assert (got_k, keyframe) == (k, want_keyframe)
     assert got_traj.timestamps.tobytes() == traj.timestamps.tobytes()
     assert [pose_bytes(p) for p in got_traj.poses] == [pose_bytes(p) for p in traj.poses]

@@ -432,31 +432,37 @@ class TestFloat32Flow:
 class TestInitialDepthChecks:
     @staticmethod
     def _channels():
-        valid = np.array([[True, True], [False, True]])
+        # pixel (1, 0) is invalid, the other three valid
         depth = np.array([[2.0, 3.0], [np.nan, 4.0]])
         conf_h = np.array([[0.5, 0.1], [np.nan, 0.2]])
         conf_r = np.array([[0.0, 0.01], [np.nan, 0.03]])
-        return {"depth": depth, "conf_h": conf_h, "conf_r": conf_r, "valid": valid}
+        return {"depth": depth, "conf_h": conf_h, "conf_r": conf_r}
 
     def test_well_formed_maps_accepted(self):
-        InitialDepth(**self._channels())
+        init = InitialDepth(**self._channels())
+        assert np.array_equal(init.valid, [[True, True], [False, True]])
 
-    @pytest.mark.parametrize("name", ["conf_h", "conf_r", "valid"])
+    @pytest.mark.parametrize("name", ["conf_h", "conf_r"])
     def test_shape_mismatch(self, name):
         maps = self._channels()
         maps[name] = maps[name][:, :1]
         with pytest.raises(InputError, match=f"{name} shape .* != depth shape"):
             InitialDepth(**maps)
 
-    @pytest.mark.parametrize("name", ["depth", "conf_h", "conf_r"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    # a NaN depth makes its pixel invalid instead (test_depth_decides_validity)
+    @pytest.mark.parametrize(
+        "value, name",
+        [(np.inf, "depth"), (-np.inf, "depth")]
+        + [(v, n) for n in ("conf_h", "conf_r") for v in (np.nan, np.inf, -np.inf)],
+    )
     def test_nonfinite_on_valid_pixel(self, name, value):
         maps = self._channels()
         maps[name][0, 1] = value
         with pytest.raises(InputError, match=f"^{name} must be finite on valid pixels$"):
             InitialDepth(**maps)
 
-    @pytest.mark.parametrize("name", ["depth", "conf_h", "conf_r"])
+    # a depth that is not NaN makes its pixel valid (test_depth_decides_validity)
+    @pytest.mark.parametrize("name", ["conf_h", "conf_r"])
     @pytest.mark.parametrize("value", [1.0, np.inf, -np.inf])
     def test_non_nan_on_invalid_pixel(self, name, value):
         maps = self._channels()
@@ -471,6 +477,20 @@ class TestInitialDepthChecks:
         maps = self._channels()
         maps[name][1, 1] = value
         with pytest.raises(InputError, match="valid pixels need depth > 0, conf_h > 0, conf_r >= 0"):
+            InitialDepth(**maps)
+
+    @pytest.mark.parametrize(
+        "pixel, value, message",
+        [
+            ((0, 1), np.nan, "conf_h must be NaN on invalid pixels"),
+            ((1, 0), 1.0, "conf_h must be finite on valid pixels"),
+        ],
+        ids=["nan-on-valid", "finite-on-invalid"],
+    )
+    def test_depth_decides_validity(self, pixel, value, message):
+        maps = self._channels()
+        maps["depth"][pixel] = value
+        with pytest.raises(InputError, match=f"^{message}$"):
             InitialDepth(**maps)
 
     def test_first_failing_channel_named(self):
