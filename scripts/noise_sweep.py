@@ -32,7 +32,7 @@ def run_once(seed, sigma_flow, outlier_rate, width, height, fx):
     k, _, scene, _, frames = synthesize(RunConfig(**room, width=width, height=height, fx=fx, fy=fx))
     init = triangulate_map(TriangulationInput(k, tuple((noisy, pose) for _, pose, _, noisy in frames)))
     cfg = RefineConfig()
-    result = refine(init, build_weights(init, scene.texture, cfg), cfg)
+    result = refine(init.depth, build_weights(init, scene.texture, cfg), cfg)
     gt = scene.depth_map()
     mask = init.valid & np.isfinite(gt)
     initial = evaluate(init.depth, gt, mask).rmse

@@ -50,7 +50,7 @@ from .metrics import (
 from .metrics import error_uncertainty_correlation, evaluate, uncertainty_sweep  # noqa: F401
 # cmd_synth renders through render_flows, so the render_flow span reads 0 calls
 from .synth import render_flow  # noqa: F401
-from .refinement import WEIGHT_MODES, RefineConfig, RefineResult, build_weights, refine
+from .refinement import WEIGHT_MODES, RefineConfig, RefineResult, WeightMaps, build_weights, refine
 from .select import Selection, SelectionPolicy, select_frames
 from .synth import (
     NoiseModel,
@@ -165,8 +165,9 @@ class RunConfig:
     ablate_iterations: str = "0 1 3 5 7 9"
 
     def intrinsics_obj(self) -> Intrinsics:
-        cx = self.cx if self.cx >= 0 else self.width / 2.0
-        cy = self.cy if self.cy >= 0 else self.height / 2.0
+        # only a negative value centres; NaN reaches Intrinsics, which rejects it
+        cx = self.width / 2.0 if self.cx < 0 else self.cx
+        cy = self.height / 2.0 if self.cy < 0 else self.cy
         return Intrinsics(fx=self.fx, fy=self.fy, cx=cx, cy=cy, width=self.width, height=self.height)
 
     def selection_policy(self) -> SelectionPolicy:
@@ -430,10 +431,9 @@ def _load_initial(out: Path) -> InitialDepth:
     return InitialDepth(**maps)
 
 
-def _run_refinement(cfg: RunConfig, root: Path, init: InitialDepth) -> RefineResult:
-    rc = cfg.refine_config()
+def _weights(cfg: RunConfig, root: Path, init: InitialDepth) -> WeightMaps:
     # the image goes straight into build_weights, so it is freed before the iterations
-    return refine(init, build_weights(init, fileio.read_image(root / cfg.image), rc), rc, workers=cfg.workers)
+    return build_weights(init, fileio.read_image(root / cfg.image), cfg.refine_config())
 
 
 def _write_refined(result: RefineResult, out: Path) -> None:
@@ -447,9 +447,11 @@ def cmd_refine(cfg: RunConfig, root) -> dict:
     root = Path(root)
     out = root / cfg.out_dir
     init = _load_initial(out)
-    result = _run_refinement(cfg, root, init)
+    depth, weights = init.depth, _weights(cfg, root, init)
+    del init  # conf_h and conf_r are read only by build_weights, so they go before the iterations
+    result = refine(depth, weights, cfg.refine_config(), workers=cfg.workers)
     _write_refined(result, out)
-    return {"init": init, "result": result, "warnings": [], "lines": []}
+    return {"depth": depth, "result": result, "warnings": [], "lines": []}
 
 
 def _run_entries(keyframe: int, selection: Selection, warnings: list[str]) -> list[tuple[str, str, str]]:
@@ -510,7 +512,7 @@ def cmd_estimate(cfg: RunConfig, root) -> dict:
     """Full chain: select, triangulate, refine, and (with ground truth) evaluate; then write every file."""
     root = Path(root)
     keyframe, selection, init, warnings = _triangulate_stage(cfg, root)
-    result = _run_refinement(cfg, root, init)
+    result = refine(init.depth, _weights(cfg, root, init), cfg.refine_config(), workers=cfg.workers)
 
     summary = {"keyframe": keyframe, "selection": selection, "warnings": warnings, "init": init, "result": result}
     gt_path = root / cfg.gt_depth
@@ -562,7 +564,7 @@ def cmd_ablate(cfg: RunConfig, root) -> dict:
     for mode in WEIGHT_MODES:
         rc = dataclasses.replace(cfg.refine_config(), weight_mode=mode, iterations=max_iterations)
         weights = build_weights(init, intensity, rc)
-        result = refine(init, weights, rc, keep_iterates=True, workers=cfg.workers)
+        result = refine(init.depth, weights, rc, keep_iterates=True, workers=cfg.workers)
         for iterations in iteration_grid:
             report = scorer.report(result.iterates[iterations])
             reports[(mode, iterations)] = report

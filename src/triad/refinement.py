@@ -77,19 +77,26 @@ pixels the data and smoothness terms constrain weakly get a wide scale.
 
 Memory. The initial maps are float32, as triangulate_map stores them and
 ``triad refine`` reads them from PFM files; build_weights squares them in
-float64 and refine copies them into float64 d(0) and dbar, so they give the
-bytes of their float64 widening, and ``triad estimate`` refines exactly
-what ``triad refine`` does.
+float64 and refine copies the depth into float64 d(0) and dbar, so they give
+the bytes of their float64 widening, and ``triad estimate`` refines exactly
+what ``triad refine`` does. refine takes the depth map alone, so ``triad
+refine`` drops the two confidence maps once build_weights has read them.
 build_weights returns the weights in the form the iterations read them: w,
 mu g_h padded and mu g_v, with no unscaled edge map kept past its return.
-refine adds the step and sigma, then d, dbar, the spare map and four band
-buffers per group. The iterations then hold those eight float64 maps (the
-initial maps and the mask aside), 25.7 MB traced at the peak of a
-40-iteration VGA ``triad refine`` with two workers, where float64 initial
-maps, edge maps kept unscaled next to their scaled copies and six buffers
-per group took 35.3 MB. Inside a VGA ``triad estimate`` with two workers the
-refinement stage peaks at the same 25.7 MB; float64 initial maps there took
-29.4 MB.
+refine adds the step, then d, dbar, the spare map and four band buffers per
+group. Sigma reads the diagonal the step is made from, but no pass reads
+sigma, so after the last pass refine recomputes the diagonal into the step's
+map (the same operations in the same order, so the same bits) and takes
+sigma there. The iterations then hold those seven float64 maps (the depth
+and the buffers aside), 20.5 MB traced at the peak of a 40-iteration VGA
+``triad refine`` with two workers. Sigma and the confidence maps held
+through the passes took 25.7 MB; float64 initial maps, edge maps kept
+unscaled next to their scaled copies and six buffers per group 35.3 MB.
+Inside a VGA ``triad estimate`` with two workers, which keeps the confidence
+maps to write them, the refinement stage peaks at 23.2 MB (25.7 MB with
+sigma held through the passes, 29.4 MB with float64 initial maps).
+Recomputing the diagonal costs about 1.3 ms per VGA call, whatever the
+iteration count (2-vCPU host).
 
 The pass stays float64. With float32 iterates and operands, and einsum
 still accumulating the band shares in float64, C rose between iterations by
@@ -353,56 +360,68 @@ def _median(values: np.ndarray) -> float:
     return (float(values[:mid].max()) + upper) / 2
 
 
+def _diagonal(weights: WeightMaps, out: np.ndarray) -> np.ndarray:
+    """Write the safe diagonal of the normal equations into ``out``; return where it was not positive.
+
+    The diagonal is w + the sum of each pixel's incident mu g; where it is
+    not positive it is replaced by 1. Every call makes the same operations
+    in the same order, so it gives the same bits each time.
+    """
+    np.copyto(out, weights.mu_gh)
+    out[:, 1:] += weights.mu_gh[:, :-1]
+    out[:-1] += weights.mu_gv
+    out[1:] += weights.mu_gv
+    np.add(weights.w, out, out=out)
+    unconstrained = ~(out > 0.0)
+    np.copyto(out, 1.0, where=unconstrained)
+    return unconstrained
+
+
 def refine(
-    init: InitialDepth,
+    depth: np.ndarray,
     weights: WeightMaps,
     cfg: RefineConfig,
     keep_iterates: bool = False,
     workers: int = 1,
 ) -> RefineResult:
-    """Run K damped-Jacobi iterations and compute the uncertainty map.
+    """Run K damped-Jacobi iterations on a triangulated depth map and compute the uncertainty map.
 
-    ``weights`` carries mu (build_weights scales the edge maps by cfg.mu), so
-    refine reads only the iteration count, omega and the uncertainty fields
-    of cfg.
+    ``depth`` is the triangulated map at any float precision (float32 widens
+    exactly), with NaN on invalid pixels, the rule InitialDepth.valid reads;
+    it must have the weights' shape and no infinite value. ``weights``
+    carries mu (build_weights scales the edge maps by cfg.mu), so refine
+    reads only the iteration count, omega and the uncertainty fields of cfg.
 
     d(0) is the triangulated depth with invalid pixels filled by the median of
     the valid ones (1.0 m if nothing is valid). Pixels with zero diagonal
     (no data weight and, with mu = 0 or no neighbour, no smoothness weight)
-    hold their initialization and are assigned sigma_cap. The result keeps
+    hold their initialization and are assigned sigma_cap. The iterations hold
+    only the step of the diagonal; sigma is taken after the last objective
+    pass, from the diagonal recomputed into the step's map. The result keeps
     every iterate d(0)..d(K) only when keep_iterates is set, and just the
     final map otherwise; the objective is recorded for every iterate either
     way. ``workers`` >= 2 splits every pass's row bands across that many
     threads (at most one per band), from a pool that is joined before refine
     returns; the result is the same for any worker count.
     """
-    if weights.w.shape != init.depth.shape:
+    if depth.shape != weights.w.shape:
         raise InputError("weights were built for a different map size")
-    # one map holds the diagonal w + sum of incident mu g, then safe_denom (1
-    # where the diagonal is 0), from which sigma is taken, then omega / safe_denom
-    denom = np.array(weights.mu_gh, dtype=np.float64)
-    denom[:, 1:] += weights.mu_gh[:, :-1]
-    denom[:-1] += weights.mu_gv
-    denom[1:] += weights.mu_gv
-    np.add(weights.w, denom, out=denom)
-    unconstrained = ~(denom > 0.0)
-    np.copyto(denom, 1.0, where=unconstrained)
-    sigma = np.sqrt(denom)
-    np.divide(cfg.beta, sigma, out=sigma)
-    np.maximum(cfg.sigma_min, sigma, out=sigma)
-    np.copyto(sigma, cfg.sigma_cap, where=unconstrained)
-    del unconstrained
-    step = np.divide(cfg.omega, denom, out=denom)
-    valid = init.valid
-    gathered = init.depth[valid]
+    valid = ~np.isnan(depth)
+    gathered = depth[valid]
+    if np.isinf(gathered).any():
+        raise InputError("depth must be finite or NaN")
     fill = _median(gathered) if gathered.size else 1.0
     del gathered
     # float64 maps whatever the depth's precision; float32 widens exactly
     d, dbar = empty(valid.shape), empty(valid.shape)
     d.fill(fill)
-    np.copyto(d, init.depth, where=valid)
+    np.copyto(d, depth, where=valid)
     dbar.fill(0.0)
-    np.copyto(dbar, init.depth, where=valid)
+    np.copyto(dbar, depth, where=valid)
+    del valid
+    step = empty(d.shape)
+    _diagonal(weights, step)
+    np.divide(cfg.omega, step, out=step)
     band_pass = _BandPass(dbar, weights, step, workers)
 
     spare = None if keep_iterates else empty(d.shape)
@@ -418,6 +437,15 @@ def refine(
                 spare = d
             d = nxt
         objective.append(band_pass(d, executor=executor))
+    # what only the passes read goes before sigma's mask is made, so it adds
+    # nothing to the peak; sigma = beta / sqrt(diagonal), floored, takes the step's map
+    del band_pass, dbar, spare
+    sigma = step
+    unconstrained = _diagonal(weights, sigma)
+    np.sqrt(sigma, out=sigma)
+    np.divide(cfg.beta, sigma, out=sigma)
+    np.maximum(cfg.sigma_min, sigma, out=sigma)
+    np.copyto(sigma, cfg.sigma_cap, where=unconstrained)
     return RefineResult(tuple(iterates) if keep_iterates else (d,), sigma, tuple(objective))
 
 

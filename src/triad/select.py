@@ -41,7 +41,7 @@ class SelectionPolicy:
             raise InputError("n_frames must be at least 2")
         if self.fixed_step < 1:
             raise InputError("fixed_step must be at least 1")
-        if self.theta_min < 0 or self.t_min < 0:
+        if not (self.theta_min >= 0 and self.t_min >= 0):  # NaN fails too
             raise InputError("thresholds must be nonnegative")
         if self.anchor not in ("previous", "keyframe"):
             raise InputError(f"unknown anchor {self.anchor!r}")

@@ -309,11 +309,12 @@ def stop_and_go_trajectory(
 
 
 def orbit_trajectory(n_frames: int, radius: float, dt: float = 1.0) -> Trajectory:
-    """Camera on a circle of given radius, yawing by 2*pi/n_frames per step."""
+    """Camera on a circle of given radius, yawing by 2*pi/n_frames per step to face its centre (0, 0, radius)."""
     timestamps = _timestamps(n_frames, dt)
     poses = []
     for i in range(n_frames):
         phi = 2.0 * math.pi * i / n_frames
         position = np.array([radius * math.sin(phi), 0.0, radius * (1.0 - math.cos(phi))])
-        poses.append(RelativePose(_yaw_matrix(phi), position))
+        # the optical axis R_y(-phi) z = (-sin phi, 0, cos phi) points from position to the centre
+        poses.append(RelativePose(_yaw_matrix(-phi), position))
     return Trajectory(timestamps, tuple(poses))

@@ -164,7 +164,7 @@ def _chain_case(cfg: RunConfig, refine_cfg: RefineConfig | None = None):
     init = triangulate_map(TriangulationInput(k, tuple(observations)))
     refine_cfg = refine_cfg or RefineConfig()
     weights = build_weights(init, scene.texture, refine_cfg)
-    result = refine(init, weights, refine_cfg)
+    result = refine(init.depth, weights, refine_cfg)
     gt = scene.depth_map()
     mask = init.valid & np.isfinite(gt)
     return {

@@ -163,7 +163,7 @@ def test_criterion_05_jacobi_matches_direct_solve():
         )
         mu, omega = 0.5, 0.9
         weights = weight_maps(data_w, np.ones((h, w - 1)), np.ones((h - 1, w)), mu)
-        result = refine(init, weights, RefineConfig(mu=mu, omega=omega, iterations=500))
+        result = refine(init.depth, weights, RefineConfig(mu=mu, omega=omega, iterations=500))
         a = np.zeros((h * w, h * w))
         b = np.zeros(h * w)
         for y in range(h):
@@ -303,7 +303,7 @@ def test_criterion_10_performance_and_worker_determinism():
         start = time.perf_counter()
         init = triangulate_map(inp, workers=8)
         weights = build_weights(init, scene.texture, cfg)
-        result = refine(init, weights, cfg)
+        result = refine(init.depth, weights, cfg)
         elapsed = time.perf_counter() - start
         assert result.depth.shape == (vga.height, vga.width)
         assert elapsed < 1.0, f"took {elapsed:.3f}s"

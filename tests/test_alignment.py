@@ -81,7 +81,7 @@ class TestLayout:
         assert len(band_pass.buffers) == (2 if height == 131 else 1)
         assert all(len(group) == 4 and all(_aligned(buffer) for buffer in group) for group in band_pass.buffers)
         for keep in (True, False):
-            result = refine(init, weights, RefineConfig(iterations=3), keep_iterates=keep)
+            result = refine(init.depth, weights, RefineConfig(iterations=3), keep_iterates=keep)
             assert len(result.iterates) == (4 if keep else 1)
             assert all(_aligned(iterate) and iterate.flags.c_contiguous for iterate in result.iterates)
 
@@ -95,7 +95,7 @@ class TestBitsDoNotDependOnAlignment:
 
         def run():
             weights = build_weights(init, intensity, cfg)
-            return weights, refine(init, weights, cfg, keep_iterates=True, workers=workers)
+            return weights, refine(init.depth, weights, cfg, keep_iterates=True, workers=workers)
 
         weights, aligned = run()
         monkeypatch.setattr(refinement, "empty", _offset(offset))

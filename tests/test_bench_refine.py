@@ -33,7 +33,7 @@ def test_build_weights_vga(benchmark, vga_maps):
 def test_refine_vga(benchmark, vga_maps, iterations):
     init, _, weights = vga_maps
     cfg = RefineConfig(iterations=iterations)
-    result = benchmark.pedantic(refine, args=(init, weights, cfg), rounds=3, warmup_rounds=1)
+    result = benchmark.pedantic(refine, args=(init.depth, weights, cfg), rounds=3, warmup_rounds=1)
     assert len(result.objective) == iterations + 1
     assert result.objective[-1] < result.objective[0]
 
@@ -42,5 +42,5 @@ def test_refine_vga_40_iterations_two_workers(benchmark, vga_maps):
     # the threaded band pass, next to test_refine_vga[40] on one worker
     init, _, weights = vga_maps
     cfg = RefineConfig(iterations=40)
-    result = benchmark.pedantic(refine, args=(init, weights, cfg), kwargs={"workers": 2}, rounds=3, warmup_rounds=1)
-    assert result.objective == refine(init, weights, cfg).objective
+    result = benchmark.pedantic(refine, args=(init.depth, weights, cfg), kwargs={"workers": 2}, rounds=3, warmup_rounds=1)
+    assert result.objective == refine(init.depth, weights, cfg).objective

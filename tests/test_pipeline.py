@@ -35,6 +35,7 @@ from triad.pipeline import (
     cmd_synth,
     load_run_config,
     parse_config_file,
+    synthesize,
 )
 
 from helpers import read_keyvalues, suite_case
@@ -561,7 +562,8 @@ class TestExitCodes:
         ["omega=2", "iterations=-1", "selection_mode=bogus", "fixed_step=0", "sweep_thresholds=-1"]
         + [f"{key}=nan" for key in ("mu", "kappa", "tau", "w_max", "sigma_min", "beta", "sigma_cap")]
         + ["mu=inf", "sweep_thresholds=nan", "sweep_thresholds=0.5 nan", "h_eps=nan", "d_max=nan", "d_max=-1"]
-        + ["workers=0", "workers=-3", "fx=inf", "cx=1000", "ablate_iterations=0 1 1"],
+        + ["workers=0", "workers=-3", "fx=inf", "cx=1000", "ablate_iterations=0 1 1"]
+        + ["theta_min=nan", "t_min=nan", "cx=nan", "cy=nan"],
     )
     def test_bad_derived_setting_is_one_before_any_output(self, tmp_path, bad):
         root = tmp_path / "bad"
@@ -601,6 +603,17 @@ class TestExitCodes:
             ["depth_initial.pfm", "conf_h.pfm", "conf_r.pfm", "depth_refined.pfm", "sigma.pfm"]
             + ["objective.txt", "report.txt", "report.kv", "sweep.csv"]
         )
+
+    def test_orbit_bundle_keeps_its_adjacent_flow(self, tmp_path):
+        # each orbit camera faces the circle's centre, where the keyframe's scene sits
+        keys = dict(width=96, height=72, fx=100.0, fy=100.0, n_frames=12, trajectory_kind="orbit", seed=2, keyframe=6)
+        *_, keyframe, frames = synthesize(RunConfig(**keys))
+        kept = {index: exact.valid.mean() for index, _, exact, _ in frames if abs(index - keyframe) <= 2}
+        assert len(kept) == 4 and min(kept.values()) > 0.8, kept
+        root = str(tmp_path / "orbit")
+        opts = [f"--opt={key}={value}" for key, value in keys.items()]
+        assert run_cli("synth", "--root", root, *opts) == 0
+        assert run_cli("estimate", "--root", root, *opts) == 0
 
     def test_tiny_map_reports_spearman_undefined(self, tmp_path):
         root = tmp_path / "tiny"
@@ -737,7 +750,7 @@ class TestThreadCount:
         if most:
             assert all(thread.name.startswith("triangulate") for thread in started)
         triangulated = len(started)
-        refine(init, build_weights(init, np.zeros((height, width)), cfg), cfg, workers=workers)
+        refine(init.depth, build_weights(init, np.zeros((height, width)), cfg), cfg, workers=workers)
         assert len(started) - triangulated <= most
         assert not any(thread.is_alive() for thread in started)
 

@@ -159,7 +159,7 @@ class TestRefine:
         init = random_initial(rng)
         cfg = RefineConfig(mu=0.0, iterations=9)
         weights = build_weights(init, np.zeros(init.depth.shape), cfg)
-        result = refine(init, weights, cfg)
+        result = refine(init.depth, weights, cfg)
         assert np.array_equal(result.depth[init.valid], init.depth[init.valid])
 
     def test_zero_weights_constant_initialization_is_fixed(self):
@@ -168,7 +168,7 @@ class TestRefine:
         cfg = RefineConfig(iterations=8)
         weights = build_weights(init, np.zeros(shape), cfg)
         assert np.all(weights.w == 0.0)
-        result = refine(init, weights, cfg)
+        result = refine(init.depth, weights, cfg)
         assert result.objective[0] == 0.0
         assert max(result.objective) <= 1e-20
         assert np.ptp(result.depth) <= 1e-12
@@ -182,7 +182,7 @@ class TestRefine:
         mu, omega = 0.5, 0.9
         weights = weight_maps(rng.uniform(0.5, 2.0, (h, w)), np.ones((h, w - 1)), np.ones((h - 1, w)), mu)
         cfg = RefineConfig(mu=mu, omega=omega, iterations=500)
-        result = refine(init, weights, cfg)
+        result = refine(init.depth, weights, cfg)
 
         def flat(y, x):
             return y * w + x
@@ -213,14 +213,14 @@ class TestRefine:
             iterations=12,
         )
         weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
-        result = refine(init, weights, cfg)
+        result = refine(init.depth, weights, cfg)
         for earlier, later in zip(result.objective, result.objective[1:]):
             assert later <= earlier + 1e-9
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_monotone_descent_over_200_iterations_on_suite_map(self, seed):
         case = suite_case(seed, refine_cfg=RefineConfig(iterations=0))
-        result = refine(case["init"], case["weights"], RefineConfig(iterations=200))
+        result = refine(case["init"].depth, case["weights"], RefineConfig(iterations=200))
         # near the optimum a step lowers C by less than C's rounding error
         # (about 1e-15 relative), so a later value may exceed an earlier one by that
         for earlier, later in zip(result.objective, result.objective[1:]):
@@ -245,7 +245,7 @@ class TestRefine:
         wmap[anchored] = 1e4  # >= 100 * mu * degree for mu = 1, degree <= 4
         weights = weight_maps(wmap, np.ones((h, w - 1)), np.ones((h - 1, w)))
         cfg = RefineConfig(mu=1.0, iterations=7)
-        result = refine(init, weights, cfg)
+        result = refine(init.depth, weights, cfg)
         drift = np.abs(result.depth - depth)[anchored]
         assert np.all(drift <= 0.05 * depth[anchored])
 
@@ -254,7 +254,7 @@ class TestRefine:
         init = random_initial(rng, height=9, width=9, valid_fraction=0.7)
         cfg = RefineConfig(mu=2.0, iterations=20)
         weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
-        result = refine(init, weights, cfg, keep_iterates=True)
+        result = refine(init.depth, weights, cfg, keep_iterates=True)
         assert len(result.iterates) == 21
         lo = init.depth[init.valid].min()
         hi = init.depth[init.valid].max()
@@ -266,7 +266,7 @@ class TestRefine:
         init = make_initial([[1.0, 2.0, 9.0]], [[True, True, False]])
         cfg = RefineConfig(iterations=0)
         weights = build_weights(init, np.zeros((1, 3)), cfg)
-        result = refine(init, weights, cfg)
+        result = refine(init.depth, weights, cfg)
         assert result.iterates[0][0, 2] == 1.5  # median of the valid depths
 
     @pytest.mark.parametrize(
@@ -291,14 +291,14 @@ class TestRefine:
         init = make_initial(np.full((2, 2), 5.0), np.zeros((2, 2), dtype=bool))
         cfg = RefineConfig(iterations=0)
         weights = build_weights(init, np.zeros((2, 2)), cfg)
-        result = refine(init, weights, cfg)
+        result = refine(init.depth, weights, cfg)
         assert np.all(result.iterates[0] == 1.0)
 
     def test_unconstrained_pixel_holds_init_and_gets_sigma_cap(self):
         init = make_initial([[2.0, 3.0]], [[True, False]])
         cfg = RefineConfig(mu=0.0, iterations=5, sigma_cap=7.5)
         weights = build_weights(init, np.zeros((1, 2)), cfg)
-        result = refine(init, weights, cfg)
+        result = refine(init.depth, weights, cfg)
         assert result.depth[0, 1] == 2.0  # median fill, held
         assert result.uncertainty[0, 1] == 7.5
 
@@ -306,7 +306,7 @@ class TestRefine:
         init = make_initial([[2.0]], [[True]], conf_h=[[100.0]], conf_r=[[0.0]])
         cfg = RefineConfig(sigma_min=0.05, w_max=1e12)
         weights = build_weights(init, np.zeros((1, 1)), cfg)
-        result = refine(init, weights, cfg)
+        result = refine(init.depth, weights, cfg)
         assert result.uncertainty[0, 0] == 0.05
 
     def test_uncertainty_monotone_in_data_weight(self):
@@ -314,9 +314,23 @@ class TestRefine:
         wmap = np.linspace(0.0, 50.0, w).reshape(h, w)
         init = make_initial(np.full((h, w), 2.0), np.ones((h, w), dtype=bool))
         weights = weight_maps(wmap, np.ones((h, w - 1)), np.ones((0, w)))
-        result = refine(init, weights, RefineConfig(iterations=0))
+        result = refine(init.depth, weights, RefineConfig(iterations=0))
         sigma = result.uncertainty[0, 1:-1]  # interior: same smoothness degree everywhere
         assert np.all(np.diff(sigma) <= 1e-15)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("shape", "different map size"), (np.inf, "finite or NaN"), (-np.inf, "finite or NaN")],
+    )
+    def test_rejects_a_depth_of_another_shape_or_with_infinities(self, bad, message):
+        init = random_initial(np.random.default_rng(10))  # every pixel valid
+        cfg = RefineConfig()
+        weights = build_weights(init, np.zeros(init.depth.shape), cfg)
+        depth = init.depth[:, :-1].copy() if bad == "shape" else init.depth.copy()
+        if bad != "shape":
+            depth[2, 3] = bad
+        with pytest.raises(InputError, match=message):
+            refine(depth, weights, cfg)
 
     def test_statistical_improvement_across_noise_grid(self):
         # refined beats initial in median across seeds for every noise setting
@@ -387,9 +401,9 @@ def reference_jacobi(init, weights, cfg):
 
 def refine_on(init, weights, cfg, keep_iterates=False):
     """refine with one worker, after checking that 2 and 3 workers give the same bytes."""
-    serial = refine(init, weights, cfg, keep_iterates)
+    serial = refine(init.depth, weights, cfg, keep_iterates)
     for workers in (2, 3):
-        result = refine(init, weights, cfg, keep_iterates, workers=workers)
+        result = refine(init.depth, weights, cfg, keep_iterates, workers=workers)
         assert [d.tobytes() for d in result.iterates] == [d.tobytes() for d in serial.iterates], workers
         assert result.objective == serial.objective, workers
         assert result.uncertainty.tobytes() == serial.uncertainty.tobytes(), workers
@@ -438,6 +452,15 @@ class TestBufferedJacobi:
         result = refine_on(case["init"], case["weights"], cfg, keep_iterates=True)
         iterates, values, sigma = reference_jacobi(case["init"], case["weights"], cfg)
         assert_matches_reference(result, iterates, values, sigma)
+
+    @pytest.mark.parametrize("keep_iterates", [True, False])
+    def test_sigma_after_no_pass_matches_reference(self, keep_iterates):
+        rng = np.random.default_rng(9)
+        init = random_initial(rng, height=11, width=13, valid_fraction=0.6)
+        cfg = RefineConfig(mu=1.3, iterations=0)
+        weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
+        result = refine_on(init, weights, cfg, keep_iterates)
+        assert_matches_reference(result, *reference_jacobi(init, weights, cfg))
 
     def test_objective_value_matches_reference(self):
         rng = np.random.default_rng(5)
@@ -534,25 +557,26 @@ class TestRefineMemory:
         init = random_initial(rng, height=480, width=640, valid_fraction=0.8)
         weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), RefineConfig())
         # lazy set-up outside the measurement
-        refine(init, weights, RefineConfig(iterations=1), workers=workers)
+        refine(init.depth, weights, RefineConfig(iterations=1), workers=workers)
         peaks = {}
         for iterations in (7, 40):
             cfg = RefineConfig(iterations=iterations)
-            _, peaks[iterations] = traced_peak(lambda: refine(init, weights, cfg, workers=workers))
+            _, peaks[iterations] = traced_peak(lambda: refine(init.depth, weights, cfg, workers=workers))
         # only the objective list grows with the iteration count
         assert abs(peaks[40] - peaks[7]) < 4096
         return peaks[7], init.depth.nbytes
 
     def test_vga_peak_is_bounded_and_independent_of_iterations(self):
         peak, map_bytes = self.vga_peaks(workers=1)
-        # the step, sigma, d, dbar, the spare map and four band buffers
-        assert peak <= 5.6 * map_bytes  # 5.41 maps measured; 7.41 with the edge maps scaled in refine
+        # the step, d, dbar, the spare map and four band buffers; sigma comes
+        # after the last pass, in the step's map
+        assert peak <= 4.6 * map_bytes  # 4.41 maps measured; 5.41 with sigma held through the passes
 
     def test_vga_peak_with_two_workers(self):
         # each group of row bands has its own buffers: four of a 48-row band
         # plus one row, 0.41 VGA maps
         peak, map_bytes = self.vga_peaks(workers=2)
-        assert peak <= 6.0 * map_bytes  # 5.82 maps measured; 7.82 with the edge maps scaled in refine
+        assert peak <= 5.0 * map_bytes  # 4.82 maps measured; 5.82 with sigma held through the passes
 
 
 VGA = {"width": 640, "height": 480, "fx": 800.0, "fy": 800.0}
@@ -568,17 +592,18 @@ def triangulated_bundle(root, **settings) -> RunConfig:
 
 class TestRefineCommandMemory:
     def test_vga_peak(self, tmp_path):
-        # the perfbench refine_vga_40it call: float32 initial maps (1.5 maps),
-        # the weights' w, mu g_h and mu g_v, the step and sigma, then d, dbar
-        # and the spare map, and two groups' band buffers (0.82 maps).
-        # Measured at 10.45 maps (numpy 2.4, Python 3.11); float64 initial
-        # maps, unscaled edge maps kept through the iterations and six band
-        # buffers took 14.36.
+        # the perfbench refine_vga_40it call: the float32 initial depth (0.5
+        # maps; the confidence maps go once build_weights has read them), the
+        # weights' w, mu g_h and mu g_v, the step, d, dbar and the spare map,
+        # and two groups' band buffers (0.82 maps). Measured at 8.32 maps
+        # (numpy 2.4, Python 3.11); the confidence maps and sigma held through
+        # the passes took 10.45, and float64 initial maps, unscaled edge maps
+        # kept through the iterations and six band buffers 14.36.
         cfg = triangulated_bundle(tmp_path, **VGA, workers=2, iterations=40)
         cmd_refine(cfg, tmp_path)  # lazy set-up outside the measurement
         summary, peak = traced_peak(lambda: cmd_refine(cfg, tmp_path))
-        assert summary["init"].depth.dtype == np.float32
-        assert peak <= 10.8 * 8 * 640 * 480, peak / (8 * 640 * 480)
+        assert summary["depth"].dtype == np.float32
+        assert peak <= 8.8 * 8 * 640 * 480, peak / (8 * 640 * 480)
 
     def test_estimate_vga_peak(self, tmp_path):
         # the perfbench estimate_vga call, whose peak is set while both maps
@@ -591,28 +616,44 @@ class TestRefineCommandMemory:
         assert summary["init"].depth.dtype == np.float32
         assert peak <= 11.7 * 8 * 640 * 480, peak / (8 * 640 * 480)
 
-    @pytest.mark.parametrize("command", [cmd_refine, cmd_estimate])
-    def test_intensity_is_freed_before_the_first_pass(self, tmp_path, monkeypatch, command):
-        cfg = triangulated_bundle(tmp_path, width=160, height=120, fx=200.0, fy=200.0)
-        images = []
+    @staticmethod
+    def alive_at_each_pass(monkeypatch, command, cfg, root, picked):
+        """Run ``command``; for each band pass, which of the arrays ``picked(init, intensity)`` are alive.
+
+        The arrays are picked from the arguments of the one build_weights call.
+        """
+        refs = []
 
         def recording_build_weights(init, intensity, rc):
-            images.append(weakref.ref(intensity))
+            refs.extend(weakref.ref(array) for array in picked(init, intensity))
             return build_weights(init, intensity, rc)
 
         alive = []
         band_pass = refinement._BandPass.__call__
 
         def checking_band_pass(self, *args, **kwargs):
-            alive.append([ref() is not None for ref in images])
+            alive.append([ref() is not None for ref in refs])
             return band_pass(self, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "build_weights", recording_build_weights)
         monkeypatch.setattr(refinement._BandPass, "__call__", checking_band_pass)
-        command(cfg, tmp_path)
-        assert len(images) == 1
+        command(cfg, root)
         assert len(alive) == cfg.iterations + 1
+        return alive
+
+    @pytest.mark.parametrize("command", [cmd_refine, cmd_estimate])
+    def test_intensity_is_freed_before_the_first_pass(self, tmp_path, monkeypatch, command):
+        cfg = triangulated_bundle(tmp_path, width=160, height=120, fx=200.0, fy=200.0)
+        alive = self.alive_at_each_pass(monkeypatch, command, cfg, tmp_path, lambda init, intensity: [intensity])
         assert alive[0] == [False]
+
+    def test_refine_frees_the_confidence_maps_before_the_first_pass(self, tmp_path, monkeypatch):
+        # estimate writes them after refinement, so only triad refine can let them go
+        cfg = triangulated_bundle(tmp_path, width=160, height=120, fx=200.0, fy=200.0)
+        alive = self.alive_at_each_pass(
+            monkeypatch, cmd_refine, cfg, tmp_path, lambda init, intensity: [init.conf_h, init.conf_r]
+        )
+        assert alive[0] == [False, False]
 
 
 def loaded_and_widened(tmp_path, parity: int):
@@ -646,7 +687,7 @@ class TestFloat32Initial:
         assert narrow.depth.dtype == np.float32 and wide.depth.dtype == np.float64
         assert int(narrow.valid.sum()) % 2 == parity and not narrow.valid.all()
         cfg = RefineConfig(iterations=12)
-        got, want = (refine(init, build_weights(init, texture, cfg), cfg, workers=workers) for init in (narrow, wide))
+        got, want = (refine(init.depth, build_weights(init, texture, cfg), cfg, workers=workers) for init in (narrow, wide))
         assert got.depth.tobytes() == want.depth.tobytes()
         assert got.uncertainty.tobytes() == want.uncertainty.tobytes()
         assert got.objective == want.objective

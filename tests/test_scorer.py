@@ -340,7 +340,7 @@ class TestAblateRows:
         mask = init.valid & np.isfinite(gt)
         for mode in ("full", "hessian_only", "residual_only", "constant"):
             rc = dataclasses.replace(cfg.refine_config(), weight_mode=mode, iterations=5)
-            result = refine(init, build_weights(init, intensity, rc), rc, keep_iterates=True)
+            result = refine(init.depth, build_weights(init, intensity, rc), rc, keep_iterates=True)
             for k in (0, 2, 5):
                 want = ref_evaluate(result.iterates[k], gt, mask)
                 assert evaluate(result.iterates[k], gt, mask) == want

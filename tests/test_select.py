@@ -45,6 +45,8 @@ class TestPolicyValidation:
             dict(fixed_step=0),
             dict(theta_min=-0.1),
             dict(t_min=-1.0),
+            dict(theta_min=float("nan")),
+            dict(t_min=float("nan")),
             dict(anchor="middle"),
         ],
     )
