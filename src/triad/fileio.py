@@ -16,7 +16,9 @@ Formats:
 
 Every binary payload's size is checked against the file before its raster
 is allocated, so a header that promises more than the file holds is a
-FormatError. Every file triad writes goes through one writer, ``write_file``,
+FormatError. A .flo file can also be read a band of rows at a time; each
+such read opens and closes the file and makes the same checks (see
+read_flow). Every file triad writes goes through one writer, ``write_file``,
 which makes the file's directory on the first write into it. Everything here
 is a pure function; concurrent reads of distinct files are safe. Internal
 rasters are row-major, top-to-bottom, everywhere.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -43,17 +46,32 @@ from .geometry import (
 FLO_MAGIC = b"PIEH"
 
 
-def _payload(f: io.BufferedReader, path, shape: tuple[int, ...], dtype, what: str) -> np.ndarray:
-    """The rest of an open file read straight into a new array, so it is copied once on its way out of the kernel."""
+def _payload(
+    f: io.BufferedReader, path, shape: tuple[int, ...], dtype, what: str, rows: slice | None = None
+) -> np.ndarray:
+    """The rest of an open file, or its ``rows`` (a slice of the first axis, step 1), read straight into a new array.
+
+    The whole payload's size is checked against the file before any array is
+    allocated, whichever rows are asked for, and the rows are then copied
+    once on their way out of the kernel.
+    """
     dtype = np.dtype(dtype)
+    first, last, step = (slice(None) if rows is None else rows).indices(shape[0])
+    if step != 1:
+        raise ValueError(f"rows must be a slice with step 1, got {rows}")
     start = f.tell()
-    expected = start + dtype.itemsize * math.prod(shape)
+    row_bytes = dtype.itemsize * math.prod(shape[1:])
+    expected = start + row_bytes * shape[0]
     # the file size is checked before the array is allocated, so a corrupt
     # header cannot ask for more memory than the file could fill
     size = os.fstat(f.fileno()).st_size
     if size >= expected:
-        values = np.empty(shape, dtype=dtype)
-        size = start + f.readinto(values)
+        values = np.empty((max(0, last - first), *shape[1:]), dtype=dtype)
+        offset = start + first * row_bytes
+        f.seek(offset)
+        # short only when the file shrank after its size was read
+        size = offset + f.readinto(values)
+        expected = offset + values.nbytes
     if size < expected:
         raise FormatError(f"{path}: truncated {what} payload ({size} < {expected} bytes)")
     return values
@@ -76,19 +94,39 @@ def write_lines(path, lines) -> None:
     write_file(path, "".join(f"{line}\n" for line in lines).encode("utf-8"))
 
 
-def read_flow(path) -> np.ndarray:
-    """Read a .flo file into a (H, W, 2) float32 raster (sentinels preserved)."""
+def _flow_shape(f: io.BufferedReader, path) -> tuple[int, int, int]:
+    """The (H, W, 2) raster shape an open .flo file's header declares, checked; the file is left at the payload."""
+    header = f.read(12)
+    if header[:4] != FLO_MAGIC:
+        raise FormatError(f"{path}: bad flow magic {header[:4]!r}")
+    if len(header) < 12:
+        raise FormatError(f"{path}: truncated flow header")
+    w, h = struct.unpack_from("<2i", header, 4)
+    if w <= 0 or h <= 0:
+        raise FormatError(f"{path}: invalid flow dimensions {w}x{h}")
+    return h, w, 2
+
+
+def read_flow(path, rows: slice | None = None) -> np.ndarray:
+    """Read a .flo file into a (H, W, 2) float32 raster (sentinels preserved).
+
+    With ``rows``, a slice of rows with step 1, only those rows are read, and
+    the result is ``read_flow(path)[rows]``. The header and the whole file's
+    size are checked either way, with the same messages. The file is open
+    only for the call.
+    """
     with open(path, "rb") as f:
-        header = f.read(12)
-        if header[:4] != FLO_MAGIC:
-            raise FormatError(f"{path}: bad flow magic {header[:4]!r}")
-        if len(header) < 12:
-            raise FormatError(f"{path}: truncated flow header")
-        w, h = (int(v) for v in np.frombuffer(header, dtype="<i4", count=2, offset=4))
-        if w <= 0 or h <= 0:
-            raise FormatError(f"{path}: invalid flow dimensions {w}x{h}")
-        flow = _payload(f, path, (h, w, 2), "<f4", "flow")
+        shape = _flow_shape(f, path)
+        flow = _payload(f, path, shape, "<f4", "flow", rows)
     return flow.astype(np.float32, copy=False)
+
+
+def flow_size(path) -> tuple[int, int]:
+    """(width, height) of a .flo file, after every check read_flow makes before it reads a row."""
+    with open(path, "rb") as f:
+        h, w, _ = shape = _flow_shape(f, path)
+        _payload(f, path, shape, "<f4", "flow", slice(0, 0))
+    return w, h
 
 
 def write_flow(flow: np.ndarray, path) -> None:

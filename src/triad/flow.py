@@ -1,9 +1,15 @@
-"""Dense 2D displacement fields with a per-pixel validity mask.
+"""Dense 2D displacement fields with a per-pixel validity mask, and the sources that give them a band at a time.
 
 A flow field stores, for each keyframe pixel, the displacement to its
 corresponding pixel in an adjacent frame. On disk (see fileio.read_flow)
 invalid pixels carry components with magnitude above INVALID_FLOW_THRESHOLD;
 in memory they are tracked with an explicit boolean mask.
+
+Triangulation reads its flow one row band at a time through ``band(rows)``,
+which both kinds of flow source have: a FlowField gives views of its rows,
+and a FlowFile reads and decodes just those rows of its .flo file, so no
+whole decoded field of a file is ever held. Both give the same band bit for
+bit, since decoding is elementwise.
 
 The vectors are float32 or float64, and all arithmetic on them is float64.
 A float32 array stays float32 and any other dtype becomes float64, so a
@@ -21,10 +27,12 @@ admits only finite components, and the synthetic renderer and noise model
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from . import fileio
 from .errors import InputError
 
 INVALID_FLOW = 1e10
@@ -67,6 +75,10 @@ class FlowField:
     @property
     def width(self) -> int:
         return self.vectors.shape[1]
+
+    def band(self, rows: slice) -> "FlowField":
+        """Rows ``rows`` (a slice with step 1) of the field, as views of its arrays."""
+        return FlowField._unchecked(self.vectors[rows], self.valid[rows])
 
     @classmethod
     def _unchecked(cls, vectors: np.ndarray, valid: np.ndarray) -> "FlowField":
@@ -119,3 +131,31 @@ class FlowField:
         raster = self.vectors.astype(np.float32, order="C")
         raster.reshape(-1, 2)[np.flatnonzero(~self.valid)] = INVALID_FLOW
         return raster
+
+
+@dataclass(frozen=True)
+class FlowFile:
+    """A .flo file as a flow source: checked when it is built, read a band of rows at a time.
+
+    Building one reads the header and makes every check ``fileio.read_flow``
+    makes before it reads a row, with the same errors, so a bad file fails
+    before any band is read. ``band(rows)`` is
+    ``FlowField.from_raster(fileio.read_flow(path, rows))``: it reads only
+    those rows, opening and closing the file, so no file stays open between
+    bands. Both names are looked up at each call, so a wrapper patched onto
+    either sees every band read. A file that shrinks after it was checked
+    fails its band read as a truncated payload.
+    """
+
+    path: Path
+    width: int = field(init=False)
+    height: int = field(init=False)
+
+    def __post_init__(self):
+        width, height = fileio.flow_size(self.path)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
+
+    def band(self, rows: slice) -> FlowField:
+        """Rows ``rows`` (a slice with step 1) read from the file and decoded by FlowField.from_raster."""
+        return FlowField.from_raster(fileio.read_flow(self.path, rows))

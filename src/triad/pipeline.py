@@ -35,7 +35,7 @@ import numpy as np
 
 from . import fileio
 from .errors import ConfigError, InputError, NumericalError
-from .flow import FlowField
+from .flow import FlowFile
 from .geometry import Intrinsics, Trajectory
 from .metrics import (
     SWEEP_THRESHOLDS,
@@ -378,17 +378,6 @@ def cmd_synth(cfg: RunConfig, root) -> dict:
     return {"keyframe": keyframe, "files": files, "manifest": manifest, "lines": [line], "warnings": []}
 
 
-def _load_selected_flows(
-    cfg: RunConfig, root: Path, traj: Trajectory, keyframe: int, selection: Selection
-):
-    observations = []
-    for index in selection.indices:
-        raw = fileio.read_flow(_flow_path(root, cfg, cfg.flow_prefix, index))
-        pose = traj.relative_pose(keyframe, index)
-        observations.append((FlowField.from_raster(raw), pose))
-    return observations
-
-
 def _select(cfg: RunConfig, root: Path):
     """(trajectory, keyframe, selection, warnings): the selection step of every command that selects."""
     traj = fileio.read_trajectory(root / cfg.trajectory)
@@ -404,8 +393,13 @@ def _triangulate_stage(cfg: RunConfig, root: Path):
     k = fileio.read_intrinsics(root / cfg.intrinsics)
     if not selection.indices:
         raise NumericalError("frame selection produced no usable frames")
-    observations = _load_selected_flows(cfg, root, traj, keyframe, selection)
-    inp = TriangulationInput(k, tuple(observations))
+    # each selected file's header and size are checked here, in selection
+    # order, before any band is read
+    observations = tuple(
+        (FlowFile(_flow_path(root, cfg, cfg.flow_prefix, index)), traj.relative_pose(keyframe, index))
+        for index in selection.indices
+    )
+    inp = TriangulationInput(k, observations)
     init = triangulate_map(inp, h_eps=cfg.h_eps, d_max=cfg.d_max, workers=cfg.workers)
     if not np.any(init.valid):
         raise NumericalError("triangulation left no valid pixels")

@@ -47,6 +47,15 @@ are bit-identical however the rows are split: triangulate_map walks them in
 the bands of workers.row_bands and, with ``workers`` >= 2, runs contiguous
 groups of bands on workers.run, one group per thread.
 
+Each observation's flow is a source with ``band(rows)`` (see the flow
+module): a FlowField gives views of its rows, and a FlowFile reads and
+decodes just those rows of its .flo file. A band pass asks each frame for
+its band in input order, bands outer and frames inner, and drops it before
+the next frame's, so flow read from files holds one band of one frame per
+thread rather than every whole field. Decoding is elementwise, so both kinds
+of source give the same bits. Frames outer would read each file once, but
+then every band's three float64 sums would be whole maps, 7.4 MB at VGA.
+
 Each call for a row band allocates its three sums and eight band-sized work
 buffers (256 KiB each at 32k pixels) once, each from workers.empty so that it
 starts on a cache line, and evaluates every frame's terms into them in place
@@ -79,7 +88,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .flow import FlowField
+from .flow import FlowField, FlowFile
 from .geometry import Intrinsics, RelativePose, normalized_axes
 from .workers import empty, pool, row_bands, run, split
 
@@ -89,19 +98,23 @@ DEFAULT_D_MAX = 100.0
 
 @dataclass(frozen=True)
 class TriangulationInput:
-    """Keyframe intrinsics plus one (flow field, relative pose) per adjacent frame."""
+    """Keyframe intrinsics plus one (flow source, relative pose) per adjacent frame.
+
+    A flow source is a FlowField or a FlowFile: anything with ``width``,
+    ``height`` and ``band(rows)`` giving a FlowField of those rows.
+    """
 
     intrinsics: Intrinsics
-    observations: tuple[tuple[FlowField, RelativePose], ...]
+    observations: tuple[tuple[FlowField | FlowFile, RelativePose], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "observations", tuple(self.observations))
         if not self.observations:
             raise InputError("need at least one adjacent frame")
-        for flow_field, _ in self.observations:
-            if (flow_field.height, flow_field.width) != (self.intrinsics.height, self.intrinsics.width):
+        for source, _ in self.observations:
+            if (source.height, source.width) != (self.intrinsics.height, self.intrinsics.width):
                 raise InputError(
-                    f"flow field is {flow_field.width}x{flow_field.height}, "
+                    f"flow field is {source.width}x{source.height}, "
                     f"intrinsics expect {self.intrinsics.width}x{self.intrinsics.height}"
                 )
 
@@ -154,26 +167,27 @@ def check_limits(h_eps: float, d_max: float) -> None:
         raise InputError("d_max must be positive and finite")
 
 
-def _frame_terms(flow_field: FlowField, pose: RelativePose, k: Intrinsics, xm, ym, rows: slice, buffers):
+def _frame_terms(band: FlowField, pose: RelativePose, k: Intrinsics, xm, ym, rows: slice, buffers):
     """One frame's H_k, beta_k and gamma_k on a band of rows, and the band's invalid flat indices.
 
-    ``xm`` and ``ym`` are m's x' by column and y' by row (normalized_axes).
-    The terms are written into three of the eight band-shaped float64
-    ``buffers`` and returned. A float32 field is widened exactly as it is
-    copied in, and invalid pixels get the ray of zero flow, so every term is
-    finite; it is the caller's to drop them.
+    ``band`` is the frame's flow on those rows only (a flow source's
+    ``band(rows)``). ``xm`` and ``ym`` are m's x' by column and y' by row
+    (normalized_axes). The terms are written into three of the eight
+    band-shaped float64 ``buffers`` and returned. A float32 field is widened
+    exactly as it is copied in, and invalid pixels get the ray of zero flow,
+    so every term is finite; it is the caller's to drop them.
     """
     ym = ym[rows, None]
     # nx, ny: ray; inv: 1/|n|^2; rm: one component of R m at a time, then
     # (R m).p; n_rm: n.R m, then gamma_k; rm_sq: |R m|^2, then H_k; n_p: n.p;
     # t: the product in hand, then beta_k
     nx, ny, inv, rm, n_rm, rm_sq, n_p, t = buffers
-    bad = np.flatnonzero(~flow_field.valid[rows])
+    bad = np.flatnonzero(~band.valid)
     # the ray: n = (flow + pixel - c) / f per axis, with zero flow where invalid
     columns = np.arange(k.width, dtype=np.float64)
     band_rows = np.arange(k.height, dtype=np.float64)[rows, None]
     for axis, n, pixel, c, f in ((0, nx, columns, k.cx, k.fx), (1, ny, band_rows, k.cy, k.fy)):
-        np.copyto(n, flow_field.vectors[rows, :, axis])
+        np.copyto(n, band.vectors[:, :, axis])
         n.reshape(-1)[bad] = 0.0
         n += pixel
         n -= c
@@ -226,20 +240,26 @@ def _frame_terms(flow_field: FlowField, pose: RelativePose, k: Intrinsics, xm, y
 
 
 def _accumulate_rows(inp: TriangulationInput, xm: np.ndarray, ym: np.ndarray, rows: slice):
-    """H, beta, gamma on a band of rows (_frame_terms summed in input order) and where any is valid."""
+    """H, beta, gamma on a band of rows (_frame_terms summed in input order) and where any is valid.
+
+    Each observation's flow source gives its band once, and the band is
+    dropped before the next frame's is read.
+    """
     shape = (ym[rows].shape[0], xm.shape[0])
     h_acc, beta, gamma = (empty(shape) for _ in range(3))
     for acc in (h_acc, beta, gamma):
         acc.fill(0.0)
     any_obs = np.zeros(shape, dtype=bool)
     buffers = [empty(shape) for _ in range(8)]
-    for flow_field, pose in inp.observations:
-        *terms, bad = _frame_terms(flow_field, pose, inp.intrinsics, xm, ym, rows, buffers)
+    for source, pose in inp.observations:
+        band = source.band(rows)
+        *terms, bad = _frame_terms(band, pose, inp.intrinsics, xm, ym, rows, buffers)
         # zeroed where invalid, then added everywhere (exact: see the module docstring)
         for acc, term in zip((h_acc, beta, gamma), terms):
             term.reshape(-1)[bad] = 0.0
             acc += term
-        any_obs |= flow_field.valid[rows]
+        any_obs |= band.valid
+        del band
     return h_acc, beta, gamma, any_obs
 
 

@@ -22,6 +22,7 @@ buffers moved off the boundary.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
@@ -43,11 +44,11 @@ def empty(shape, dtype=np.float64) -> np.ndarray:
     buffer of a set is its own call, so each starts aligned.
     """
     dtype = np.dtype(dtype)
-    nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    nbytes = math.prod((shape,) if isinstance(shape, (int, np.integer)) else shape) * dtype.itemsize
     block = np.empty(nbytes + ALIGN, dtype=np.uint8)
-    start = -block.ctypes.data % ALIGN
-    # sliced in two steps, so a zero-size view keeps the aligned address too
-    return block[start:][:nbytes].view(dtype).reshape(shape)
+    # built at an offset rather than sliced, so a zero-size view keeps the
+    # aligned address too (an empty slice of the block would not)
+    return np.ndarray(shape, dtype, buffer=block, offset=-block.ctypes.data % ALIGN)
 
 
 def row_bands(height: int, width: int) -> list[slice]:

@@ -24,6 +24,7 @@ from triad import (
     refine,
     triangulate_map,
 )
+from triad.flow import INVALID_FLOW
 from triad.pipeline import ROOM_SUITE, RunConfig, synthesize
 from triad.refinement import _BandPass
 from triad.triangulate import DEFAULT_D_MAX, DEFAULT_H_EPS
@@ -198,6 +199,14 @@ def weight_maps(w, g_h, g_v, mu: float = 1.0) -> WeightMaps:
     mu_gh = np.zeros(w.shape)
     np.multiply(g_h, mu, out=mu_gh[:, :-1])
     return WeightMaps(w=w, mu_gh=mu_gh, mu_gv=np.multiply(g_v, mu, dtype=np.float64))
+
+
+def poison_flow(raster: np.ndarray, rng: np.random.Generator) -> None:
+    """Give a tenth of a flow raster's pixels NaN, +inf, -inf or the +-1e10 sentinel in one component, in place."""
+    n = raster.shape[0] * raster.shape[1]
+    hit = rng.choice(n, n // 10, replace=False)
+    poison = np.array([np.nan, np.inf, -np.inf, INVALID_FLOW, -INVALID_FLOW], dtype=raster.dtype)
+    raster.reshape(-1, 2)[hit, rng.integers(0, 2, hit.size)] = poison[np.arange(hit.size) % poison.size]
 
 
 def traced_peak(call):

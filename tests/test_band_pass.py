@@ -13,11 +13,12 @@ import pytest
 
 import triad.workers as workers_module
 from triad import FlowField, RelativePose, TriangulationInput, triangulate_map
-from triad.flow import INVALID_FLOW
+from triad.fileio import write_flow
+from triad.flow import FlowFile
 from triad.pipeline import ROOM_SUITE, RunConfig, _triangulate_stage, cmd_synth, synthesize
 from triad.triangulate import DEFAULT_D_MAX, DEFAULT_H_EPS, _accumulate_rows, _frame_terms
 
-from helpers import suite_case, traced_peak
+from helpers import poison_flow, suite_case, traced_peak
 
 
 def _reference_observation_rays(flow_field, k, rows):
@@ -103,11 +104,8 @@ def _invalid_flow_case(seed):
         poses.append(RelativePose(turn @ pose.rotation, pose.translation + 0.01 * rng.standard_normal(3)))
     f0, f1, _, f3 = (field for field, _ in case["observations"])
     p0, p1, p2, p3 = poses
-    n = k.height * k.width
     raster = f0.to_raster()
-    hit = rng.choice(n, n // 10, replace=False)
-    poison = np.array([np.nan, np.inf, -np.inf, INVALID_FLOW, -INVALID_FLOW], dtype=np.float32)
-    raster.reshape(-1, 2)[hit, rng.integers(0, 2, hit.size)] = poison[np.arange(hit.size) % poison.size]
+    poison_flow(raster, rng)
     decoded = FlowField.from_raster(raster)
     valid = f1.valid & (rng.random(f1.valid.shape) >= 0.1)
     vectors = f1.vectors.copy()
@@ -175,6 +173,42 @@ class TestBandPassMatchesReference:
             assert channel.tobytes() == np.full(channel.shape, np.nan, dtype=np.float32).tobytes()
 
 
+@functools.cache
+def _poisoned_frames(width, height):
+    """(intrinsics, one (float32 raster, pose) per frame) of a noisy room case at this size, each raster poisoned."""
+    cfg = RunConfig(**ROOM_SUITE, width=width, height=height, fx=1.25 * width, fy=1.25 * width, noise_seed=0)
+    k, _, _, _, frames = synthesize(cfg)
+    rng = np.random.default_rng(width)
+    rasters = []
+    for _, pose, _, noisy in frames:
+        raster = noisy.to_raster()
+        poison_flow(raster, rng)
+        rasters.append((raster, pose))
+    return k, tuple(rasters)
+
+
+class TestFileBackedMatchesInMemory:
+    """Flow read from .flo files a band at a time triangulates to the bits of the same flow decoded whole."""
+
+    # at 161x121, 1000 pixels gives 20 bands of 6-7 rows and the default one band
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("band_pixels", [1000, workers_module.BAND_PIXELS])
+    @pytest.mark.parametrize("size", [(161, 121), (320, 240)], ids=["odd", "qvga"])
+    def test_map_bit_identical(self, tmp_path, monkeypatch, size, band_pixels, workers):
+        k, frames = _poisoned_frames(*size)
+        in_memory, from_files = [], []
+        for i, (raster, pose) in enumerate(frames):
+            write_flow(raster, tmp_path / f"{i}.flo")
+            in_memory.append((FlowField.from_raster(raster), pose))
+            from_files.append((FlowFile(tmp_path / f"{i}.flo"), pose))
+        monkeypatch.setattr(workers_module, "BAND_PIXELS", band_pixels)
+        want = triangulate_map(TriangulationInput(k, tuple(in_memory)), workers=workers)
+        got = triangulate_map(TriangulationInput(k, tuple(from_files)), workers=workers)
+        for channel in ("depth", "conf_h", "conf_r"):
+            assert getattr(got, channel).tobytes() == getattr(want, channel).tobytes()
+        assert 0 < np.count_nonzero(got.valid) < got.valid.size
+
+
 class TestFrameTerms:
     """_frame_terms gives each frame's own terms, the ones the reference adds for that frame."""
 
@@ -189,7 +223,8 @@ class TestFrameTerms:
             alone = TriangulationInput(k, (observation,))
             for rows in workers_module.row_bands(k.height, k.width):
                 buffers = [np.empty((rows.stop - rows.start, k.width)) for _ in range(8)]
-                *terms, bad = _frame_terms(*observation, k, xm, ym, rows, buffers)
+                field, pose = observation
+                *terms, bad = _frame_terms(field.band(rows), pose, k, xm, ym, rows, buffers)
                 want = _reference_accumulate_rows(alone, xm, ym, rows)
                 valid = observation[0].valid[rows]
                 assert np.array_equal(bad, np.flatnonzero(~valid))
@@ -214,17 +249,35 @@ class TestBandPassMemory:
         assert init.valid.mean() > 0.5
         assert peak <= VGA_TRIANGULATION_PEAK_BYTES, peak / 1e6
 
-    def test_qvga_view_holds_its_float32_raster_and_mask(self, tmp_path):
-        # select, decode and triangulate 8 and then 4 views of one 9-frame
-        # QVGA bundle: the 4 extra views may cost at most 10 % more than
-        # their float32 flow and masks (8 + 1 bytes per pixel). Measured at
-        # 1.02 times that (numpy 2.4, Python 3.11); float64 vectors took 1.91.
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def qvga_stage_peaks(tmp_path_factory):
+        """Traced peaks of _triangulate_stage selecting 8 and then 4 views of one 9-frame QVGA bundle."""
+        root = tmp_path_factory.mktemp("qvga")
         settings = dict(width=320, height=240, fx=400.0, fy=400.0, n_frames=9, fixed_step=1, workers=1)
-        cmd_synth(RunConfig(**settings), tmp_path)
+        cmd_synth(RunConfig(**settings), root)
         peaks = {}
         for views in (8, 4):
             cfg = RunConfig(**settings, sel_n_frames=views + 1)
-            (_, selection, _, _), peaks[views] = traced_peak(lambda: _triangulate_stage(cfg, tmp_path))
+            (_, selection, _, _), peaks[views] = traced_peak(lambda: _triangulate_stage(cfg, root))
             assert len(selection.indices) == views
+        return peaks
+
+    def test_qvga_view_holds_its_float32_raster_and_mask(self, qvga_stage_peaks):
+        # the 4 extra views may cost at most 10 % more than their float32
+        # flow and masks (8 + 1 bytes per pixel). Read a band at a time they
+        # cost 0.02 times that (numpy 2.4, Python 3.11); decoded whole, 1.02
+        # times, and with float64 vectors 1.91.
+        peaks = qvga_stage_peaks
         per_view = 320 * 240 * (2 * np.dtype(np.float32).itemsize + 1)
         assert peaks[8] - peaks[4] <= 4 * 1.1 * per_view, (peaks[8] - peaks[4]) / (4 * per_view)
+
+    def test_qvga_eight_views_peak_within_one_band_of_four(self, qvga_stage_peaks):
+        # each frame's flow is read a band at a time and dropped before the
+        # next frame's, so 4 more views may add at most one band's float32
+        # raster and mask. Measured at 0.24 of that (numpy 2.4, Python 3.11);
+        # decoded whole, the 4 extra views took 12.2 bands.
+        peaks = qvga_stage_peaks
+        rows = max(band.stop - band.start for band in workers_module.row_bands(240, 320))
+        per_band = rows * 320 * (2 * np.dtype(np.float32).itemsize + 1)
+        assert peaks[8] - peaks[4] <= per_band, (peaks[8] - peaks[4]) / per_band

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import triad.workers as workers_module
 from triad import FlowField, FormatError
 from triad.fileio import (
     FLO_MAGIC,
+    flow_size,
     read_flow,
     read_image,
     read_intrinsics,
@@ -22,7 +24,7 @@ from triad.fileio import (
 )
 from triad.geometry import Intrinsics, RelativePose, Trajectory, quaternion_to_rotation
 
-from helpers import compose, inverse, pose_matrix, random_pose, traced_peak
+from helpers import compose, inverse, poison_flow, pose_matrix, random_pose, traced_peak
 
 
 class TestFlo:
@@ -148,6 +150,56 @@ class TestFloReadInPlace:
         assert np.array_equal(again, flow)
         again[0, 0, 0] = 7.0  # writable without touching the file
         assert np.array_equal(read_flow(path), flow)
+
+
+class TestFloBands:
+    """read_flow(path, rows) reads only those rows, with every check of a whole read."""
+
+    @pytest.mark.parametrize("band_pixels", [1, 17, 60, 1000, workers_module.BAND_PIXELS])
+    def test_every_band_equals_those_rows_of_the_whole(self, tmp_path, monkeypatch, band_pixels):
+        raster = np.random.default_rng(3).uniform(-50, 50, (13, 17, 2)).astype(np.float32)
+        poison_flow(raster, np.random.default_rng(4))
+        path = tmp_path / "f.flo"
+        write_flow(raster, path)
+        whole = read_flow(path)
+        monkeypatch.setattr(workers_module, "BAND_PIXELS", band_pixels)
+        bands = workers_module.row_bands(13, 17)
+        for rows in [*bands, slice(None), slice(0, 0), slice(4, 100), slice(-3, None), slice(9, 2)]:
+            band = read_flow(path, rows)
+            assert band.dtype == np.float32 and band.flags.c_contiguous and band.flags.writeable
+            assert band.shape == whole[rows].shape
+            assert band.tobytes() == whole[rows].tobytes()
+
+    def test_strided_rows_are_refused(self, tmp_path):
+        path = tmp_path / "f.flo"
+        write_flow(np.zeros((4, 3, 2), dtype=np.float32), path)
+        with pytest.raises(ValueError, match="step 1"):
+            read_flow(path, slice(0, 4, 2))
+
+    @pytest.mark.parametrize("rows", [slice(0, 1), slice(0, 0), slice(1, 2)])
+    def test_a_band_read_checks_the_whole_file(self, tmp_path, rows):
+        # the short file holds the first row but not the whole payload
+        path = tmp_path / "f.flo"
+        header = FLO_MAGIC + np.array([3, 2], dtype="<i4").tobytes()
+        path.write_bytes(header + b"\0" * 47)
+        with pytest.raises(FormatError) as caught:
+            read_flow(path, rows)
+        assert str(caught.value) == f"{path}: truncated flow payload (59 < 60 bytes)"
+
+    def test_flow_size_makes_every_check_read_flow_makes(self, tmp_path):
+        path = tmp_path / "f.flo"
+        write_flow(np.zeros((5, 7, 2), dtype=np.float32), path)
+        assert flow_size(path) == (7, 5)
+        header = FLO_MAGIC + np.array([3, 2], dtype="<i4").tobytes()
+        bad = [b"XXXX" + header[4:], b"PI", FLO_MAGIC + b"\0" * 7, FLO_MAGIC + np.array([0, 2], dtype="<i4").tobytes(),
+               header + b"\0" * 47, FLO_MAGIC + np.array([2**31 - 1, 2**31 - 1], dtype="<i4").tobytes() + b"\0" * 8]
+        for data in bad:
+            path.write_bytes(data)
+            with pytest.raises(FormatError) as want:
+                read_flow(path)
+            with pytest.raises(FormatError) as got:
+                flow_size(path)
+            assert str(got.value) == str(want.value)
 
 
 class TestFromRasterLayout:

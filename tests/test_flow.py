@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from triad import FlowField, InputError
-from triad.flow import INVALID_FLOW, INVALID_FLOW_THRESHOLD
+import triad.workers as workers_module
+from triad import FlowField, FormatError, InputError
+from triad.fileio import read_flow, write_flow
+from triad.flow import INVALID_FLOW, INVALID_FLOW_THRESHOLD, FlowFile
 
 
 def _reference_decode(raster):
@@ -133,3 +135,69 @@ class TestVectorDtype:
         field = FlowField(vectors, np.ones((3, 4), dtype=bool))
         assert field.vectors.dtype == np.float64
         assert np.array_equal(field.vectors, vectors)
+
+
+def _raster_with_specials(height, width, seed):
+    """A float32 raster holding every SPECIAL value in either component, among random valid ones."""
+    rng = np.random.default_rng(seed)
+    raster = rng.uniform(-40, 40, (height, width, 2)).astype(np.float32)
+    hit = rng.choice(height * width, 4 * len(SPECIAL), replace=False)
+    values = np.array([value for value, _ in SPECIAL], dtype=np.float32)
+    raster.reshape(-1, 2)[hit, np.arange(hit.size) % 2] = values[np.arange(hit.size) % values.size]
+    return raster
+
+
+def _same_field(got, want):
+    assert type(got) is FlowField
+    assert got.vectors.dtype == want.vectors.dtype and got.vectors.tobytes() == want.vectors.tobytes()
+    assert got.valid.dtype == bool and np.array_equal(got.valid, want.valid)
+
+
+class TestFlowSources:
+    """A FlowField's band is views of its rows; a FlowFile's band is those rows read from its file and decoded."""
+
+    def test_field_band_is_views_of_its_rows(self):
+        field = FlowField.from_raster(_raster_with_specials(9, 11, 0))
+        band = field.band(slice(2, 5))
+        _same_field(band, FlowField._unchecked(field.vectors[2:5], field.valid[2:5]))
+        assert np.shares_memory(band.vectors, field.vectors) and np.shares_memory(band.valid, field.valid)
+
+    @pytest.mark.parametrize("band_pixels", [1, 25, 1000, workers_module.BAND_PIXELS])
+    def test_file_band_equals_the_decoded_field_band(self, tmp_path, monkeypatch, band_pixels):
+        path = tmp_path / "f.flo"
+        write_flow(_raster_with_specials(31, 23, 1), path)
+        whole = FlowField.from_raster(read_flow(path))
+        source = FlowFile(path)
+        assert (source.width, source.height) == (23, 31)
+        monkeypatch.setattr(workers_module, "BAND_PIXELS", band_pixels)
+        for rows in workers_module.row_bands(31, 23):
+            _same_field(source.band(rows), whole.band(rows))
+
+    def test_bad_file_fails_when_built_with_the_reader_message(self, tmp_path):
+        path = tmp_path / "f.flo"
+        write_flow(np.zeros((4, 4, 2), dtype=np.float32), path)
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(FormatError) as want:
+            read_flow(path)
+        with pytest.raises(FormatError) as got:
+            FlowFile(path)
+        assert str(got.value) == str(want.value) == f"{path}: truncated flow payload (135 < 140 bytes)"
+
+    def test_file_that_shrinks_after_its_check_fails_as_truncated(self, tmp_path):
+        path = tmp_path / "f.flo"
+        write_flow(np.zeros((4, 4, 2), dtype=np.float32), path)
+        source = FlowFile(path)
+        path.write_bytes(path.read_bytes()[:-5])
+        # every band read checks the whole file again, so even rows it still holds fail
+        with pytest.raises(FormatError) as caught:
+            source.band(slice(0, 1))
+        assert str(caught.value) == f"{path}: truncated flow payload (135 < 140 bytes)"
+
+    def test_each_band_read_opens_the_file_again(self, tmp_path):
+        # a descriptor kept from the check would still read the unlinked file
+        path = tmp_path / "f.flo"
+        write_flow(np.zeros((4, 4, 2), dtype=np.float32), path)
+        source = FlowFile(path)
+        path.unlink()
+        write_flow(np.full((4, 4, 2), 2.5, dtype=np.float32), path)
+        assert np.all(source.band(slice(None)).vectors == 2.5)

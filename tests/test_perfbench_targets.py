@@ -11,7 +11,11 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
+import triad.workers as workers_module
 from triad.flow import FlowField
+from triad.pipeline import RunConfig, _triangulate_stage, cmd_synth
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -31,6 +35,26 @@ def test_every_patch_target_resolves():
 def test_from_raster_is_a_classmethod():
     # the tracer rewraps the descriptor's function, so a plain function would break it
     assert isinstance(FlowField.__dict__["from_raster"], classmethod)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_flow_spans_see_every_band_read(tmp_path, monkeypatch, workers):
+    # triangulation reads each selected frame's flow a row band at a time
+    # through fileio.read_flow and FlowField.from_raster, looked up at each
+    # call, so the spans count frames x bands calls and the whole files' bytes
+    settings = dict(width=96, height=72, fx=120.0, fy=120.0, n_frames=5, fixed_step=1, workers=workers)
+    cmd_synth(RunConfig(**settings), tmp_path)
+    monkeypatch.setattr(workers_module, "BAND_PIXELS", 1000)
+    spans = load_spans()
+    tracer = spans.Tracer()
+    with tracer.installed(0):
+        _, selection, _, _ = _triangulate_stage(RunConfig(**settings), tmp_path)
+    totals = spans.totals_by_call(tracer.spans)[0]
+    frames, bands = len(selection.indices), len(workers_module.row_bands(72, 96))
+    assert frames == 4 and bands == 7
+    assert totals["fileio.read_flow"]["calls"] == totals["flow.from_raster"]["calls"] == frames * bands
+    assert totals["fileio.read_flow"]["bytes"] == frames * 72 * 96 * 2 * 4
+    assert totals["flow.from_raster"]["px"] == frames * 72 * 96
 
 
 # (module, name, the positional arguments perfbench/harness.py passes)

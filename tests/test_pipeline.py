@@ -2,6 +2,7 @@ import dataclasses
 import math
 import platform
 import re
+import shutil
 import threading
 from pathlib import Path
 
@@ -22,7 +23,8 @@ from triad import (
     refine,
     triangulate_map,
 )
-from triad import cli
+import triad.workers as workers_module
+from triad import cli, pipeline
 from triad.cli import MMAP_THRESHOLD, build_parser, fix_heap_thresholds, main
 from triad.fileio import read_flow, read_image, read_pfm, write_flow, write_image, write_pfm
 from triad.metrics import SPEARMAN_MIN_PIXELS
@@ -800,6 +802,49 @@ class TestFailingEstimate:
             assert capsys.readouterr().err.strip() == message.format(root=root)
         assert not (root / f"fresh_{workers}").exists()
         assert {path.name: path.read_bytes() for path in (root / "earlier").iterdir()} == earlier
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bad", ["truncated", "corrupt", "other-size", "shrinks-after-check"])
+    def test_bad_last_selected_flow_writes_nothing(self, bundle, capsys, monkeypatch, workers, bad):
+        # every selected flow file is checked before the first band is read,
+        # and one that shrinks after its check fails its band read the same way
+        root, opts = bundle
+        monkeypatch.setattr(workers_module, "BAND_PIXELS", 1000)  # 7 bands, so 2 workers start a thread
+        capsys.readouterr()
+        assert run_cli("select", "--root", str(root), *opts) == 0
+        last = int(capsys.readouterr().out.split()[-1])
+        flow_dir = f"flow_{bad}_{workers}"
+        shutil.copytree(root / "flow", root / flow_dir)
+        path = root / flow_dir / f"noisy_{last:04d}.flo"
+        data = path.read_bytes()
+        truncated = f"data error: {path}: truncated flow payload ({len(data) - 5} < {len(data)} bytes)"
+        if bad == "truncated":
+            path.write_bytes(data[:-5])
+            message = truncated
+        elif bad == "corrupt":
+            path.write_bytes(b"XXXX" + data[4:])
+            message = f"data error: {path}: bad flow magic b'XXXX'"
+        elif bad == "other-size":
+            write_flow(np.zeros((72, 95, 2), dtype=np.float32), path)
+            message = "data error: flow field is 95x72, intrinsics expect 96x72"
+        else:
+            triangulate_map = pipeline.triangulate_map
+
+            def shrink_then_triangulate(*args, **kwargs):
+                path.write_bytes(data[:-5])
+                return triangulate_map(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, "triangulate_map", shrink_then_triangulate)
+            message = truncated
+        earlier = {name.name: name.read_bytes() for name in (root / "earlier").iterdir()}
+        before = threading.active_count()
+        for out_dir in (f"fresh_{bad}_{workers}", "earlier"):
+            argv = [f"--opt=flow_dir={flow_dir}", f"--opt=workers={workers}", f"--opt=out_dir={out_dir}"]
+            assert run_cli("estimate", "--root", str(root), *opts, *argv) == 2
+            assert capsys.readouterr().err.strip() == message
+        assert not (root / f"fresh_{bad}_{workers}").exists()
+        assert {name.name: name.read_bytes() for name in (root / "earlier").iterdir()} == earlier
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
