@@ -47,14 +47,18 @@ band buffers) comes from workers.empty and so starts on a cache line; with
 np.empty's 16-byte alignment the same passes ran at a speed set by where the
 process's heap put them. Milliseconds for 40 VGA iterations by
 workers.BAND_PIXELS, medians of 40 interleaved calls in each of two
-processes, 2-vCPU host with 4 MB of L2 per core:
+processes, 2-vCPU host with 2 MiB of L2 per core (lscpu: "L2 cache: 4 MiB
+(2 instances)"):
 
     band pixels      8k       16k      32k      64k
     1 worker      124-133  102-110  106-121  128-135
     2 workers     197-205  143-155   91-96    88-95
 
 32k bands are the smallest that gain from a second thread; one thread still
-pays 4-10 % for them over 16k ones, so alignment is not what costs it. The
+pays 4-10 % for them over 16k ones, so alignment is not what costs it. A
+step pass touches 11 float64 values per pixel (d, dbar, w, mu g_h, mu g_v,
+the step, the next iterate and four band buffers): 1.4 MiB for a 16k band,
+which fits one core's L2, and 2.8 MiB for a 32k one, which does not. The
 same table with 16-byte-aligned buffers, on the same host and 20 calls per
 cell, read 146-160 (16k) and 155-172 ms (32k) on one worker and 154-174 and
 109-122 ms on two. Only the last digits of C(d) depend on the

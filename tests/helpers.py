@@ -4,8 +4,9 @@ The oracles are second constructions of what the package computes another
 way, kept here because no command needs them: the cross-product
 triangulation of one pixel against triangulate_map's dot-product form, the
 cross-product epipolar loss of one pixel against epipolar_loss's, pose
-composition and inversion against Trajectory.relative_pose, and C(d)
-alone against refine's band pass.
+composition and inversion against Trajectory.relative_pose, C(d)
+alone against refine's band pass, and whole-array average ranks against
+the scorer's blockwise rank pass.
 """
 
 import math
@@ -191,6 +192,32 @@ def exact_flow_case(seed: int, **settings):
     """Noise-free chain on the default desk-scale scene at 160x120, for exactness properties."""
     exact = dict(width=160, height=120, fx=200.0, fy=200.0, vx=0.05, sigma_flow=0.0, outlier_rate=0.0)
     return _chain_case(RunConfig(**dict(exact, seed=seed, **settings)))
+
+
+def average_ranks_reference(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n with ties sharing their average rank, computed on whole arrays.
+
+    The scorer's rank pass before it went blockwise: a sorted copy of x, a
+    whole array of sorted ranks, and each tie group's average repeated over
+    its slots.
+    """
+    order = np.argsort(x)
+    sorted_x = x[order]
+    tied = sorted_x[1:] == sorted_x[:-1]
+    del sorted_x
+    # sorted slot k takes rank k + 1 unless it is in a tie group
+    sorted_ranks = np.arange(1, len(x) + 1, dtype=np.float64)
+    if tied.any():
+        # each run of ties fills sorted slots a..b-1 and takes the mean of ranks a+1..b
+        edges = np.flatnonzero(np.diff(tied, prepend=False, append=False))
+        starts, stops = edges[0::2], edges[1::2] + 1
+        in_group = np.zeros(len(x), dtype=bool)
+        in_group[:-1] = tied
+        in_group[1:] |= tied
+        sorted_ranks[in_group] = np.repeat(0.5 * (starts + stops - 1) + 1.0, stops - starts)
+    ranks = np.empty(len(x))
+    ranks[order] = sorted_ranks
+    return ranks
 
 
 def weight_maps(w, g_h, g_v, mu: float = 1.0) -> WeightMaps:
