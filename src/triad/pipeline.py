@@ -541,28 +541,27 @@ def cmd_estimate(cfg: RunConfig, root) -> dict:
 def cmd_ablate(cfg: RunConfig, root) -> dict:
     """Sweep iteration counts and confidence-input variants on one bundle.
 
-    Emits one CSV row per (weight mode, iteration count). Iterates of a single
-    long run provide every iteration row, since Jacobi iterates do not depend
-    on the total iteration count.
+    Emits one CSV row per (weight mode, iteration count), in the grid's order.
+    One run per mode scores each grid iterate as refine makes it (Jacobi
+    iterates do not depend on the total count), so one iterate is held at a time.
     """
     root = Path(root)
     keyframe, selection, init, warnings = _triangulate_stage(cfg, root)
     scorer = Scorer(fileio.read_pfm(root / cfg.gt_depth), init.valid)
     intensity = fileio.read_image(root / cfg.image)
     iteration_grid = cfg.ablate_iteration_list()
-    max_iterations = max(iteration_grid)
 
     initial_report = scorer.report(init.depth)
-    rows = []
     reports: dict[tuple[str, int], MetricReport] = {}
     for mode in WEIGHT_MODES:
-        rc = dataclasses.replace(cfg.refine_config(), weight_mode=mode, iterations=max_iterations)
-        weights = build_weights(init, intensity, rc)
-        result = refine(init.depth, weights, rc, keep_iterates=True, workers=cfg.workers)
-        for iterations in iteration_grid:
-            report = scorer.report(result.iterates[iterations])
-            reports[(mode, iterations)] = report
-            rows.append(((mode, f"{iterations}"), report))
+        rc = dataclasses.replace(cfg.refine_config(), weight_mode=mode, iterations=max(iteration_grid))
+
+        def score(k, d):
+            if k in iteration_grid:
+                reports[(mode, k)] = scorer.report(d)
+
+        refine(init.depth, build_weights(init, intensity, rc), rc, workers=cfg.workers, on_iterate=score)
+    rows = [((mode, f"{k}"), reports[(mode, k)]) for mode in WEIGHT_MODES for k in iteration_grid]
     csv_path = root / cfg.out_dir / ABLATION_FILE
     fileio.write_lines(csv_path, csv_lines(("weight_mode", "iterations"), rows))
     return {

@@ -42,10 +42,10 @@ workers.run, one group per thread. Groups read the current iterate and write
 disjoint rows of the next, and their shares of C come back in band order, so
 every iterate, C(d) and sigma are the same for any worker count.
 
-Every array a pass writes (d, dbar, the spare map, each kept iterate and the
-band buffers) comes from workers.empty and so starts on a cache line; with
-np.empty's 16-byte alignment the same passes ran at a speed set by where the
-process's heap put them. Milliseconds for 40 VGA iterations by
+Every array a pass writes (d, dbar, the spare map and the band buffers) comes
+from workers.empty and so starts on a cache line; with np.empty's 16-byte
+alignment the same passes ran at a speed set by where the process's heap put
+them. Milliseconds for 40 VGA iterations by
 workers.BAND_PIXELS, medians of 40 interleaved calls in each of two
 processes, 2-vCPU host with 2 MiB of L2 per core (lscpu: "L2 cache: 4 MiB
 (2 instances)"):
@@ -115,6 +115,7 @@ float64 pass (15 alternating runs, 2-vCPU host).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import Executor
 from dataclasses import dataclass
 from functools import partial
@@ -196,19 +197,11 @@ class WeightMaps:
 
 @dataclass(frozen=True)
 class RefineResult:
-    """Depth iterates, the uncertainty map, and objective values C(d(0))..C(d(K)).
+    """The final depth d(K), the uncertainty map, and objective values C(d(0))..C(d(K))."""
 
-    iterates holds every map d(0)..d(K) when refine was asked to keep them,
-    and only the final d(K) otherwise.
-    """
-
-    iterates: tuple[np.ndarray, ...]
+    depth: np.ndarray
     uncertainty: np.ndarray
     objective: tuple[float, ...]
-
-    @property
-    def depth(self) -> np.ndarray:
-        return self.iterates[-1]
 
 
 def build_weights(init: InitialDepth, intensity: np.ndarray, cfg: RefineConfig) -> WeightMaps:
@@ -381,12 +374,19 @@ def _diagonal(weights: WeightMaps, out: np.ndarray) -> np.ndarray:
     return unconstrained
 
 
+def _read_only(d: np.ndarray) -> np.ndarray:
+    """A view of d that refuses writes."""
+    view = d.view()
+    view.flags.writeable = False
+    return view
+
+
 def refine(
     depth: np.ndarray,
     weights: WeightMaps,
     cfg: RefineConfig,
-    keep_iterates: bool = False,
     workers: int = 1,
+    on_iterate: Callable[[int, np.ndarray], object] | None = None,
 ) -> RefineResult:
     """Run K damped-Jacobi iterations on a triangulated depth map and compute the uncertainty map.
 
@@ -401,12 +401,14 @@ def refine(
     (no data weight and, with mu = 0 or no neighbour, no smoothness weight)
     hold their initialization and are assigned sigma_cap. The iterations hold
     only the step of the diagonal; sigma is taken after the last objective
-    pass, from the diagonal recomputed into the step's map. The result keeps
-    every iterate d(0)..d(K) only when keep_iterates is set, and just the
-    final map otherwise; the objective is recorded for every iterate either
-    way. ``workers`` >= 2 splits every pass's row bands across that many
-    threads (at most one per band), from a pool that is joined before refine
-    returns; the result is the same for any worker count.
+    pass, from the diagonal recomputed into the step's map. The iterates
+    alternate between two maps and only d(K) is returned, with C of every
+    iterate. ``on_iterate(k, d)``, when given, sees a read-only view of each
+    d(k), k = 0..K, on the calling thread before its map is reused; a caller
+    that needs d(k) later copies it there. ``workers`` >= 2 splits every
+    pass's row bands across that many threads (at most one per band), from a
+    pool that is joined before refine returns; the result is the same for
+    any worker count.
     """
     if depth.shape != weights.w.shape:
         raise InputError("weights were built for a different map size")
@@ -428,18 +430,16 @@ def refine(
     np.divide(cfg.omega, step, out=step)
     band_pass = _BandPass(dbar, weights, step, workers)
 
-    spare = None if keep_iterates else empty(d.shape)
-    iterates = [d] if keep_iterates else []
+    spare = empty(d.shape)
     objective = []
     with pool(len(band_pass.groups), "refine") as executor:
-        for _ in range(cfg.iterations):
-            nxt = empty(d.shape) if keep_iterates else spare
-            objective.append(band_pass(d, nxt, executor))
-            if keep_iterates:
-                iterates.append(nxt)
-            else:
-                spare = d
-            d = nxt
+        for k in range(cfg.iterations):
+            if on_iterate is not None:
+                on_iterate(k, _read_only(d))
+            objective.append(band_pass(d, spare, executor))
+            d, spare = spare, d
+        if on_iterate is not None:
+            on_iterate(cfg.iterations, _read_only(d))
         objective.append(band_pass(d, executor=executor))
     # what only the passes read goes before sigma's mask is made, so it adds
     # nothing to the peak; sigma = beta / sqrt(diagonal), floored, takes the step's map
@@ -450,7 +450,7 @@ def refine(
     np.divide(cfg.beta, sigma, out=sigma)
     np.maximum(cfg.sigma_min, sigma, out=sigma)
     np.copyto(sigma, cfg.sigma_cap, where=unconstrained)
-    return RefineResult(tuple(iterates) if keep_iterates else (d,), sigma, tuple(objective))
+    return RefineResult(d, sigma, tuple(objective))
 
 
 def laplacian_nll(

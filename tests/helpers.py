@@ -159,6 +159,13 @@ def objective_value(d: np.ndarray, dbar_filled: np.ndarray, weights: WeightMaps)
     return _BandPass(dbar_filled, weights)(d)
 
 
+def refine_iterates(depth, weights: WeightMaps, cfg: RefineConfig, workers: int = 1):
+    """(refine's result, copies of d(0)..d(K) as its on_iterate callback sees them)."""
+    iterates = []
+    result = refine(depth, weights, cfg, workers=workers, on_iterate=lambda k, d: iterates.append(d.copy()))
+    return result, iterates
+
+
 def _chain_case(cfg: RunConfig, refine_cfg: RefineConfig | None = None):
     """One full in-memory chain run on ``synthesize(cfg)``; returns everything the assertions need."""
     k, traj, scene, keyframe, frames = synthesize(cfg)

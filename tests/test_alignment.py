@@ -15,6 +15,7 @@ from triad import refinement, triangulate
 from triad.pipeline import ROOM_SUITE, RunConfig, synthesize
 from triad.workers import ALIGN, empty
 
+from helpers import refine_iterates
 from test_refine import random_initial
 
 ODD_SIZES = [(1, 1), (3, 5), (31, 97)]
@@ -80,10 +81,10 @@ class TestLayout:
         band_pass = refinement._BandPass(np.zeros((height, width)), weights, workers=2)
         assert len(band_pass.buffers) == (2 if height == 131 else 1)
         assert all(len(group) == 4 and all(_aligned(buffer) for buffer in group) for group in band_pass.buffers)
-        for keep in (True, False):
-            result = refine(init.depth, weights, RefineConfig(iterations=3), keep_iterates=keep)
-            assert len(result.iterates) == (4 if keep else 1)
-            assert all(_aligned(iterate) and iterate.flags.c_contiguous for iterate in result.iterates)
+        seen = []
+        result = refine(init.depth, weights, RefineConfig(iterations=3), on_iterate=lambda k, d: seen.append(d))
+        assert len(seen) == 4
+        assert all(_aligned(iterate) and iterate.flags.c_contiguous for iterate in [*seen, result.depth])
 
 
 class TestBitsDoNotDependOnAlignment:
@@ -95,14 +96,15 @@ class TestBitsDoNotDependOnAlignment:
 
         def run():
             weights = build_weights(init, intensity, cfg)
-            return weights, refine(init.depth, weights, cfg, keep_iterates=True, workers=workers)
+            return weights, *refine_iterates(init.depth, weights, cfg, workers)
 
-        weights, aligned = run()
+        weights, aligned, aligned_iterates = run()
         monkeypatch.setattr(refinement, "empty", _offset(offset))
-        moved_weights, moved = run()
+        moved_weights, moved, moved_iterates = run()
         for name in ("w", "mu_gh", "mu_gv"):
             assert getattr(moved_weights, name).tobytes() == getattr(weights, name).tobytes()
-        assert [d.tobytes() for d in moved.iterates] == [d.tobytes() for d in aligned.iterates]
+        assert [d.tobytes() for d in moved_iterates] == [d.tobytes() for d in aligned_iterates]
+        assert moved.depth.tobytes() == aligned.depth.tobytes()
         assert moved.uncertainty.tobytes() == aligned.uncertainty.tobytes()
         assert np.array(moved.objective).tobytes() == np.array(aligned.objective).tobytes()
 

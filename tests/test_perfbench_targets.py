@@ -15,7 +15,7 @@ import pytest
 
 import triad.workers as workers_module
 from triad.flow import FlowField
-from triad.pipeline import RunConfig, _triangulate_stage, cmd_synth
+from triad.pipeline import RunConfig, _triangulate_stage, cmd_estimate, cmd_synth
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -55,6 +55,22 @@ def test_flow_spans_see_every_band_read(tmp_path, monkeypatch, workers):
     assert totals["fileio.read_flow"]["calls"] == totals["flow.from_raster"]["calls"] == frames * bands
     assert totals["fileio.read_flow"]["bytes"] == frames * 72 * 96 * 2 * 4
     assert totals["flow.from_raster"]["px"] == frames * 72 * 96
+
+
+@pytest.mark.parametrize("iterations", [0, 3])
+def test_every_counter_reads_a_real_result(tmp_path, iterations):
+    # each counter reads fields of its function's arguments or result, so a
+    # renamed field would otherwise fail only inside a traced benchmark run
+    settings = dict(width=96, height=72, fx=120.0, fy=120.0, n_frames=5, fixed_step=1, iterations=iterations)
+    spans = load_spans()
+    tracer = spans.Tracer()
+    with tracer.installed(0):
+        cmd_synth(RunConfig(**settings), tmp_path)
+        cmd_estimate(RunConfig(**settings), tmp_path)
+    recorded = {span[0]: span[5] for span in tracer.spans}
+    counted = [name for _, _, name, counter in spans.TARGETS if counter is not None] + ["flow.from_raster"]
+    assert all(recorded.get(name) for name in counted), {name: recorded.get(name) for name in counted}
+    assert recorded["refine.refine"] == {"iterations": iterations}
 
 
 # (module, name, the positional arguments perfbench/harness.py passes)

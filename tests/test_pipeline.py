@@ -27,7 +27,7 @@ import triad.workers as workers_module
 from triad import cli, pipeline
 from triad.cli import MMAP_THRESHOLD, build_parser, fix_heap_thresholds, main
 from triad.fileio import read_flow, read_image, read_pfm, write_flow, write_image, write_pfm
-from triad.metrics import SPEARMAN_MIN_PIXELS
+from triad.metrics import SPEARMAN_MIN_PIXELS, csv_lines
 from triad.triangulate import DEFAULT_D_MAX, DEFAULT_H_EPS
 from triad.pipeline import (
     SELECTION_KEYS,
@@ -674,6 +674,21 @@ class TestAblate:
                 gt = read_pfm(root / cfg.gt_depth).astype(np.float64)
                 mask = single["init"].valid & np.isfinite(gt)
                 assert evaluate(single["result"].depth, gt, mask) == summary["reports"][(mode, k)]
+
+    def test_unsorted_grid_keeps_its_order(self, ablation):
+        # refine shows the iterates in ascending order; the rows follow the grid
+        root, _ = ablation
+        opts = [o.removeprefix("--opt=") for o in synth_opts()]
+        cfg = load_run_config(overrides=opts + ["ablate_iterations=9 0 3", "out_dir=unsorted"])
+        cmd_ablate(cfg, root)
+        lines = (root / "unsorted" / "ablation.csv").read_text().splitlines()
+        modes = ("full", "hessian_only", "residual_only", "constant")
+        assert [line.split(",")[:2] for line in lines[1:]] == [[m, k] for m in modes for k in ("9", "0", "3")]
+        for line in lines[1:]:
+            mode, k = line.split(",")[:2]
+            extra = [f"weight_mode={mode}", f"iterations={k}", f"out_dir=single_{mode}_{k}"]
+            single = cmd_estimate(load_run_config(overrides=opts + extra), root)
+            assert csv_lines(("weight_mode", "iterations"), [((mode, k), single["refined_report"])])[1] == line
 
     def test_full_confidence_beats_constant_in_median(self):
         full, constant = [], []

@@ -1,4 +1,5 @@
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -19,7 +20,7 @@ from triad.pipeline import ROOM_SUITE, RunConfig, cmd_estimate, cmd_refine, cmd_
 from triad.refinement import WEIGHT_MODES
 from triad.triangulate import InitialDepth
 
-from helpers import objective_value, suite_case, traced_peak, weight_maps
+from helpers import objective_value, refine_iterates, suite_case, traced_peak, weight_maps
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -254,11 +255,11 @@ class TestRefine:
         init = random_initial(rng, height=9, width=9, valid_fraction=0.7)
         cfg = RefineConfig(mu=2.0, iterations=20)
         weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
-        result = refine(init.depth, weights, cfg, keep_iterates=True)
-        assert len(result.iterates) == 21
+        _, iterates = refine_iterates(init.depth, weights, cfg)
+        assert len(iterates) == 21
         lo = init.depth[init.valid].min()
         hi = init.depth[init.valid].max()
-        for iterate in result.iterates:
+        for iterate in iterates:
             assert iterate.min() >= lo - 1e-12
             assert iterate.max() <= hi + 1e-12
 
@@ -266,8 +267,8 @@ class TestRefine:
         init = make_initial([[1.0, 2.0, 9.0]], [[True, True, False]])
         cfg = RefineConfig(iterations=0)
         weights = build_weights(init, np.zeros((1, 3)), cfg)
-        result = refine(init.depth, weights, cfg)
-        assert result.iterates[0][0, 2] == 1.5  # median of the valid depths
+        _, (d0,) = refine_iterates(init.depth, weights, cfg)
+        assert d0[0, 2] == 1.5  # median of the valid depths
 
     @pytest.mark.parametrize(
         "values",
@@ -291,8 +292,8 @@ class TestRefine:
         init = make_initial(np.full((2, 2), 5.0), np.zeros((2, 2), dtype=bool))
         cfg = RefineConfig(iterations=0)
         weights = build_weights(init, np.zeros((2, 2)), cfg)
-        result = refine(init.depth, weights, cfg)
-        assert np.all(result.iterates[0] == 1.0)
+        _, (d0,) = refine_iterates(init.depth, weights, cfg)
+        assert np.all(d0 == 1.0)
 
     def test_unconstrained_pixel_holds_init_and_gets_sigma_cap(self):
         init = make_initial([[2.0, 3.0]], [[True, False]])
@@ -399,15 +400,17 @@ def reference_jacobi(init, weights, cfg):
     return iterates, values, sigma
 
 
-def refine_on(init, weights, cfg, keep_iterates=False):
-    """refine with one worker, after checking that 2 and 3 workers give the same bytes."""
-    serial = refine(init.depth, weights, cfg, keep_iterates)
+def refine_on(init, weights, cfg):
+    """(refine with one worker, the iterates it showed), after checking that 2 and 3 workers give the same bytes."""
+    serial, iterates = refine_iterates(init.depth, weights, cfg)
+    assert serial.depth.tobytes() == iterates[-1].tobytes()
     for workers in (2, 3):
-        result = refine(init.depth, weights, cfg, keep_iterates, workers=workers)
-        assert [d.tobytes() for d in result.iterates] == [d.tobytes() for d in serial.iterates], workers
+        result, got = refine_iterates(init.depth, weights, cfg, workers)
+        assert [d.tobytes() for d in got] == [d.tobytes() for d in iterates], workers
+        assert result.depth.tobytes() == serial.depth.tobytes(), workers
         assert result.objective == serial.objective, workers
         assert result.uncertainty.tobytes() == serial.uncertainty.tobytes(), workers
-    return serial
+    return serial, iterates
 
 
 def assert_objective_close(got, want):
@@ -416,10 +419,10 @@ def assert_objective_close(got, want):
         assert abs(g - v) <= REL * abs(v) + OBJECTIVE_FLOOR, (g, v)
 
 
-def assert_matches_reference(result, iterates, values, sigma):
+def assert_matches_reference(result, got_iterates, iterates, values, sigma):
     """Iterates and objective within the stated bound; sigma bit for bit."""
-    assert len(result.iterates) == len(iterates)
-    for got, want in zip(result.iterates, iterates):
+    assert len(got_iterates) == len(iterates)
+    for got, want in zip(got_iterates, iterates):
         np.testing.assert_allclose(got, want, rtol=REL, atol=0.0)
     assert_objective_close(result.objective, values)
     assert np.array_equal(result.uncertainty, sigma)
@@ -437,11 +440,11 @@ class TestBufferedJacobi:
         init = random_initial(rng, height=11, width=13, valid_fraction=valid_fraction)
         cfg = RefineConfig(mu=mu, omega=omega, iterations=9)
         weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
-        result = refine_on(init, weights, cfg, keep_iterates=True)
+        result, got = refine_on(init, weights, cfg)
         iterates, values, sigma = reference_jacobi(init, weights, cfg)
         assert len(iterates) == 10
         # the name predates the flux form: sigma is bit for bit, the rest within REL
-        assert_matches_reference(result, iterates, values, sigma)
+        assert_matches_reference(result, got, iterates, values, sigma)
         if mu == 0.0:  # invalid pixels have no constraint: held at the fill, sigma_cap
             assert np.all(result.uncertainty[~init.valid] == cfg.sigma_cap)
             assert np.all(result.depth[~init.valid] == iterates[0][~init.valid])
@@ -449,18 +452,21 @@ class TestBufferedJacobi:
     def test_matches_reference_on_suite_map(self):
         case = suite_case(0, width=160, height=120, fx=200.0, fy=200.0)
         cfg = RefineConfig(iterations=12)
-        result = refine_on(case["init"], case["weights"], cfg, keep_iterates=True)
-        iterates, values, sigma = reference_jacobi(case["init"], case["weights"], cfg)
-        assert_matches_reference(result, iterates, values, sigma)
+        init, weights = case["init"], case["weights"]
+        assert_matches_reference(*refine_on(init, weights, cfg), *reference_jacobi(init, weights, cfg))
 
-    @pytest.mark.parametrize("keep_iterates", [True, False])
-    def test_sigma_after_no_pass_matches_reference(self, keep_iterates):
+    @pytest.mark.parametrize("with_callback", [True, False])
+    def test_sigma_after_no_pass_matches_reference(self, with_callback):
         rng = np.random.default_rng(9)
         init = random_initial(rng, height=11, width=13, valid_fraction=0.6)
         cfg = RefineConfig(mu=1.3, iterations=0)
         weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
-        result = refine_on(init, weights, cfg, keep_iterates)
-        assert_matches_reference(result, *reference_jacobi(init, weights, cfg))
+        if with_callback:
+            result, got = refine_on(init, weights, cfg)
+        else:
+            result = refine(init.depth, weights, cfg)
+            got = [result.depth]  # with no pass, d(K) is d(0)
+        assert_matches_reference(result, got, *reference_jacobi(init, weights, cfg))
 
     def test_objective_value_matches_reference(self):
         rng = np.random.default_rng(5)
@@ -472,16 +478,17 @@ class TestBufferedJacobi:
         assert_objective_close([objective_value(d, dbar, weights) for d in iterates], values)
 
     def test_final_map_only_by_default(self):
+        # a callback only reads the iterates: without one, refine gives the same bytes
         rng = np.random.default_rng(6)
         init = random_initial(rng, valid_fraction=0.8)
         cfg = RefineConfig(iterations=6)
         weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
-        kept = refine_on(init, weights, cfg, keep_iterates=True)
-        final = refine_on(init, weights, cfg)
-        assert len(final.iterates) == 1
-        assert np.array_equal(final.depth, kept.depth)
-        assert final.objective == kept.objective
-        assert np.array_equal(final.uncertainty, kept.uncertainty)
+        watched, _ = refine_on(init, weights, cfg)
+        for workers in (1, 2, 3):
+            final = refine(init.depth, weights, cfg, workers=workers)
+            assert final.depth.tobytes() == watched.depth.tobytes(), workers
+            assert final.uncertainty.tobytes() == watched.uncertainty.tobytes(), workers
+            assert np.array(final.objective).tobytes() == np.array(watched.objective).tobytes(), workers
 
 
     @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 1)])
@@ -492,12 +499,12 @@ class TestBufferedJacobi:
         init = random_initial(rng, *shape, valid_fraction=valid_fraction)
         cfg = RefineConfig(mu=mu, iterations=5)
         weights = build_weights(init, rng.uniform(0, 1, shape), cfg)
-        result = refine_on(init, weights, cfg, keep_iterates=True)
+        result, got = refine_on(init, weights, cfg)
         iterates, values, sigma = reference_jacobi(init, weights, cfg)
-        assert_matches_reference(result, iterates, values, sigma)
+        assert_matches_reference(result, got, iterates, values, sigma)
         # pixels with no diagonal (all invalid ones when mu = 0) hold d(0) exactly
         held = ~(reference_diagonal(weights) > 0.0)
-        assert all(np.array_equal(iterate[held], iterates[0][held]) for iterate in result.iterates)
+        assert all(np.array_equal(iterate[held], iterates[0][held]) for iterate in got)
 
     def test_underflowed_smoothness_holds_pixel(self):
         # mu * g rounds to 0, so the invalid middle pixel has no diagonal; with
@@ -506,18 +513,17 @@ class TestBufferedJacobi:
         cfg = RefineConfig(mu=5e-324, iterations=3)
         weights = weight_maps([[1.0, 1.0, 0.0, 1.0, 1.0]], np.full((1, 4), 0.2), np.empty((0, 5)), cfg.mu)
         assert reference_diagonal(weights)[0, 2] == 0.0
-        result = refine_on(init, weights, cfg, keep_iterates=True)
+        result, got = refine_on(init, weights, cfg)
         iterates, values, sigma = reference_jacobi(init, weights, cfg)
-        assert_matches_reference(result, iterates, values, sigma)
-        assert all(iterate[0, 2] == iterates[0][0, 2] for iterate in result.iterates)
+        assert_matches_reference(result, got, iterates, values, sigma)
+        assert all(iterate[0, 2] == iterates[0][0, 2] for iterate in got)
 
     def test_refine_spans_bands(self):
         rng = np.random.default_rng(8)
         init = random_initial(rng, height=300, width=400, valid_fraction=0.7)
         cfg = RefineConfig(mu=0.8, iterations=2)
         weights = build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg)
-        result = refine_on(init, weights, cfg, keep_iterates=True)
-        assert_matches_reference(result, *reference_jacobi(init, weights, cfg))
+        assert_matches_reference(*refine_on(init, weights, cfg), *reference_jacobi(init, weights, cfg))
 
     def test_groups_split_the_bands_in_order(self):
         shape = (300, 400)
@@ -547,6 +553,59 @@ class TestBufferedJacobiSmallBands(TestBufferedJacobi):
             return [slice(y, min(y + rows, height)) for y in range(0, height, rows)]
 
         monkeypatch.setattr(refinement, "row_bands", row_bands)
+
+
+class TestOnIterate:
+    """The per-iterate callback: when it is called, where, and what it may do to the iterates.
+
+    That it shows the same bytes for 1, 2 and 3 workers, refine_on checks on every TestBufferedJacobi case.
+    """
+
+    @staticmethod
+    def case(iterations=5, seed=10):
+        rng = np.random.default_rng(seed)
+        # 131 rows of 509 pixels make three row bands, so two and three workers run threads
+        init = random_initial(rng, height=131, width=509, valid_fraction=0.7)
+        cfg = RefineConfig(mu=1.1, iterations=iterations)
+        return init, build_weights(init, rng.uniform(0, 1, init.depth.shape), cfg), cfg
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_called_once_per_iterate_in_order_on_the_calling_thread(self, workers):
+        init, weights, cfg = self.case()
+        calls = []
+        refine(init.depth, weights, cfg, workers, lambda k, d: calls.append((k, threading.get_ident())))
+        assert calls == [(k, threading.get_ident()) for k in range(cfg.iterations + 1)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_iterates_are_read_only(self, workers):
+        init, weights, cfg = self.case()
+        seen = []
+
+        def write(k, d):
+            seen.append(d.flags.writeable)
+            with pytest.raises(ValueError):
+                d[0, 0] = 0.0
+
+        result = refine(init.depth, weights, cfg, workers, write)
+        assert seen == [False] * (cfg.iterations + 1)
+        # the writes were refused, so the result is that of an unwatched run
+        assert result.depth.tobytes() == refine(init.depth, weights, cfg, workers).depth.tobytes()
+
+    def test_no_iterations_show_the_filled_start(self):
+        init, weights, cfg = self.case(iterations=0)
+        result, iterates = refine_iterates(init.depth, weights, cfg)
+        fill = np.median(init.depth[init.valid])
+        assert len(iterates) == 1
+        assert iterates[0].tobytes() == np.where(init.valid, init.depth, fill).tobytes()
+        assert result.depth.tobytes() == iterates[0].tobytes()
+
+    def test_two_maps_alternate(self):
+        # d(k) and d(k + 2) share a map: the callback's view of d(k) is valid during its call only
+        init, weights, cfg = self.case()
+        addresses = []
+        result = refine(init.depth, weights, cfg, on_iterate=lambda k, d: addresses.append(d.ctypes.data))
+        assert addresses[2:] == addresses[:-2] and addresses[0] != addresses[1]
+        assert result.depth.ctypes.data == addresses[-1]
 
 
 class TestRefineMemory:

@@ -45,7 +45,7 @@ from triad.pipeline import (
     load_run_config,
 )
 
-from helpers import average_ranks_reference, suite_case, traced_peak
+from helpers import average_ranks_reference, refine_iterates, suite_case, traced_peak
 
 
 def ref_evaluation_mask(pred, gt, mask):
@@ -418,10 +418,10 @@ class TestAblateRows:
         mask = init.valid & np.isfinite(gt)
         for mode in ("full", "hessian_only", "residual_only", "constant"):
             rc = dataclasses.replace(cfg.refine_config(), weight_mode=mode, iterations=5)
-            result = refine(init.depth, build_weights(init, intensity, rc), rc, keep_iterates=True)
+            _, iterates = refine_iterates(init.depth, build_weights(init, intensity, rc), rc)
             for k in (0, 2, 5):
-                want = ref_evaluate(result.iterates[k], gt, mask)
-                assert evaluate(result.iterates[k], gt, mask) == want
+                want = ref_evaluate(iterates[k], gt, mask)
+                assert evaluate(iterates[k], gt, mask) == want
                 assert summary["reports"][(mode, k)] == want
 
 
@@ -545,3 +545,39 @@ class TestEstimateMemory:
             tracemalloc.stop()
         assert summary["corr"].defined
         assert max(peaks["before"], peaks["after"]) <= peaks["refinement"] + 1.5e6
+
+
+class TestAblateMemory:
+    def test_qvga_ablate_peaks_within_its_refinement_stage(self, tmp_path, monkeypatch):
+        # ablate scores each grid iterate as refine shows it, so it holds one
+        # iterate at a time. Each refine call is first run without the
+        # callback to trace the stage alone; the command, scoring included,
+        # must stay within 3 QVGA float64 maps of that stage's peak (measured:
+        # 9.45 MB, 2.33 maps above the stage's 8.01 MB; 57.8 MB when refine
+        # kept all 41 iterates of a mode for ablate to score afterwards)
+        qvga = {"width": 320, "height": 240, "fx": 400.0, "fy": 400.0, "n_frames": 5, "sel_n_frames": 5}
+        opts = {**ROOM_SUITE, **qvga, "fixed_step": 1, "workers": 2, "ablate_iterations": "0 40"}
+        cfg = load_run_config(overrides=[f"{k}={v}" for k, v in opts.items()])
+        cmd_synth(cfg, tmp_path)
+        outside, stage = [], []
+
+        def traced_refine(depth, weights, rc, workers=1, on_iterate=None):
+            outside.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            refine(depth, weights, rc, workers)
+            stage.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            result = refine(depth, weights, rc, workers, on_iterate)
+            outside.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return result
+
+        monkeypatch.setattr(pipeline, "refine", traced_refine)
+        tracemalloc.start()
+        try:
+            summary = cmd_ablate(cfg, tmp_path)
+            outside.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(summary["reports"]) == 8 and len(stage) == 4
+        assert max(outside) <= max(stage) + 3 * 8 * 320 * 240, (max(outside) / 1e6, max(stage) / 1e6)
