@@ -7,11 +7,22 @@ since the relative/log/inverse metrics are undefined there.
 
 One scorer computes all of it. ``Scorer`` gathers the ground truth g on its
 mask once and scores any number of predictions against it; ``evaluate``
-wraps it. A float32 ground truth or prediction, as read from a PFM file,
-stays float32, and every term widens it exactly; any other prediction, and
-sigma, are gathered in their own dtype and then widened to float64.
-``uncertainty_sweep`` and ``error_uncertainty_correlation`` share its
-gathers. For one prediction each per-pixel term (the ratio max(p/g, g/p),
+wraps it. ``uncertainty_sweep`` and ``error_uncertainty_correlation`` share
+its gathers.
+
+One dtype rule holds for the ground truth and every prediction: a map is
+gathered in the dtype it arrives in (float32 as read from a PFM file,
+float64, float16 or an integer dtype), and every term reads it in float64,
+through ``dtype=np.float64`` on the ufunc or against a float64 operand,
+which converts each value as ``astype(np.float64)`` would. The finiteness
+and sign checks give the same answer in the map's own dtype. So no whole
+map is converted, the reports write nothing they are given, and every
+result has the bits of the same maps converted to float64 first. Sigma alone is gathered as float64
+(``_gather_sigma``): its ranks are written into it, and under NumPy 2's
+scalar promotion rules a float32 sigma compared with a Python-float
+threshold would be compared in float32.
+
+For one prediction each per-pixel term (the ratio max(p/g, g/p),
 |d|/g, d², d²/g, (log p - log g)² and (1/p - 1/g)², with d = p - g) is
 computed once on the gathered pixels and reduced over every selection (all
 pixels, and each non-empty sweep threshold on the gathered sigma) before the
@@ -39,23 +50,19 @@ terms and blocks. Every value comes from the same function on the same
 inputs, so results are bit-identical with and without the executor.
 
 Memory: besides the caller's maps, a scorer keeps one gathered array, g.
-Scoring one prediction adds the gathered prediction (a float64 one becomes
-d, then |d|; a float32 one is widened into the term buffer for each term),
-one float64 term buffer, one selection gathered from it at a time and, with
-a sweep, each threshold's pixel indices. Sigma is gathered for those indices
-and dropped, and gathered again for the rank once the reports are done. g/p,
-log g and 1/g take BLOCK pixels at a time in one small buffer. The ranks
-overwrite |d| (made in a new float64 array for a float32 prediction) and
-sigma in place; each rank pass adds the sort order, one flag per pixel and
-one block's arrays (``_average_ranks``). Scoring an initial and a refined
-640x480 map with sigma and a sweep peaks 5.3-5.8 float64 maps above what was
-live before (5.3 with the estimate command's float32 ground truth and
-initial map), and a test holds it to 6.25. With an executor the two reports,
-and then the two rank passes, overlap: 6.3-7.3 maps, which a test holds to 8
-maps. Holding sigma through the reports, widening a float32 prediction and
-ranking through a sorted copy and a whole array of sorted ranks took 6.3-6.8
-and 6.3-9.2 maps; keeping log g and 1/g for the scorer's life and a float64
-copy of the ground truth 8.2-8.8 and up to 11.1.
+Scoring one prediction adds the gathered prediction, one float64 term
+buffer, one selection gathered from it at a time and, with a sweep, each
+threshold's pixel indices. Sigma is gathered for those indices and dropped,
+and gathered again for the rank once the reports are done. g/p, log g and
+1/g take BLOCK pixels at a time in one small buffer. The ranks overwrite
+|d| (formed in place of a float64 prediction's gather, in a new float64
+array for any other) and sigma in place; each rank pass adds the sort
+order, one flag per pixel and one block's arrays (``_average_ranks``).
+Scoring an initial and a refined 640x480 map with sigma and a sweep peaks
+5.3-5.8 float64 maps above what was live before (5.3 with the estimate
+command's float32 ground truth and initial map), and a test holds it to
+6.25. With an executor the two reports, and then the two rank passes,
+overlap: 6.3-7.3 maps, which a test holds to 8 maps.
 """
 
 from __future__ import annotations
@@ -123,12 +130,9 @@ class CorrelationResult:
 def _ground_truth(gt, mask) -> tuple[np.ndarray, np.ndarray]:
     """(evaluated mask, gt on it): the mask's pixels where gt is finite, and their gt values.
 
-    A float32 ground truth stays float32, and every term widens it exactly;
-    any other dtype becomes float64.
+    The values keep gt's own dtype (the module's dtype rule).
     """
     gt = np.asarray(gt)
-    if gt.dtype != np.float32:
-        gt = gt.astype(np.float64, copy=False)
     base = np.ones(gt.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if base.shape != gt.shape:
         raise _shape_error(gt=gt.shape, mask=base.shape)
@@ -140,17 +144,13 @@ def _gather(mask: np.ndarray, g: np.ndarray, pred):
     """(finite, p, g) on the evaluated pixels: the mask's pixels where pred is finite.
 
     ``finite`` selects them among the mask's pixels (None: all of them).
-    p is a fresh array, gathered in pred's own dtype so that no whole-map
-    copy is made. A float32 prediction, as read from a PFM file, stays
-    float32, and every term widens it exactly; any other dtype becomes
-    float64.
+    p is a fresh array in pred's own dtype (the module's dtype rule), so no
+    whole-map copy is made.
     """
     pred = np.asarray(pred)
     if pred.shape != mask.shape:
         raise _shape_error(pred=pred.shape, gt=mask.shape)
     p = pred[mask]
-    if p.dtype != np.float32:
-        p = p.astype(np.float64, copy=False)
     finite = np.isfinite(p)
     if finite.all():
         return None, p, g
@@ -170,8 +170,8 @@ class Scorer:
     """Ground truth gathered once on a mask, scored against any number of predictions.
 
     A prediction is evaluated on the mask's pixels where both it and the
-    ground truth are finite, in row-major order. ``g``, float32 or float64,
-    holds the ground truth on them, and ``nonpositive`` whether any of it
+    ground truth are finite, in row-major order. ``g`` holds the ground
+    truth on them, in its own dtype, and ``nonpositive`` whether any of it
     is <= 0; threads scoring against one scorer only read them.
     """
 
@@ -199,8 +199,9 @@ class Scorer:
 class _Prediction:
     """One prediction on a scorer's evaluated pixels (see ``_gather``).
 
-    ``p`` and ``g`` hold those pixels. Reducing overwrites a float64 ``p``
-    with |p - g|, so each prediction is scored once.
+    ``p`` and ``g`` hold those pixels, each in its map's own dtype.
+    ``report`` only reads them, so it can be repeated; ``score`` ranks
+    |p - g|, formed in place of a float64 ``p``, so it is called once.
     """
 
     def __init__(self, mask: np.ndarray, finite, p: np.ndarray, g: np.ndarray):
@@ -233,8 +234,7 @@ class _Prediction:
         report, rows = _sweep(self.p, self.g, thresholds, kept, self.p.size, score_all=True)
         if not ranked:
             return report, CorrelationResult(rho=0.0, defined=False), rows
-        # _reports has made a float64 p |p - g| and left a float32 one as it was
-        err = self.p if self.p.dtype == np.float64 else _abs_error(self.p, self.g)
+        err = _abs_error(self.p, self.g)
         return report, _rank_correlation(err, _gather_sigma(self.mask, self.finite, sigma)[1], executor), rows
 
 
@@ -242,44 +242,34 @@ def _reports(p: np.ndarray, g: np.ndarray, selections: list) -> list[MetricRepor
     """One report per selection of the evaluated pixels, each term computed once.
 
     A selection is None (every pixel) or the ascending indices of its pixels,
-    and none is empty; every pixel is finite and positive. p is float32 or
-    float64, and every term reads it widened to float64. A float64 p ends up
-    as |p - g|; a float32 p is widened into the term's buffer for each term
-    and left as it was.
+    and none is empty; every pixel is finite and positive. p and g are read
+    through ``dtype=np.float64`` (the module's dtype rule) and never written.
     """
-    sizes = [p.size if s is None else s.size for s in selections]
-
     def means(term):
         return [np.mean(term if s is None else term[s]) for s in selections]
 
     # the gt-side parts of three terms (g/p, log g, 1/g) go a block at a time
     # through one small float64 buffer, so none of them takes a whole map
     buffer = np.empty(min(p.size, BLOCK))
-    starts = range(0, p.size, BLOCK)
-    blocks = [(slice(i, i + BLOCK), buffer[: min(BLOCK, p.size - i)]) for i in starts]
+    blocks = [(slice(i, i + BLOCK), buffer[: min(BLOCK, p.size - i)]) for i in range(0, p.size, BLOCK)]
     term = np.empty(p.size)
-    np.divide(_wide(p, term), g, out=term)
+    np.divide(p, g, out=term, dtype=np.float64)
     for block, part in blocks:
         np.maximum(term[block], np.divide(g[block], p[block], out=part, dtype=np.float64), out=term[block])
-    deltas = [_delta_acc(term if s is None else term[s], n) for s, n in zip(selections, sizes)]
-    np.log(_wide(p, term), out=term)
+    deltas = [_delta_acc(term if s is None else term[s]) for s in selections]
+    np.log(p, out=term, dtype=np.float64)
     for block, part in blocks:
         term[block] -= np.log(g[block], out=part, dtype=np.float64)
     log_mse = means(np.square(term, out=term))
-    np.divide(1.0, _wide(p, term), out=term)
+    np.divide(1.0, p, out=term, dtype=np.float64)
     for block, part in blocks:
         term[block] -= np.divide(1.0, g[block], out=part, dtype=np.float64)
     inv_mse = means(np.square(term, out=term))
-    # d = p - g, and then |d|, in place of a float64 p, whose rank reads |d|
-    # next; a float32 p is widened into term again once d² is reduced
-    in_place = p.dtype == np.float64
-    d = np.subtract(_wide(p, term), g, out=p if in_place else term)
-    mse = means(np.multiply(d, d, out=term))
+    # d = p - g is formed once for d² and d²/g and once more for |d|/g
+    mse = means(np.square(np.subtract(p, g, out=term, dtype=np.float64), out=term))
     term /= g
     sq_rel = means(term)
-    if not in_place:
-        d = np.subtract(_wide(p, term), g, out=term)
-    abs_rel = means(np.divide(np.abs(d, out=d), g, out=term))
+    abs_rel = means(np.divide(np.abs(np.subtract(p, g, out=term, dtype=np.float64), out=term), g, out=term))
     return [
         MetricReport(
             abs_rel=float(abs_rel[i]),
@@ -288,22 +278,14 @@ def _reports(p: np.ndarray, g: np.ndarray, selections: list) -> list[MetricRepor
             irmse=float(np.sqrt(inv_mse[i])),
             rmse=float(np.sqrt(mse[i])),
             delta_acc=deltas[i],
-            n_evaluated=n,
+            n_evaluated=p.size if s is None else s.size,
         )
-        for i, n in enumerate(sizes)
+        for i, s in enumerate(selections)
     ]
 
 
-def _wide(p: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """p as float64: p itself, or a float32 p widened into term."""
-    if p.dtype == np.float64:
-        return p
-    np.copyto(term, p)
-    return term
-
-
-def _delta_acc(ratio: np.ndarray, n: int) -> dict[float, float]:
-    return {t: 100.0 * (np.count_nonzero(ratio < t) / n) for t in DELTA_THRESHOLDS}
+def _delta_acc(ratio: np.ndarray) -> dict[float, float]:
+    return {t: 100.0 * (np.count_nonzero(ratio < t) / ratio.size) for t in DELTA_THRESHOLDS}
 
 
 def check_thresholds(thresholds) -> None:
@@ -483,7 +465,7 @@ def error_uncertainty_correlation(
 
 
 def _abs_error(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """|p - g| in float64: in place in a float64 p, in a new array for a float32 one."""
+    """|p - g| in float64: in place in a float64 p, in a new array for any other dtype."""
     d = np.subtract(p, g, out=p if p.dtype == np.float64 else None, dtype=np.float64)
     return np.abs(d, out=d)
 

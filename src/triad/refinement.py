@@ -469,12 +469,14 @@ def laplacian_nll(
     lam = 0.83 with K implied by the number of maps provided. Every map is
     gathered on the valid pixels before anything is computed, so values
     elsewhere are never read; there sigma must be finite and positive and
-    the depth finite.
+    the depth finite. The ground truth is gathered in its own dtype and
+    widened where each float64 depth reads it, as ``astype(np.float64)``
+    would widen it.
     """
     depths, sigmas = [np.asarray(d) for d in depths], [np.asarray(s) for s in sigmas]
     if len(depths) != len(sigmas) or not depths:
         raise InputError("need the same (nonzero) number of depth and sigma maps")
-    gt = np.asarray(gt, dtype=np.float64)
+    gt = np.asarray(gt)
     mask = np.isfinite(gt) if valid is None else (np.asarray(valid, dtype=bool) & np.isfinite(gt))
     g = gt[mask]
     last_k = len(depths) - 1

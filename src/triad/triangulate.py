@@ -329,10 +329,12 @@ def epipolar_loss(
     epipolar line that depth alone cannot see: H_k g^2 + 2 beta_k g + gamma_k
     at the ground truth g, floored at 0. Returns the sum over valid pixels
     (fixed row-major order) and the per-pixel map, NaN where the flow is
-    invalid or the ground truth is not finite.
+    invalid or the ground truth is not finite. The ground truth is read a
+    band at a time in its own dtype, and the float64 terms widen it as
+    ``astype(np.float64)`` would, so no whole float64 copy of it is made.
     """
     inp = TriangulationInput(k, ((flow_field, pose),))
-    gt = np.asarray(gt_depth, dtype=np.float64)
+    gt = np.asarray(gt_depth)
     if gt.shape != (k.height, k.width):
         raise InputError(f"gt depth shape {gt.shape} != image size {(k.height, k.width)}")
     valid = flow_field.valid & np.isfinite(gt)

@@ -3,9 +3,10 @@
 The maps are held as estimate holds them: a float32 ground truth and
 initial map, a float64 refined map and sigma. One call scores the initial
 map's report and the refined map's report, Spearman rho and sweep
-(``pipeline._score_maps``). One rank pass (``metrics._average_ranks``) is
-timed on its own, on 640x480 distinct values and on the same values
-rounded to float32, which gives ties. A few rounds each, so the test run
+(``pipeline._score_maps``). The float32 initial map's report
+(``Scorer.report``) is timed on its own, and so is one rank pass
+(``metrics._average_ranks``), on 640x480 distinct values and on the same
+values rounded to float32, which gives ties. A few rounds each, so the test run
 stays short; for steadier numbers run ``pytest tests/test_bench_scoring.py
 --benchmark-only`` with more rounds.
 """
@@ -42,6 +43,14 @@ def test_score_maps_vga(benchmark, vga_maps, workers):
         result = benchmark.pedantic(_score_maps, args=args, rounds=3, warmup_rounds=1)
     assert result == serial
     assert result[1][1].defined
+
+
+def test_float32_report_vga(benchmark, vga_maps):
+    scorer, initial, _, _ = vga_maps
+    assert initial.dtype == np.float32 and scorer.g.dtype == np.float32
+    want = scorer.report(initial)
+    report = benchmark.pedantic(scorer.report, args=(initial,), rounds=10, warmup_rounds=1)
+    assert report == want
 
 
 @pytest.mark.parametrize("rounding", [np.float64, np.float32], ids=["distinct", "float32"])

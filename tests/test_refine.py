@@ -824,6 +824,15 @@ class TestLaplacianNll:
         with pytest.raises(InputError, match="sigma"):
             laplacian_nll([gt.copy()], [np.array([[1.0, np.inf]])], gt)
 
+    def test_float32_ground_truth_gives_the_bits_of_its_widening(self):
+        # the ground truth is gathered in its own dtype and widened where each depth reads it
+        case = suite_case(0)
+        gt = case["gt"].astype(np.float32)
+        depths = [case["init"].depth.astype(np.float64), case["result"].depth]
+        sigmas = [np.full(gt.shape, 0.25), case["result"].uncertainty]
+        valid = case["init"].valid
+        assert laplacian_nll(depths, sigmas, gt, valid) == laplacian_nll(depths, sigmas, gt.astype(np.float64), valid)
+
     def test_mismatched_map_counts_rejected(self):
         gt = np.array([[2.0]])
         with pytest.raises(InputError):

@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from triad import (
     render_flow,
     triangulate_map,
 )
+from triad.flow import INVALID_FLOW
 from triad.geometry import normalized_grid
 from triad.pipeline import ROOM_SUITE, RunConfig, synthesize
 from triad.triangulate import InitialDepth
@@ -427,6 +429,47 @@ class TestFloat32Flow:
             want_total, want_per_pixel = epipolar_loss(wide_field, pose, gt, k)
             assert total == want_total
             assert per_pixel.tobytes() == want_per_pixel.tobytes()
+
+    def test_float32_ground_truth_gives_the_bits_of_its_widening(self):
+        # epipolar_loss reads the ground truth in its own dtype, a band at a time
+        k, gt, narrow, _ = _decoded_and_widened(0)
+        narrow_gt = gt.astype(np.float32)
+        for field, pose in narrow:
+            total, per_pixel = epipolar_loss(field, pose, narrow_gt, k)
+            want_total, want_per_pixel = epipolar_loss(field, pose, narrow_gt.astype(np.float64), k)
+            assert total == want_total
+            assert per_pixel.tobytes() == want_per_pixel.tobytes()
+
+
+class TestCallerBuiltInvalidFlow:
+    """Invalid vectors of a field built through the public constructor are never read.
+
+    ``from_raster`` zeroes them, but ``FlowField(vectors, valid)`` keeps
+    whatever the caller put there, so ``_frame_terms`` zeroes them again
+    before it builds a ray: any value there triangulates as zero flow.
+    """
+
+    @pytest.mark.parametrize("fill", [np.inf, -np.inf, np.nan, INVALID_FLOW], ids=["inf", "-inf", "nan", "sentinel"])
+    def test_any_invalid_value_gives_the_zeroed_fields_bits(self, fill):
+        k, gt, zeroed, _ = _decoded_and_widened(3)
+        assert not all(field.valid.all() for field, _ in zeroed)
+        filled = []
+        for field, pose in zeroed:
+            vectors = field.vectors.copy()
+            vectors[~field.valid] = fill
+            filled.append((FlowField(vectors, field.valid), pose))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for workers in (1, 2):
+                got = triangulate_map(TriangulationInput(k, tuple(filled)), workers=workers)
+                want = triangulate_map(TriangulationInput(k, zeroed), workers=workers)
+                for channel in ("depth", "conf_h", "conf_r"):
+                    assert getattr(got, channel).tobytes() == getattr(want, channel).tobytes()
+            for (field, pose), (zeroed_field, _) in zip(filled, zeroed):
+                total, per_pixel = epipolar_loss(field, pose, gt, k)
+                want_total, want_per_pixel = epipolar_loss(zeroed_field, pose, gt, k)
+                assert total == want_total
+                assert per_pixel.tobytes() == want_per_pixel.tobytes()
 
 
 class TestInitialDepthChecks:
