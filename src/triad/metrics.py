@@ -15,8 +15,11 @@ gathered in the dtype it arrives in (float32 as read from a PFM file,
 float64, float16 or an integer dtype), and every term reads it in float64,
 through ``dtype=np.float64`` on the ufunc or against a float64 operand,
 which converts each value as ``astype(np.float64)`` would. The finiteness
-and sign checks give the same answer in the map's own dtype. So no whole
-map is converted, the reports write nothing they are given, and every
+and sign checks give the same answer in the map's own dtype. The one
+exception is a dtype float64 cannot hold (``np.can_cast`` fails, as for
+longdouble), where a positive value such as 1e-400 is 0 in float64: its
+gathered pixels are converted to float64 before they are checked. So no
+whole map is converted, the reports write nothing they are given, and every
 result has the bits of the same maps converted to float64 first. Sigma alone is gathered as float64
 (``_gather_sigma``): its ranks are written into it, and under NumPy 2's
 scalar promotion rules a float32 sigma compared with a Python-float
@@ -127,17 +130,23 @@ class CorrelationResult:
     defined: bool
 
 
+def _float64_if_wider(a: np.ndarray) -> np.ndarray:
+    """a itself, or a converted to float64 when float64 cannot hold its dtype (such as longdouble)."""
+    return a if np.can_cast(a.dtype, np.float64) else a.astype(np.float64)
+
+
 def _ground_truth(gt, mask) -> tuple[np.ndarray, np.ndarray]:
     """(evaluated mask, gt on it): the mask's pixels where gt is finite, and their gt values.
 
-    The values keep gt's own dtype (the module's dtype rule).
+    The values keep gt's own dtype (the module's dtype rule), unless float64
+    cannot hold it.
     """
     gt = np.asarray(gt)
     base = np.ones(gt.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if base.shape != gt.shape:
         raise _shape_error(gt=gt.shape, mask=base.shape)
     mask = base & np.isfinite(gt)
-    return mask, gt[mask]
+    return mask, _float64_if_wider(gt[mask])
 
 
 def _gather(mask: np.ndarray, g: np.ndarray, pred):
@@ -145,12 +154,13 @@ def _gather(mask: np.ndarray, g: np.ndarray, pred):
 
     ``finite`` selects them among the mask's pixels (None: all of them).
     p is a fresh array in pred's own dtype (the module's dtype rule), so no
-    whole-map copy is made.
+    whole-map copy is made; a dtype float64 cannot hold is converted once
+    gathered, before its finiteness is read.
     """
     pred = np.asarray(pred)
     if pred.shape != mask.shape:
         raise _shape_error(pred=pred.shape, gt=mask.shape)
-    p = pred[mask]
+    p = _float64_if_wider(pred[mask])
     finite = np.isfinite(p)
     if finite.all():
         return None, p, g
@@ -372,8 +382,7 @@ def _average_ranks(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     order a block at a time, and only then are the ranks scattered a block at
     a time, each block ending where a tie group does. A 640x480 pass peaks
     1.23-1.27 float64 maps above its input, 1.39 when every value comes in
-    pairs; a sorted copy of x and a whole array of sorted ranks took 2.13,
-    and 3.25 with heavy ties.
+    pairs.
     """
     n = len(x)
     order = np.argsort(x)

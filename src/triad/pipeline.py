@@ -28,6 +28,7 @@ depend only on the map size, and their split moves only the last digits of
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,7 +91,12 @@ ABLATION_FILE = "ablation.csv"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every knob of a run; field names double as config keys."""
+    """Every knob of a run; field names double as config keys.
+
+    Building one checks every value, so a bad one raises ConfigError before
+    any command writes output, whether it came from load_run_config or from
+    a caller.
+    """
 
     # paths, relative to the run root
     trajectory: str = "trajectory.txt"
@@ -160,9 +166,40 @@ class RunConfig:
     sigma_cap: float = RefineConfig.sigma_cap
     weight_mode: str = RefineConfig.weight_mode
 
-    # evaluation
-    sweep_thresholds: str = " ".join(f"{t:g}" for t in SWEEP_THRESHOLDS)
-    ablate_iterations: str = "0 1 3 5 7 9"
+    # evaluation; on the command line each list is whitespace-separated text
+    sweep_thresholds: tuple[float, ...] = SWEEP_THRESHOLDS
+    ablate_iterations: tuple[int, ...] = (0, 1, 3, 5, 7, 9)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        if self.workers < 1:
+            raise ConfigError("workers must be at least 1")
+        # each derived setting is built only for its checks
+        try:
+            self.intrinsics_obj()
+            self.refine_config()
+            self.selection_policy()
+            self.noise_model(0)
+            self.scene_settings()
+            self.trajectory_obj()
+            check_limits(self.h_eps, self.d_max)
+        except InputError as e:
+            raise ConfigError(str(e)) from e
+        try:
+            check_thresholds(self.sweep_thresholds)
+        except (InputError, TypeError) as e:  # TypeError: an item that is no number
+            raise ConfigError("sweep_thresholds must be positive numbers") from e
+        if not self.sweep_thresholds:
+            raise ConfigError("sweep_thresholds must be positive numbers")
+        try:
+            grid = [operator.index(k) for k in self.ablate_iterations]
+        except TypeError as e:
+            raise ConfigError("ablate_iterations must be nonnegative integers") from e
+        if not grid or min(grid) < 0:
+            raise ConfigError("ablate_iterations must be nonnegative integers")
+        if len(set(grid)) != len(grid):
+            raise ConfigError("ablate_iterations must not repeat a value")
 
     def intrinsics_obj(self) -> Intrinsics:
         # only a negative value centres; NaN reaches Intrinsics, which rejects it
@@ -204,31 +241,6 @@ class RunConfig:
             return orbit_trajectory(self.n_frames, self.orbit_radius, self.dt)
         raise ConfigError(f"unknown trajectory_kind {self.trajectory_kind!r}")
 
-    def sweep_threshold_list(self) -> list[float]:
-        """At least one threshold, each as metrics.check_thresholds requires."""
-        try:
-            values = [float(t) for t in self.sweep_thresholds.split()]
-        except ValueError as e:
-            raise ConfigError(f"bad sweep_thresholds: {e}") from e
-        try:
-            check_thresholds(values)
-        except InputError as e:
-            raise ConfigError("sweep_thresholds must be positive numbers") from e
-        if not values:
-            raise ConfigError("sweep_thresholds must be positive numbers")
-        return values
-
-    def ablate_iteration_list(self) -> list[int]:
-        try:
-            values = [int(t) for t in self.ablate_iterations.split()]
-        except ValueError as e:
-            raise ConfigError(f"bad ablate_iterations: {e}") from e
-        if not values or any(v < 0 for v in values):
-            raise ConfigError("ablate_iterations must be nonnegative integers")
-        if len(set(values)) != len(values):
-            raise ConfigError("ablate_iterations must not repeat a value")
-        return values
-
 
 # The room-scale suite as config keys: a depth spread wide enough for genuinely heteroscedastic
 # errors, moving sideways at 0.05 m per frame, with 1 px flow noise and 3 % outliers.
@@ -244,7 +256,7 @@ ROOM_SUITE = {
     "outlier_rate": 0.03,
 }
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 # the SelectionPolicy fields whose config key has another name
 SELECTION_KEYS = {"mode": "selection_mode", "n_frames": "sel_n_frames"}
 
@@ -265,21 +277,20 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def _coerce(key: str, raw: str):
-    kind = _FIELD_TYPES.get(key)
-    if kind is None:
+    """raw as the type of key's default; a tuple key's whitespace-separated items as its items' type."""
+    if key not in _DEFAULTS:
         raise ConfigError(f"unknown config key {key!r}")
+    default = _DEFAULTS[key]
     try:
-        if kind in ("int", int):
-            return int(raw)
-        if kind in ("float", float):
-            return float(raw)
-        return raw
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(item) for item in raw.split())
+        return type(default)(raw)
     except ValueError as e:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({e})") from e
 
 
 def load_run_config(config_path=None, overrides=(), env=None) -> RunConfig:
-    """Merge config file, TRIAD_* environment variables, and key=value overrides."""
+    """Merge config file, TRIAD_* environment variables, and key=value overrides; RunConfig checks the result."""
     mapping: dict[str, str] = {}
     if config_path is not None:
         cfg_file = Path(config_path)
@@ -287,7 +298,7 @@ def load_run_config(config_path=None, overrides=(), env=None) -> RunConfig:
             raise ConfigError(f"config file not found: {cfg_file}")
         mapping.update(parse_config_file(cfg_file))
     if env is not None:
-        for name in _FIELD_TYPES:
+        for name in _DEFAULTS:
             env_key = ENV_PREFIX + name.upper()
             if env_key in env:
                 mapping[name] = env[env_key]
@@ -296,27 +307,7 @@ def load_run_config(config_path=None, overrides=(), env=None) -> RunConfig:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, _, value = item.partition("=")
         mapping[key.strip()] = value.strip()
-    values = {key: _coerce(key, raw) for key, raw in mapping.items()}
-    cfg = RunConfig(**values)
-    # build every derived setting now, so a bad value fails as a config error
-    # before any command writes output
-    if cfg.seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be at least 1")
-    try:
-        cfg.intrinsics_obj()
-        cfg.refine_config()
-        cfg.selection_policy()
-        cfg.noise_model(0)
-        cfg.scene_settings()
-        cfg.trajectory_obj()
-        check_limits(cfg.h_eps, cfg.d_max)
-    except InputError as e:
-        raise ConfigError(str(e)) from e
-    cfg.sweep_threshold_list()
-    cfg.ablate_iteration_list()
-    return cfg
+    return RunConfig(**{key: _coerce(key, raw) for key, raw in mapping.items()})
 
 
 def resolve_keyframe(cfg: RunConfig, n_frames: int) -> int:
@@ -517,7 +508,7 @@ def cmd_estimate(cfg: RunConfig, root) -> dict:
         scorer = Scorer(fileio.read_pfm(gt_path), init.valid)
         with pool(min(cfg.workers, 2), "score") as executor:
             initial_report, (refined_report, corr, sweep) = _score_maps(
-                scorer, init.depth, result.depth, result.uncertainty, cfg.sweep_threshold_list(), executor
+                scorer, init.depth, result.depth, result.uncertainty, cfg.sweep_thresholds, executor
             )
         entries += _metric_entries("initial", initial_report) + _metric_entries("refined", refined_report)
         entries += _uncertainty_entries(corr)
@@ -549,26 +540,22 @@ def cmd_ablate(cfg: RunConfig, root) -> dict:
     keyframe, selection, init, warnings = _triangulate_stage(cfg, root)
     scorer = Scorer(fileio.read_pfm(root / cfg.gt_depth), init.valid)
     intensity = fileio.read_image(root / cfg.image)
-    iteration_grid = cfg.ablate_iteration_list()
-
-    initial_report = scorer.report(init.depth)
     reports: dict[tuple[str, int], MetricReport] = {}
     for mode in WEIGHT_MODES:
-        rc = dataclasses.replace(cfg.refine_config(), weight_mode=mode, iterations=max(iteration_grid))
+        rc = dataclasses.replace(cfg.refine_config(), weight_mode=mode, iterations=max(cfg.ablate_iterations))
 
         def score(k, d):
-            if k in iteration_grid:
+            if k in cfg.ablate_iterations:
                 reports[(mode, k)] = scorer.report(d)
 
         refine(init.depth, build_weights(init, intensity, rc), rc, workers=cfg.workers, on_iterate=score)
-    rows = [((mode, f"{k}"), reports[(mode, k)]) for mode in WEIGHT_MODES for k in iteration_grid]
+    rows = [((mode, f"{k}"), reports[(mode, k)]) for mode in WEIGHT_MODES for k in cfg.ablate_iterations]
     csv_path = root / cfg.out_dir / ABLATION_FILE
     fileio.write_lines(csv_path, csv_lines(("weight_mode", "iterations"), rows))
     return {
         "keyframe": keyframe,
         "selection": selection,
         "warnings": warnings,
-        "initial_report": initial_report,
         "reports": reports,
         "lines": [f"wrote {csv_path}"],
     }
@@ -586,7 +573,7 @@ def cmd_eval(cfg: RunConfig, root) -> dict:
     if cfg.sigma_map or sigma_path.is_file():
         sigma = fileio.read_pfm(sigma_path)
         with pool(min(cfg.workers, 2), "score") as executor:
-            report, corr, sweep = prediction.score(sigma, cfg.sweep_threshold_list(), executor)
+            report, corr, sweep = prediction.score(sigma, cfg.sweep_thresholds, executor)
         entries = _metric_entries("eval", report) + _uncertainty_entries(corr)
         summary.update({"corr": corr, "sweep": sweep})
         fileio.write_lines(out / SWEEP_FILE, sweep_csv_lines(sweep))

@@ -93,12 +93,9 @@ sigma, so after the last pass refine recomputes the diagonal into the step's
 map (the same operations in the same order, so the same bits) and takes
 sigma there. The iterations then hold those seven float64 maps (the depth
 and the buffers aside), 20.5 MB traced at the peak of a 40-iteration VGA
-``triad refine`` with two workers. Sigma and the confidence maps held
-through the passes took 25.7 MB; float64 initial maps, edge maps kept
-unscaled next to their scaled copies and six buffers per group 35.3 MB.
-Inside a VGA ``triad estimate`` with two workers, which keeps the confidence
-maps to write them, the refinement stage peaks at 23.2 MB (25.7 MB with
-sigma held through the passes, 29.4 MB with float64 initial maps).
+``triad refine`` with two workers. Inside a VGA ``triad estimate`` with two
+workers, which keeps the confidence maps to write them, the refinement
+stage peaks at 23.2 MB.
 Recomputing the diagonal costs about 1.3 ms per VGA call, whatever the
 iteration count (2-vCPU host).
 

@@ -27,11 +27,12 @@ import triad.workers as workers_module
 from triad import cli, pipeline
 from triad.cli import MMAP_THRESHOLD, build_parser, fix_heap_thresholds, main
 from triad.fileio import read_flow, read_image, read_pfm, write_flow, write_image, write_pfm
-from triad.metrics import SPEARMAN_MIN_PIXELS, csv_lines
+from triad.metrics import SPEARMAN_MIN_PIXELS, SWEEP_THRESHOLDS, Scorer, csv_lines
 from triad.triangulate import DEFAULT_D_MAX, DEFAULT_H_EPS
 from triad.pipeline import (
     SELECTION_KEYS,
     RunConfig,
+    _triangulate_stage,
     cmd_ablate,
     cmd_estimate,
     cmd_synth,
@@ -86,6 +87,78 @@ def record_thread_starts(monkeypatch) -> list:
     return started
 
 
+# Every bad value of TestExitCodes' two bad-setting tests but keyframe=5, which
+# needs the trajectory's length, as RunConfig keys, with the message the CLI prints
+BAD_SETTINGS = [
+    ({"omega": 2.0}, "omega must be in (0, 1]"),
+    ({"iterations": -1}, "iterations must be nonnegative"),
+    ({"selection_mode": "bogus"}, "unknown selection mode 'bogus'"),
+    ({"fixed_step": 0}, "fixed_step must be at least 1"),
+    ({"sweep_thresholds": (-1.0,)}, "sweep_thresholds must be positive numbers"),
+    ({"mu": math.nan}, "mu must be finite"),
+    ({"kappa": math.nan}, "kappa must be finite"),
+    ({"tau": math.nan}, "tau must be finite"),
+    ({"w_max": math.nan}, "w_max must be finite"),
+    ({"sigma_min": math.nan}, "sigma_min must be finite"),
+    ({"beta": math.nan}, "beta must be finite"),
+    ({"sigma_cap": math.nan}, "sigma_cap must be finite"),
+    ({"mu": math.inf}, "mu must be finite"),
+    ({"sweep_thresholds": (math.nan,)}, "sweep_thresholds must be positive numbers"),
+    ({"sweep_thresholds": (0.5, math.nan)}, "sweep_thresholds must be positive numbers"),
+    ({"h_eps": math.nan}, "h_eps must be a finite nonnegative number"),
+    ({"d_max": math.nan}, "d_max must be positive and finite"),
+    ({"d_max": -1.0}, "d_max must be positive and finite"),
+    ({"workers": 0}, "workers must be at least 1"),
+    ({"workers": -3}, "workers must be at least 1"),
+    ({"fx": math.inf}, "focal lengths must be positive and finite"),
+    ({"cx": 1000.0}, "principal point must lie strictly inside the image"),
+    ({"ablate_iterations": (0, 1, 1)}, "ablate_iterations must not repeat a value"),
+    ({"theta_min": math.nan}, "thresholds must be nonnegative"),
+    ({"t_min": math.nan}, "thresholds must be nonnegative"),
+    ({"cx": math.nan}, "principal point must lie strictly inside the image"),
+    ({"cy": math.nan}, "principal point must lie strictly inside the image"),
+    ({"sigma_flow": math.nan}, "sigma_flow must be in [0, 1e+09] pixels"),
+    ({"sigma_flow": -1.0}, "sigma_flow must be in [0, 1e+09] pixels"),
+    ({"sigma_flow": math.inf}, "sigma_flow must be in [0, 1e+09] pixels"),
+    ({"sigma_flow": 2e9}, "sigma_flow must be in [0, 1e+09] pixels"),
+    ({"outlier_rate": math.nan}, "outlier_rate must be in [0, 1]"),
+    ({"outlier_rate": 1.5}, "outlier_rate must be in [0, 1]"),
+    ({"outlier_span": -1.0}, "outlier_span must be in [0, 1e+09] pixels"),
+    ({"outlier_span": math.inf}, "outlier_span must be in [0, 1e+09] pixels"),
+    ({"outlier_span": math.nan}, "outlier_span must be in [0, 1e+09] pixels"),
+    ({"bump_amplitude": math.inf}, "bump_amplitude must be finite and nonnegative"),
+    ({"bump_amplitude": -0.1}, "bump_amplitude must be finite and nonnegative"),
+    ({"bump_sigma_lo": math.nan}, "need 0 < bump_sigma_lo <= bump_sigma_hi, both finite"),
+    ({"bump_sigma_lo": 0.0}, "need 0 < bump_sigma_lo <= bump_sigma_hi, both finite"),
+    ({"bump_sigma_lo": 0.5}, "need 0 < bump_sigma_lo <= bump_sigma_hi, both finite"),
+    ({"bump_sigma_hi": -1.0}, "need 0 < bump_sigma_lo <= bump_sigma_hi, both finite"),
+    ({"bump_sigma_hi": math.inf}, "need 0 < bump_sigma_lo <= bump_sigma_hi, both finite"),
+    ({"n_bumps": -1}, "n_bumps must be nonnegative"),
+    ({"base_depth": math.nan}, "base_depth must be positive and finite"),
+    ({"base_depth": 0.0}, "base_depth must be positive and finite"),
+    ({"base_depth": math.inf}, "base_depth must be positive and finite"),
+    ({"texture_cutoff": math.nan}, "texture_cutoff must be positive and finite"),
+    ({"texture_cutoff": 0.0}, "texture_cutoff must be positive and finite"),
+    ({"seed": -1}, "seed must be nonnegative"),
+    ({"vx": math.inf}, "velocity and yaw_rate must be finite"),
+    ({"vy": math.nan}, "velocity and yaw_rate must be finite"),
+    ({"vz": -math.inf}, "velocity and yaw_rate must be finite"),
+    ({"yaw_rate": math.nan}, "velocity and yaw_rate must be finite"),
+    ({"yaw_rate": math.inf}, "velocity and yaw_rate must be finite"),
+    ({"dt": math.nan}, "dt must be positive and finite"),
+    ({"dt": 0.0}, "dt must be positive and finite"),
+    ({"dt": math.inf}, "dt must be positive and finite"),
+    ({"n_frames": 0}, "need at least one frame"),
+    ({"trajectory_kind": "orbit", "orbit_radius": math.nan}, "translation must be finite"),
+    ({"trajectory_kind": "stop_and_go", "move": 0}, "need move >= 1 and dwell >= 0"),
+    ({"trajectory_kind": "foo"}, "unknown trajectory_kind 'foo'"),
+    ({"width": 0}, "principal point must lie strictly inside the image"),
+    ({"height": -5}, "principal point must lie strictly inside the image"),
+    ({"fx": -1.0}, "focal lengths must be positive and finite"),
+    ({"fy": math.nan}, "focal lengths must be positive and finite"),
+]
+
+
 class TestConfigLoading:
     def test_defaults(self):
         cfg = load_run_config()
@@ -125,17 +198,41 @@ class TestConfigLoading:
 
     def test_infinite_sweep_threshold_is_legal(self):
         cfg = load_run_config(overrides=["sweep_thresholds=inf 0.5"])
-        assert cfg.sweep_threshold_list() == [math.inf, 0.5]
+        assert cfg.sweep_thresholds == (math.inf, 0.5)
+
+    def test_list_keys_are_tuples_parsed_once(self):
+        cfg = load_run_config(overrides=["sweep_thresholds= 0.5\t0.25 ", "ablate_iterations=9 0 3"])
+        assert cfg.sweep_thresholds == (0.5, 0.25) and cfg.ablate_iterations == (9, 0, 3)
+        assert type(cfg.ablate_iterations[0]) is int
+        defaults = RunConfig()
+        assert defaults.sweep_thresholds == SWEEP_THRESHOLDS and defaults.ablate_iterations == (0, 1, 3, 5, 7, 9)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        BAD_SETTINGS
+        + [({"sweep_thresholds": ()}, "sweep_thresholds must be positive numbers"),
+           ({"sweep_thresholds": "0.5 0.16"}, "sweep_thresholds must be positive numbers"),
+           ({"ablate_iterations": "0 1 3"}, "ablate_iterations must be nonnegative integers"),
+           ({"ablate_iterations": ()}, "ablate_iterations must be nonnegative integers"),
+           ({"ablate_iterations": (0, -1)}, "ablate_iterations must be nonnegative integers"),
+           ({"ablate_iterations": (0, 1.0)}, "ablate_iterations must be nonnegative integers")],
+    )
+    def test_run_config_checks_itself(self, settings, message):
+        # the same ConfigError the CLI reports, with no config loading involved
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(**settings)
 
     @pytest.mark.parametrize(
         "bad, message",
         [("h_eps=nan", "h_eps must be a finite nonnegative number"),
          ("d_max=-1", "d_max must be positive and finite"),
          ("sweep_thresholds=0.5 nan", "sweep_thresholds must be positive numbers"),
-         ("sweep_thresholds=", "sweep_thresholds must be positive numbers")],
+         ("sweep_thresholds=", "sweep_thresholds must be positive numbers"),
+         ("sweep_thresholds=0.5 x", "bad value for 'sweep_thresholds': '0.5 x' (could not convert string to float: 'x')"),
+         ("ablate_iterations=0 1.5", "bad value for 'ablate_iterations': '0 1.5' (invalid literal for int() with base 10: '1.5')")],
     )
     def test_layer_rules_fail_as_config_errors(self, bad, message):
-        with pytest.raises(ConfigError, match=f"^{message}$"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_run_config(overrides=[bad])
 
     def test_middle_keyframe_default(self):
@@ -657,11 +754,12 @@ class TestAblate:
         assert {int(row[1]) for row in body} == {0, 1, 3, 5, 7, 9}
 
     def test_zero_iteration_row_equals_initial_metrics(self, ablation):
-        _, summary = ablation
+        root, summary = ablation
+        cfg = load_run_config(overrides=[o.removeprefix("--opt=") for o in synth_opts()])
+        _, _, init, _ = _triangulate_stage(cfg, root)
+        initial = Scorer(read_pfm(root / cfg.gt_depth), init.valid).report(init.depth)
         for mode in ("full", "constant"):
-            row = summary["reports"][(mode, 0)]
-            assert row.rmse == summary["initial_report"].rmse
-            assert row.abs_rel == summary["initial_report"].abs_rel
+            assert summary["reports"][(mode, 0)] == initial
 
     def test_rows_equal_separate_refine_runs(self, ablation):
         root, summary = ablation

@@ -277,6 +277,22 @@ class TestDtypeRule:
 
         assert outputs(gt, pred) == outputs(gt.astype(np.float64), pred.astype(np.float64))
 
+    @pytest.mark.parametrize("tiny_in", ["pred", "gt"])
+    def test_value_float64_cannot_hold_is_checked_as_float64(self, tiny_in):
+        # 1e-400 is positive in longdouble and 0 in float64, so it is rejected as 0 would be
+        tiny = np.array([np.longdouble("1e-400"), np.longdouble("2.5")])
+        plain = np.array([2.0, 3.0], dtype=np.longdouble)
+        pred, gt = (tiny, plain) if tiny_in == "pred" else (plain, tiny)
+        for score in (lambda: evaluate(pred, gt), lambda: Scorer(gt).report(pred)):
+            with pytest.raises(InputError, match="depth must be positive on evaluated pixels"):
+                score()
+
+    def test_longdouble_scores_as_its_float64_conversion(self):
+        gt, pred = depth_in(np.float64, 0), depth_in(np.float64, 1)
+        scorer = Scorer(gt.astype(np.longdouble))
+        assert scorer.g.dtype == np.float64
+        assert scorer.report(pred.astype(np.longdouble)) == Scorer(gt).report(pred)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_report_reads_its_prediction_only(self, dtype):
         prediction = Scorer(depth_in(np.float32, 0)).prediction(depth_in(dtype, 1))
